@@ -1,0 +1,12 @@
+"""Make the benchmark's modules and the checkout's ``src`` importable in tests.
+
+Run with ``python3 -m pytest perfbench`` from the root of the checkout.
+"""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE, HERE.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
