@@ -2,8 +2,8 @@
 
 Subcommands cover the full flow: generate synthetic data, ingest event logs,
 train the encoders, detect anomalous nodes, carve subgraphs, train the
-matcher, recognise queries, evaluate end to end, replay the rule baseline,
-and benchmark. Every subcommand is deterministic given (config, seed,
+matcher, recognise queries, evaluate end to end and replay the rule
+baseline. Every subcommand is deterministic given (config, seed,
 inputs), never mutates its inputs, and refuses to overwrite outputs without
 --force.
 
@@ -71,15 +71,18 @@ def _write_json(payload: dict, path: Path, force: bool) -> None:
         json.dump(payload, fh, indent=2)
 
 
+def _log_path(out: Path) -> Path:
+    return out.with_suffix(out.suffix + ".log.json")
+
+
 def _write_log(out: Path, command: str, args: dict, elapsed: float) -> None:
     log = {
         "command": command,
-        "args": {k: str(v) for k, v in args.items() if v is not None},
+        "args": {k: str(v) for k, v in args.items() if v is not None and k != "fn"},
         "elapsed_seconds": round(elapsed, 3),
     }
-    log_path = out.with_suffix(out.suffix + ".log.json")
-    with open(log_path, "w", encoding="utf-8") as fh:
-        json.dump(log, fh, indent=2)
+    # main() refused an existing log without --force before the command ran
+    _write_json(log, _log_path(out), True)
 
 
 def _parse_set_overrides(pairs) -> dict:
@@ -315,46 +318,6 @@ def _cmd_baseline(args, config: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args, config: PipelineConfig) -> int:
-    # informational only: embedding + matching cost as subgraph size grows
-    from .embedding import HanEncoder
-    from .evaluation import _whole_graph_subgraph
-    from .synthetic import generate_sample
-
-    spec = config.scenario_spec()
-    encoder = HanEncoder.create(config.han_config())
-    rows = []
-    rng_seed = config.seed
-    for background in (0, 50, 100, 200, 400):
-        from .numerics import Rng
-
-        sample = generate_sample(
-            spec.templates[0], Rng(rng_seed).split(f"bench-{background}"),
-            background, spec.noise_rate,
-        )
-        tsg = _whole_graph_subgraph(sample)
-        t0 = time.perf_counter()
-        va = encoder.embed(tsg)
-        embed_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        vb = encoder.embed(tsg)
-        float(((va - vb) ** 2).sum() ** 0.5)
-        match_s = time.perf_counter() - t0
-        rows.append(
-            {
-                "n_nodes": tsg.n_nodes,
-                "embed_seconds": round(embed_s, 4),
-                "match_pair_seconds": round(match_s, 4),
-            }
-        )
-        print(
-            f"n_nodes={tsg.n_nodes:>5} embed={embed_s:.3f}s "
-            f"match={match_s:.3f}s"
-        )
-    _write_json({"rows": rows}, Path(args.out), args.force)
-    return EXIT_OK
-
-
 # -- parser ------------------------------------------------------------------
 
 
@@ -445,11 +408,6 @@ def build_parser() -> _Parser:
     p.add_argument("--force", action="store_true")
     p.set_defaults(fn=_cmd_baseline)
 
-    p = sub.add_parser("bench", help="timing report (informational)")
-    p.add_argument("--out", required=True)
-    p.add_argument("--force", action="store_true")
-    p.set_defaults(fn=_cmd_bench)
-
     return parser
 
 
@@ -461,7 +419,11 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     started = time.perf_counter()
+    out = Path(args.out) if getattr(args, "out", None) else None
     try:
+        if out is not None:
+            # an existing run log needs --force like any output; refuse before any work
+            _fresh_path(_log_path(out), args.force)
         config = _load_config(args)
         code = args.fn(args, config)
     except UsageError as exc:
@@ -476,10 +438,8 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    if getattr(args, "out", None):
-        _write_log(
-            Path(args.out), args.command, vars(args), time.perf_counter() - started
-        )
+    if out is not None:
+        _write_log(out, args.command, vars(args), time.perf_counter() - started)
     return code
 
 

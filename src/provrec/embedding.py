@@ -189,7 +189,11 @@ class HanEncoder:
 
 @dataclass
 class AttentionRecord:
-    """The three attention distributions produced by one embedding pass."""
+    """The three attention distributions produced by one embedding pass.
+
+    Rows and indices refer to the pass's node block: for one subgraph, its
+    own node order; for a batch, the subgraphs' nodes stacked in order.
+    """
 
     alpha: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     beta: np.ndarray | None = None  # (n, |active metapaths|)
@@ -198,6 +202,71 @@ class AttentionRecord:
 
 def _as_matrix(x) -> nm.Matrix:
     return x if isinstance(x, nm.Matrix) else nm.Matrix(x)
+
+
+class SubgraphBatch:
+    """Technique subgraphs stacked into one block of nodes for one forward.
+
+    Each subgraph's rows follow its own node order, subgraph after subgraph.
+    ``graph_of`` maps every row to its subgraph; ``pairs[mp]`` holds the
+    meta-path's (source, target) rows offset into the block, still ordered by
+    target. The indices keep their scatter matrices, so a batch built once
+    serves every epoch of a training run.
+    """
+
+    def __init__(self, subgraphs: Sequence[TechniqueSubgraph], config: HanConfig):
+        if not subgraphs:
+            raise ValueError("cannot embed an empty batch of subgraphs")
+        feats = [tsg.features() for tsg in subgraphs]
+        for f in feats:
+            if f.shape[1] != config.feature_dim:
+                raise ValueError(
+                    f"subgraph features are {f.shape[1]}-dim, "
+                    f"encoder expects {config.feature_dim}"
+                )
+        stacked = np.vstack(feats)
+        if config.log1p_features:
+            stacked = np.log1p(stacked)
+        self.features = nm.Matrix(stacked)
+        sizes = [tsg.n_nodes for tsg in subgraphs]
+        offsets = np.cumsum([0] + sizes[:-1])
+        n = self.features.rows
+        self.graph_of = nm.RowIndex(np.repeat(np.arange(len(sizes)), sizes), len(sizes))
+        self.pairs: dict[str, tuple[nm.RowIndex, nm.RowIndex]] = {}
+        for mp in config.metapaths:
+            src, dst = zip(*(metapath_pairs(tsg, mp) for tsg in subgraphs))
+            self.pairs[mp] = (
+                nm.RowIndex(np.concatenate([s + o for s, o in zip(src, offsets)]), n),
+                nm.RowIndex(np.concatenate([d + o for d, o in zip(dst, offsets)]), n),
+            )
+
+
+def pair_scores(
+    projected: nm.Matrix, src, dst, att_w, att_a, *, slope: float = 0.01
+) -> nm.Matrix:
+    """Node-level attention logit of every (source, target) row pair, (m, 1).
+
+    Equals ``leaky(concat(e_src, e_dst) @ att_w) @ att_aᵀ`` but multiplies
+    the node rows by the top and bottom halves of ``att_w`` before gathering,
+    so the matmuls run over nodes rather than pairs.
+    """
+    att_w, att_a = _as_matrix(att_w), _as_matrix(att_a)
+    d = projected.cols
+    top = nm.matmul(projected, nm.slice_rows(att_w, 0, d))
+    bottom = nm.matmul(projected, nm.slice_rows(att_w, d, 2 * d))
+    z = nm.add(nm.gather_rows(top, src), nm.gather_rows(bottom, dst))
+    return nm.matmul(nm.leaky_relu(z, slope), nm.transpose(att_a))
+
+
+def _node_level(projected, src: nm.RowIndex, dst: nm.RowIndex, att_w, att_a, slope):
+    n = projected.rows
+    alpha = nm.segment_softmax(
+        pair_scores(projected, src, dst, att_w, att_a, slope=slope), dst, n
+    )
+    h = nm.leaky_relu(
+        nm.segment_sum(nm.mul(alpha, nm.gather_rows(projected, src)), dst, n), slope
+    )
+    return h, alpha
 
 
 def node_level_embed(
@@ -215,17 +284,11 @@ def node_level_embed(
     hidden width). Returns (h_mp, alpha_column, target_rows); attention
     weights sum to one within each target node's neighbor set.
     """
-    att_w, att_a = _as_matrix(att_w), _as_matrix(att_a)
     src, dst = metapath_pairs(tsg, mp)
     n = tsg.n_nodes
-    ek = nm.gather_rows(projected, src)
-    ei = nm.gather_rows(projected, dst)
-    pair_scores = nm.matmul(
-        nm.leaky_relu(nm.matmul(nm.concat_cols(ek, ei), att_w), slope),
-        nm.transpose(att_a),
+    h, alpha = _node_level(
+        projected, nm.RowIndex(src, n), nm.RowIndex(dst, n), att_w, att_a, slope
     )
-    alpha = nm.segment_softmax(pair_scores, dst, n)
-    h = nm.leaky_relu(nm.segment_sum(nm.mul(alpha, ek), dst, n), slope)
     return h, alpha, dst
 
 
@@ -251,20 +314,62 @@ def path_level_fuse(per_path: Sequence[nm.Matrix], path_w, path_b, path_q):
     return fused, beta
 
 
-def graph_level_embed(node_vectors: nm.Matrix, ctx_w):
-    """Context-weighted sum of node vectors into one graph vector.
+def graph_level_embed(
+    node_vectors: nm.Matrix, ctx_w, graph_of: nm.RowIndex | None = None
+):
+    """Context-weighted sum of node vectors into one vector per subgraph.
 
-    Returns (h, gamma): gamma is the softmax of each node's inner product
-    with the tanh-transformed mean context.
+    ``graph_of`` maps each row to its subgraph; without it all rows form one
+    subgraph. Returns (h, gamma): h holds one row per subgraph, and gamma, a
+    (1, n) row, is the softmax within each subgraph of its nodes' inner
+    products with the tanh-transformed mean context of that subgraph.
     """
-    if node_vectors.rows == 0:
+    if graph_of is None:
+        graph_of = nm.RowIndex(np.zeros(node_vectors.rows, dtype=np.intp), 1)
+    counts = np.bincount(graph_of.ids, minlength=graph_of.size)
+    if node_vectors.rows == 0 or not counts.all():
         raise ValueError("cannot embed an empty node set")
     ctx_w = _as_matrix(ctx_w)
-    context = nm.tanh(nm.matmul(nm.mean_rows(node_vectors), ctx_w))
-    scores = nm.matmul(node_vectors, nm.transpose(context))
-    gamma = nm.softmax_rows(nm.transpose(scores))  # 1 x n
-    h = nm.matmul(gamma, node_vectors)
-    return h, gamma
+    k = graph_of.size
+    mean = nm.div(nm.segment_sum(node_vectors, graph_of, k), counts.reshape(-1, 1))
+    context = nm.tanh(nm.matmul(mean, ctx_w))
+    scores = nm.row_sums(nm.mul(node_vectors, nm.gather_rows(context, graph_of)))
+    gamma = nm.segment_softmax(scores, graph_of, k)
+    h = nm.segment_sum(nm.mul(gamma, node_vectors), graph_of, k)
+    return h, nm.transpose(gamma)
+
+
+def embed_batch(
+    batch: SubgraphBatch,
+    params: Mapping[str, nm.Matrix | np.ndarray],
+    config: HanConfig,
+    attention: AttentionRecord | None = None,
+) -> nm.Matrix:
+    """Full three-stage composition over a batch; one row per subgraph.
+
+    ``params`` may hold plain arrays (inference) or tape-registered matrices
+    (training); gradients flow through every stage.
+    """
+    projected = nm.matmul(batch.features, _as_matrix(params["proj"]))
+    per_path = []
+    for mp in config.metapaths:
+        src, dst = batch.pairs[mp]
+        h_mp, alpha = _node_level(
+            projected, src, dst, params[f"att_w_{mp}"], params[f"att_a_{mp}"],
+            config.slope,
+        )
+        per_path.append(h_mp)
+        if attention is not None:
+            attention.alpha[mp] = (alpha.value[:, 0].copy(), dst.ids.copy())
+
+    fused, beta = path_level_fuse(
+        per_path, params["path_w"], params["path_b"], params["path_q"]
+    )
+    h, gamma = graph_level_embed(fused, params["ctx_w"], batch.graph_of)
+    if attention is not None:
+        attention.beta = beta.value.copy()
+        attention.gamma = gamma.value[0].copy()
+    return h
 
 
 def embed_subgraph(
@@ -273,40 +378,16 @@ def embed_subgraph(
     config: HanConfig,
     attention: AttentionRecord | None = None,
 ) -> nm.Matrix:
-    """Full three-stage composition; returns a (1, dim) matrix.
+    """Full three-stage composition of one subgraph; returns a (1, dim) matrix.
 
-    ``params`` may hold plain arrays (inference) or tape-registered matrices
-    (training); gradients flow through every stage.
+    The one-subgraph case of :func:`embed_batch`: ``params`` may hold plain
+    arrays or tape-registered matrices, and ``attention`` rows and indices
+    are the subgraph's own.
     """
-    feats = tsg.features()
-    if feats.shape[1] != config.feature_dim:
-        raise ValueError(
-            f"subgraph features are {feats.shape[1]}-dim, "
-            f"encoder expects {config.feature_dim}"
-        )
-    if config.log1p_features:
-        feats = np.log1p(feats)
-    projected = nm.matmul(nm.Matrix(feats), _as_matrix(params["proj"]))
-
-    per_path = []
-    for mp in config.metapaths:
-        h_mp, alpha, dst = node_level_embed(
-            tsg,
-            projected,
-            mp,
-            params[f"att_w_{mp}"],
-            params[f"att_a_{mp}"],
-            slope=config.slope,
-        )
-        per_path.append(h_mp)
-        if attention is not None:
-            attention.alpha[mp] = (alpha.value[:, 0].copy(), dst.copy())
-
-    fused, beta = path_level_fuse(
-        per_path, params["path_w"], params["path_b"], params["path_q"]
-    )
-    h, gamma = graph_level_embed(fused, params["ctx_w"])
-    if attention is not None:
-        attention.beta = beta.value.copy()
-        attention.gamma = gamma.value[0].copy()
-    return h
+    # a subgraph never changes, so its one-subgraph batch (indices and their
+    # scatter matrices) is kept beside its cached meta-path pairs
+    key = ("batch", config.metapaths, config.log1p_features, config.feature_dim)
+    batch = tsg._metapath_cache.get(key)
+    if batch is None:
+        batch = tsg._metapath_cache[key] = SubgraphBatch([tsg], config)
+    return embed_batch(batch, params, config, attention)

@@ -18,7 +18,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import numerics as nm
-from .embedding import HanConfig, HanEncoder, embed_subgraph, init_han_params
+from .embedding import (
+    HanConfig,
+    HanEncoder,
+    SubgraphBatch,
+    embed_batch,
+    embed_subgraph,
+    init_han_params,
+)
 from .sampling import TechniqueSubgraph
 
 UNKNOWN = "UNKNOWN"
@@ -136,10 +143,14 @@ class SiameseModel:
 
     def embed(self, tsg: TechniqueSubgraph) -> np.ndarray:
         """Branch output: encoder vector through the projection layer."""
-        h = self.encoder.embed(tsg).reshape(1, -1)
-        z = h @ self.out_w + self.out_b
-        slope = self.config.han.slope
-        return np.where(z > 0, z, slope * z)[0]
+        h = embed_subgraph(tsg, self.encoder.params, self.config.han)
+        return project(h, self.out_w, self.out_b, self.config.han.slope).value[0]
+
+    def embed_many(self, subgraphs: Sequence[TechniqueSubgraph]) -> np.ndarray:
+        """Branch outputs of several subgraphs from one batched forward."""
+        h = embed_batch(SubgraphBatch(subgraphs, self.config.han),
+                        self.encoder.params, self.config.han)
+        return project(h, self.out_w, self.out_b, self.config.han.slope).value
 
     def distance_of(self, ea: np.ndarray, eb: np.ndarray) -> float:
         if self.config.distance == "euclidean":
@@ -184,29 +195,51 @@ class SiameseModel:
         return self._hash
 
 
-def _pair_distance_ops(ea: nm.Matrix, eb: nm.Matrix, kind: str):
-    """(squared_distance, distance) as graph ops for one embedding pair."""
-    if kind == "euclidean":
-        diff = nm.sub(ea, eb)
-        sq = nm.sum_all(nm.mul(diff, diff))
-        return sq, None  # sqrt taken lazily, only where needed
-    dot = nm.sum_all(nm.mul(ea, eb))
-    na = nm.sqrt(nm.sum_all(nm.mul(ea, ea)))
-    nb = nm.sqrt(nm.sum_all(nm.mul(eb, eb)))
-    d = nm.sub(nm.Matrix(1.0), nm.div(dot, nm.mul(na, nb)))
-    return nm.mul(d, d), d
+def project(h, out_w, out_b, slope: float) -> nm.Matrix:
+    """The branch head: encoder rows through the fully connected layer."""
+    return nm.leaky_relu(nm.add(nm.matmul(h, out_w), out_b), slope)
 
 
 def pair_loss(
     ea: nm.Matrix, eb: nm.Matrix, same_class: bool, margin: float, kind: str
 ) -> nm.Matrix:
-    """Differentiable contrastive loss for one pair of branch outputs."""
-    sq, d = _pair_distance_ops(ea, eb, kind)
-    if same_class:
-        return sq
-    if d is None:
+    """Differentiable contrastive loss of each row pair of branch outputs.
+
+    ``ea`` and ``eb`` hold one branch output per row; returns an (m, 1)
+    column, 1x1 for a single pair.
+    """
+    if kind == "euclidean":
+        diff = nm.sub(ea, eb)
+        sq = nm.row_sums(nm.mul(diff, diff))
+        if same_class:
+            return sq  # no sqrt: its gradient is undefined at distance zero
         d = nm.sqrt(sq)
+    else:
+        dot = nm.row_sums(nm.mul(ea, eb))
+        na = nm.sqrt(nm.row_sums(nm.mul(ea, ea)))
+        nb = nm.sqrt(nm.row_sums(nm.mul(eb, eb)))
+        d = nm.sub(nm.Matrix(1.0), nm.div(dot, nm.mul(na, nb)))
+        if same_class:
+            return nm.mul(d, d)
     return nm.relu(nm.sub(nm.Matrix(margin), d))
+
+
+def triplet_loss(
+    z: nm.Matrix,
+    anchor: nm.RowIndex,
+    positive: nm.RowIndex,
+    negative: nm.RowIndex,
+    margin: float,
+    kind: str,
+) -> nm.Matrix:
+    """Mean pair loss over every triplet's anchor-positive and anchor-negative
+    pairs; the triplets are given as rows of the branch outputs ``z``."""
+    ea = nm.gather_rows(z, anchor)
+    total = nm.add(
+        nm.sum_all(pair_loss(ea, nm.gather_rows(z, positive), True, margin, kind)),
+        nm.sum_all(pair_loss(ea, nm.gather_rows(z, negative), False, margin, kind)),
+    )
+    return nm.scale(total, 1.0 / (2 * len(anchor)))
 
 
 def train_matcher(
@@ -217,7 +250,8 @@ def train_matcher(
     Triplets are drawn once from the seeded stream; each epoch takes one
     full-batch descent step on the mean pair loss, so the loss settles
     monotonically near convergence. Gradients reach the shared parameters
-    through both branches of every pair.
+    through both branches of every pair. Every subgraph a triplet uses is
+    embedded in one batched forward per epoch.
     """
     if not samples:
         raise ValueError("no training samples")
@@ -239,32 +273,20 @@ def train_matcher(
     out_b = tape.parameter("out_b", np.zeros((1, d)))
 
     used = sorted({i for t in triplets for i in (t.anchor, t.positive, t.negative)})
+    batch = SubgraphBatch([subgraphs[i] for i in used], config.han)
+    row = {i: r for r, i in enumerate(used)}
+    anchor, positive, negative = (
+        nm.RowIndex([row[getattr(t, role)] for t in triplets], len(used))
+        for role in ("anchor", "positive", "negative")
+    )
     opt = nm.Sgd(tape, config.lr)
     losses: list[float] = []
-    slope = config.han.slope
     for _ in range(config.epochs):
         try:
-            embeddings: dict[int, nm.Matrix] = {}
-            for i in used:
-                h = embed_subgraph(subgraphs[i], han_params, config.han)
-                embeddings[i] = nm.leaky_relu(
-                    nm.add(nm.matmul(h, out_w), out_b), slope
-                )
-            terms = []
-            for t in triplets:
-                ea = embeddings[t.anchor]
-                terms.append(
-                    pair_loss(ea, embeddings[t.positive], True, config.margin,
-                              config.distance)
-                )
-                terms.append(
-                    pair_loss(ea, embeddings[t.negative], False, config.margin,
-                              config.distance)
-                )
-            total = terms[0]
-            for term in terms[1:]:
-                total = nm.add(total, term)
-            loss = nm.scale(total, 1.0 / len(terms))
+            z = project(embed_batch(batch, han_params, config.han), out_w, out_b,
+                        config.han.slope)
+            loss = triplet_loss(z, anchor, positive, negative, config.margin,
+                                config.distance)
         except nm.NumericsError as exc:
             raise nm.NumericsError(
                 f"training diverged ({exc}); reduce the learning rate"
@@ -286,18 +308,16 @@ def train_matcher(
 def pick_representative(
     samples: Sequence[TechniqueSubgraph], model: SiameseModel
 ) -> int:
-    """Index of the medoid: minimal summed distance to the rest of the class."""
+    """Index of the medoid: minimal summed distance to the rest of the class.
+
+    The class is embedded in one batched forward; ties go to the lowest index.
+    """
     if not samples:
         raise ValueError("cannot pick a representative from an empty class")
-    embeddings = [model.embed(s) for s in samples]
-    best, best_cost = 0, None
-    for i, ei in enumerate(embeddings):
-        cost = sum(
-            model.distance_of(ei, ej) for j, ej in enumerate(embeddings) if j != i
-        )
-        if best_cost is None or cost < best_cost:
-            best, best_cost = i, cost
-    return best
+    embeddings = model.embed_many(samples)
+    dist = np.array([[model.distance_of(a, b) for b in embeddings] for a in embeddings])
+    np.fill_diagonal(dist, 0.0)
+    return int(np.argmin(dist.sum(axis=1)))
 
 
 @dataclass

@@ -92,7 +92,7 @@ class Matrix:
     every operation must be finite; NaN/Inf raises :class:`NumericsError`.
     """
 
-    __slots__ = ("value", "grad", "trainable", "name", "_parents", "_vjp")
+    __slots__ = ("value", "grad", "trainable", "name", "_edges")
 
     def __init__(self, value, *, trainable: bool = False, name: str | None = None):
         self.value = _as_value(value)
@@ -101,11 +101,19 @@ class Matrix:
         self.grad: np.ndarray | None = None
         self.trainable = trainable
         self.name = name
-        self._parents: tuple["Matrix", ...] = ()
-        self._vjp: Callable[[np.ndarray], tuple[np.ndarray, ...]] | None = None
+        # (input, vjp) pairs: vjp maps this matrix's gradient to the input's share
+        self._edges: tuple[tuple[Matrix, Callable[[np.ndarray], np.ndarray]], ...] = ()
 
     @classmethod
-    def _from_op(cls, value: np.ndarray, parents, vjp, op: str) -> "Matrix":
+    def _from_op(cls, value: np.ndarray, op: str, *operands) -> "Matrix":
+        """Result of ``op``; each operand pairs an input with the function
+        mapping the output gradient to that input's gradient contribution.
+
+        Inputs that are constants (not trainable and not computed from
+        anything trainable) are dropped with their function, so the reverse
+        pass never computes their gradients and a forward over constants
+        records nothing.
+        """
         out = cls.__new__(cls)
         arr = np.ascontiguousarray(value, dtype=np.float64)
         if not np.isfinite(arr).all():
@@ -114,8 +122,7 @@ class Matrix:
         out.grad = None
         out.trainable = False
         out.name = None
-        out._parents = tuple(parents)
-        out._vjp = vjp
+        out._edges = tuple([o for o in operands if o[0].trainable or o[0]._edges])
         return out
 
     @property
@@ -188,33 +195,102 @@ def _binary_value(a: Matrix, b: Matrix, fn, op: str) -> np.ndarray:
         raise NumericsError(f"shape mismatch in '{op}': {a.shape} vs {b.shape}") from exc
 
 
+class RowIndex:
+    """Integer ids into ``size`` rows (or segment buckets), checked once.
+
+    Gathers along the ids and sums back onto the rows reuse one instance:
+    the one-hot scatter matrix and the sorted runs are built on first use and
+    kept, so an index made once serves every epoch of a training run.
+    Scattered sums add each row's contributions in the order the ids list
+    them, as ``np.add.at`` would.
+    """
+
+    __slots__ = ("ids", "size", "_order", "_scatter", "_runs")
+
+    def __init__(self, ids, size: int):
+        ids = np.asarray(ids, dtype=np.intp)
+        if ids.ndim != 1:
+            raise NumericsError("row index must be 1-D")
+        if ids.size and (ids.min() < 0 or ids.max() >= size):
+            raise NumericsError(f"row index out of range for {size} rows")
+        self.ids = ids
+        self.size = int(size)
+        self._order: np.ndarray | None = None
+        self._scatter = None
+        self._runs = None
+
+    def __len__(self) -> int:
+        return self.ids.size
+
+    def _sorted_order(self) -> np.ndarray:
+        if self._order is None:
+            self._order = np.argsort(self.ids, kind="stable")
+        return self._order
+
+    def scatter_add(self, values: np.ndarray) -> np.ndarray:
+        """(size, c) array whose row r sums the rows of ``values`` with id r.
+
+        One column goes through ``np.bincount``; wider values through the
+        one-hot CSR matrix, whose call overhead pays off across columns.
+        """
+        if values.shape[1] == 1:
+            return np.bincount(self.ids, values[:, 0], self.size).reshape(-1, 1)
+        if self._scatter is None:
+            indptr = np.zeros(self.size + 1, dtype=np.intp)
+            np.cumsum(np.bincount(self.ids, minlength=self.size), out=indptr[1:])
+            self._scatter = sparse.csr_matrix(
+                (np.ones(self.ids.size), self._sorted_order(), indptr),
+                shape=(self.size, self.ids.size),
+            )
+        return self._scatter @ values
+
+    def segment_max(self, values: np.ndarray) -> np.ndarray:
+        """Per-bucket maximum of a 1-D ``values``; 0 for empty buckets."""
+        if self._runs is None:
+            ids = self.ids[self._sorted_order()]
+            starts = np.flatnonzero(np.diff(ids, prepend=-1))  # first row of each run
+            self._runs = (ids[starts], starts)
+        present, starts = self._runs
+        out = np.zeros(self.size)
+        out[present] = np.maximum.reduceat(values[self._order], starts)
+        return out
+
+
+def _row_index(index, size: int) -> RowIndex:
+    if isinstance(index, RowIndex):
+        if index.size != size:
+            raise NumericsError(f"row index spans {index.size} rows, expected {size}")
+        return index
+    return RowIndex(index, size)
+
+
+def _segments(segments, num_segments: int, rows: int) -> RowIndex:
+    seg = _row_index(segments, num_segments)
+    if len(seg) != rows:
+        raise NumericsError("segment ids must align with rows")
+    return seg
+
+
 def add(a, b) -> Matrix:
     a, b = _wrap(a), _wrap(b)
     value = _binary_value(a, b, np.add, "add")
-    return Matrix._from_op(
-        value, (a, b),
-        lambda g: (_reduce_to(g, a.shape), _reduce_to(g, b.shape)),
-        "add",
-    )
+    return Matrix._from_op(value, "add", (a, lambda g: _reduce_to(g, a.shape)),
+                           (b, lambda g: _reduce_to(g, b.shape)))
 
 
 def sub(a, b) -> Matrix:
     a, b = _wrap(a), _wrap(b)
     value = _binary_value(a, b, np.subtract, "sub")
-    return Matrix._from_op(
-        value, (a, b),
-        lambda g: (_reduce_to(g, a.shape), _reduce_to(-g, b.shape)),
-        "sub",
-    )
+    return Matrix._from_op(value, "sub", (a, lambda g: _reduce_to(g, a.shape)),
+                           (b, lambda g: _reduce_to(-g, b.shape)))
 
 
 def mul(a, b) -> Matrix:
     a, b = _wrap(a), _wrap(b)
     value = _binary_value(a, b, np.multiply, "mul")
     return Matrix._from_op(
-        value, (a, b),
-        lambda g: (_reduce_to(g * b.value, a.shape), _reduce_to(g * a.value, b.shape)),
-        "mul",
+        value, "mul", (a, lambda g: _reduce_to(g * b.value, a.shape)),
+        (b, lambda g: _reduce_to(g * a.value, b.shape)),
     )
 
 
@@ -222,19 +298,15 @@ def div(a, b) -> Matrix:
     a, b = _wrap(a), _wrap(b)
     value = _binary_value(a, b, np.divide, "div")
     return Matrix._from_op(
-        value, (a, b),
-        lambda g: (
-            _reduce_to(g / b.value, a.shape),
-            _reduce_to(-g * a.value / (b.value * b.value), b.shape),
-        ),
-        "div",
+        value, "div", (a, lambda g: _reduce_to(g / b.value, a.shape)),
+        (b, lambda g: _reduce_to(-g * a.value / (b.value * b.value), b.shape)),
     )
 
 
 def scale(a, k: float) -> Matrix:
     a = _wrap(a)
     k = float(k)
-    return Matrix._from_op(a.value * k, (a,), lambda g: (g * k,), "scale")
+    return Matrix._from_op(a.value * k, "scale", (a, lambda g: g * k))
 
 
 def matmul(a, b) -> Matrix:
@@ -243,56 +315,54 @@ def matmul(a, b) -> Matrix:
         raise NumericsError(f"matmul dimension mismatch: {a.shape} @ {b.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         value = a.value @ b.value
-    return Matrix._from_op(
-        value, (a, b),
-        lambda g: (g @ b.value.T, a.value.T @ g),
-        "matmul",
-    )
+    return Matrix._from_op(value, "matmul", (a, lambda g: g @ b.value.T),
+                           (b, lambda g: a.value.T @ g))
 
 
 def spmm(s, b) -> Matrix:
-    """Constant sparse matrix times dense matrix; gradient flows to ``b`` only."""
+    """Constant sparse matrix times dense matrix; gradient flows to ``b`` only.
+
+    A CSR ``s`` keeps the transpose its gradient needs, built on the first
+    backward pass, so a matrix reused every epoch is transposed once; do not
+    modify ``s`` in place after using it here.
+    """
     b = _wrap(b)
-    s = sparse.csr_matrix(s)
+    if not (sparse.issparse(s) and s.format == "csr"):
+        s = sparse.csr_matrix(s)
     if s.shape[1] != b.rows:
         raise NumericsError(f"spmm dimension mismatch: {s.shape} @ {b.shape}")
-    st = s.T.tocsr()
-    return Matrix._from_op(s @ b.value, (b,), lambda g: (st @ g,), "spmm")
+
+    def vjp(g):
+        st = getattr(s, "_provrec_transpose", None)
+        if st is None:
+            st = s.T.tocsr()
+            s._provrec_transpose = st
+        return st @ g
+
+    return Matrix._from_op(s @ b.value, "spmm", (b, vjp))
 
 
 def transpose(a) -> Matrix:
     a = _wrap(a)
-    return Matrix._from_op(a.value.T, (a,), lambda g: (g.T,), "transpose")
+    return Matrix._from_op(a.value.T, "transpose", (a, lambda g: g.T))
 
 
 def gather_rows(a, index) -> Matrix:
-    """Select rows by integer index; backward scatter-adds."""
+    """Select rows by integer index (array or :class:`RowIndex`); backward
+    scatter-adds."""
     a = _wrap(a)
-    idx = np.asarray(index, dtype=np.intp)
-    if idx.ndim != 1:
-        raise NumericsError("gather_rows index must be 1-D")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.rows):
-        raise NumericsError("gather_rows index out of range")
-
-    def vjp(g):
-        out = np.zeros_like(a.value)
-        np.add.at(out, idx, g)
-        return (out,)
-
-    return Matrix._from_op(a.value[idx], (a,), vjp, "gather_rows")
+    idx = _row_index(index, a.rows)
+    return Matrix._from_op(a.value[idx.ids], "gather_rows", (a, idx.scatter_add))
 
 
 def segment_sum(a, segments, num_segments: int) -> Matrix:
-    """Sum rows of ``a`` into ``num_segments`` buckets given per-row ids."""
+    """Sum rows of ``a`` into ``num_segments`` buckets given per-row ids
+    (an array or a :class:`RowIndex` of that size)."""
     a = _wrap(a)
-    seg = np.asarray(segments, dtype=np.intp)
-    if seg.shape != (a.rows,):
-        raise NumericsError("segment ids must align with rows")
-    if seg.size and (seg.min() < 0 or seg.max() >= num_segments):
-        raise NumericsError("segment id out of range")
-    value = np.zeros((num_segments, a.cols))
-    np.add.at(value, seg, a.value)
-    return Matrix._from_op(value, (a,), lambda g: (g[seg],), "segment_sum")
+    seg = _segments(segments, num_segments, a.rows)
+    return Matrix._from_op(
+        seg.scatter_add(a.value), "segment_sum", (a, lambda g: g[seg.ids])
+    )
 
 
 def concat_cols(a, b) -> Matrix:
@@ -301,9 +371,8 @@ def concat_cols(a, b) -> Matrix:
         raise NumericsError(f"concat_cols row mismatch: {a.shape} vs {b.shape}")
     value = np.concatenate([a.value, b.value], axis=1)
     split = a.cols
-    return Matrix._from_op(
-        value, (a, b), lambda g: (g[:, :split], g[:, split:]), "concat_cols"
-    )
+    return Matrix._from_op(value, "concat_cols", (a, lambda g: g[:, :split]),
+                           (b, lambda g: g[:, split:]))
 
 
 def slice_cols(a, start: int, stop: int) -> Matrix:
@@ -312,9 +381,20 @@ def slice_cols(a, start: int, stop: int) -> Matrix:
     def vjp(g):
         out = np.zeros_like(a.value)
         out[:, start:stop] = g
-        return (out,)
+        return out
 
-    return Matrix._from_op(a.value[:, start:stop], (a,), vjp, "slice_cols")
+    return Matrix._from_op(a.value[:, start:stop], "slice_cols", (a, vjp))
+
+
+def slice_rows(a, start: int, stop: int) -> Matrix:
+    a = _wrap(a)
+
+    def vjp(g):
+        out = np.zeros_like(a.value)
+        out[start:stop] = g
+        return out
+
+    return Matrix._from_op(a.value[start:stop], "slice_rows", (a, vjp))
 
 
 def leaky_relu(a, slope: float = 0.01) -> Matrix:
@@ -322,7 +402,7 @@ def leaky_relu(a, slope: float = 0.01) -> Matrix:
     mask = a.value > 0
     value = np.where(mask, a.value, slope * a.value)
     return Matrix._from_op(
-        value, (a,), lambda g: (g * np.where(mask, 1.0, slope),), "leaky_relu"
+        value, "leaky_relu", (a, lambda g: g * np.where(mask, 1.0, slope))
     )
 
 
@@ -333,20 +413,20 @@ def relu(a) -> Matrix:
 def tanh(a) -> Matrix:
     a = _wrap(a)
     t = np.tanh(a.value)
-    return Matrix._from_op(t, (a,), lambda g: (g * (1.0 - t * t),), "tanh")
+    return Matrix._from_op(t, "tanh", (a, lambda g: g * (1.0 - t * t)))
 
 
 def exp(a) -> Matrix:
     a = _wrap(a)
     e = np.exp(a.value)
-    return Matrix._from_op(e, (a,), lambda g: (g * e,), "exp")
+    return Matrix._from_op(e, "exp", (a, lambda g: g * e))
 
 
 def log(a) -> Matrix:
     a = _wrap(a)
     if (a.value <= 0).any():
         raise NumericsError("log of non-positive value")
-    return Matrix._from_op(np.log(a.value), (a,), lambda g: (g / a.value,), "log")
+    return Matrix._from_op(np.log(a.value), "log", (a, lambda g: g / a.value))
 
 
 def sqrt(a) -> Matrix:
@@ -358,39 +438,30 @@ def sqrt(a) -> Matrix:
     def vjp(g):
         if (r == 0).any():
             raise NumericsError("sqrt gradient undefined at zero")
-        return (g / (2.0 * r),)
+        return g / (2.0 * r)
 
-    return Matrix._from_op(r, (a,), vjp, "sqrt")
+    return Matrix._from_op(r, "sqrt", (a, vjp))
 
 
 def sum_all(a) -> Matrix:
     a = _wrap(a)
-    return Matrix._from_op(
-        np.array([[a.value.sum()]]), (a,),
-        lambda g: (np.full_like(a.value, g[0, 0]),),
-        "sum_all",
-    )
+    return Matrix._from_op(np.array([[a.value.sum()]]), "sum_all",
+                           (a, lambda g: np.full_like(a.value, g[0, 0])))
+
+
+def row_sums(a) -> Matrix:
+    """Sum across each row: (n, c) -> (n, 1)."""
+    a = _wrap(a)
+    c = a.cols
+    return Matrix._from_op(a.value.sum(axis=1, keepdims=True), "row_sums",
+                           (a, lambda g: np.repeat(g, c, axis=1)))
 
 
 def mean_all(a) -> Matrix:
     a = _wrap(a)
     n = a.value.size
-    return Matrix._from_op(
-        np.array([[a.value.mean()]]), (a,),
-        lambda g: (np.full_like(a.value, g[0, 0] / n),),
-        "mean_all",
-    )
-
-
-def mean_rows(a) -> Matrix:
-    """Column-wise mean: (n, c) -> (1, c)."""
-    a = _wrap(a)
-    n = a.rows
-    return Matrix._from_op(
-        a.value.mean(axis=0, keepdims=True), (a,),
-        lambda g: (np.repeat(g, n, axis=0) / n,),
-        "mean_rows",
-    )
+    return Matrix._from_op(np.array([[a.value.mean()]]), "mean_all",
+                           (a, lambda g: np.full_like(a.value, g[0, 0] / n)))
 
 
 def softmax_rows(a) -> Matrix:
@@ -404,28 +475,30 @@ def softmax_rows(a) -> Matrix:
 
     def vjp(g):
         inner = (g * p).sum(axis=1, keepdims=True)
-        return (p * (g - inner),)
+        return p * (g - inner)
 
-    return Matrix._from_op(p, (a,), vjp, "softmax_rows")
+    return Matrix._from_op(p, "softmax_rows", (a, vjp))
 
 
 def segment_softmax(scores, segments, num_segments: int) -> Matrix:
     """Softmax of an (m, 1) score column within each segment bucket.
 
-    The per-segment max used for stabilisation is detached, which leaves the
-    gradient unchanged (softmax is shift-invariant within a segment).
+    ``segments`` is as for :func:`segment_sum`. Scores are shifted by their
+    segment's max before exponentiating (softmax is shift-invariant within
+    a segment, so the gradient is unchanged).
     """
     scores = _wrap(scores)
-    seg = np.asarray(segments, dtype=np.intp)
     if scores.cols != 1:
         raise NumericsError("segment_softmax expects a column of scores")
-    seg_max = np.full(num_segments, -np.inf)
-    np.maximum.at(seg_max, seg, scores.value[:, 0])
-    seg_max[~np.isfinite(seg_max)] = 0.0  # empty segments never indexed below
-    shifted = sub(scores, Matrix(seg_max[seg].reshape(-1, 1)))
-    e = exp(shifted)
-    denom = segment_sum(e, seg, num_segments)
-    return div(e, gather_rows(denom, seg))
+    seg = _segments(segments, num_segments, scores.rows)
+    shifted = scores.value[:, 0] - seg.segment_max(scores.value[:, 0])[seg.ids]
+    e = np.exp(shifted).reshape(-1, 1)
+    p = e / seg.scatter_add(e)[seg.ids]
+
+    def vjp(g):
+        return p * (g - seg.scatter_add(g * p)[seg.ids])
+
+    return Matrix._from_op(p, "segment_softmax", (scores, vjp))
 
 
 # ---------------------------------------------------------------------------
@@ -483,10 +556,10 @@ def cross_entropy_loss(probs: Matrix, labels) -> Matrix:
     def vjp(g):
         out = np.zeros_like(probs.value)
         out[np.arange(n), y] = -g[0, 0] / (n * picked)
-        return (out,)
+        return out
 
     return Matrix._from_op(
-        np.array([[-np.log(picked).mean()]]), (probs,), vjp, "cross_entropy"
+        np.array([[-np.log(picked).mean()]]), "cross_entropy", (probs, vjp)
     )
 
 
@@ -505,9 +578,11 @@ def softmax_cross_entropy(logits: Matrix, labels) -> Matrix:
     def vjp(g):
         out = p.copy()
         out[np.arange(n), y] -= 1.0
-        return (out * (g[0, 0] / n),)
+        return out * (g[0, 0] / n)
 
-    return Matrix._from_op(np.array([[value]]), (logits,), vjp, "softmax_cross_entropy")
+    return Matrix._from_op(
+        np.array([[value]]), "softmax_cross_entropy", (logits, vjp)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +603,7 @@ def _topo_order(root: Matrix) -> list[Matrix]:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for parent in node._parents:
+        for parent, _ in node._edges:
             if id(parent) not in seen:
                 stack.append((parent, False))
     return order
@@ -547,11 +622,15 @@ def backward(loss: Matrix) -> None:
         node.grad = None
     loss.grad = np.ones((1, 1))
     for node in reversed(order):
-        if node._vjp is None or node.grad is None:
+        if node.grad is None:
             continue
-        for parent, contribution in zip(node._parents, node._vjp(node.grad)):
+        for parent, vjp in node._edges:
+            contribution = vjp(node.grad)
             if parent.grad is None:
-                parent.grad = contribution.copy()
+                # a fresh array is adopted; one that aliases a gradient (the
+                # incoming one or a view of it) is copied before it is summed into
+                aliased = contribution is node.grad or contribution.base is not None
+                parent.grad = contribution.copy() if aliased else contribution
             else:
                 parent.grad += contribution
 

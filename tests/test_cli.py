@@ -96,6 +96,33 @@ def test_outputs_require_force_to_overwrite(workspace):
                "--out", target, "--force") == EXIT_OK
 
 
+def test_run_log_requires_force_to_overwrite(workspace):
+    root, config = workspace
+    events = root / "ds" / "events" / "e0002.jsonl"
+    target = root / "logged.json"
+    log = root / "logged.json.log.json"
+    assert run("ingest", "--events", events, "--out", target) == EXIT_OK
+    target.unlink()  # only the run log of the first run is left behind
+    log.write_text("kept")
+    assert run("ingest", "--events", events, "--out", target) == EXIT_DATA
+    assert log.read_text() == "kept"
+    assert not target.exists()
+    assert run("ingest", "--events", events, "--out", target, "--force") == EXIT_OK
+    assert json.loads(log.read_text())["command"] == "ingest"
+
+
+def test_run_log_records_arguments_not_handlers(workspace):
+    root, config = workspace
+    target = root / "plain.json"
+    assert run("ingest", "--events", root / "ds" / "events" / "e0003.jsonl",
+               "--out", target) == EXIT_OK
+    text = (root / "plain.json.log.json").read_text()
+    assert "<function" not in text
+    args = json.loads(text)["args"]
+    assert "fn" not in args
+    assert args["out"] == str(target)
+
+
 def test_usage_errors_exit_one():
     assert run("no-such-command") == EXIT_USAGE
     assert run("generate") == EXIT_USAGE  # missing --out

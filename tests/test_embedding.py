@@ -10,11 +10,14 @@ from provrec.embedding import (
     AttentionRecord,
     HanConfig,
     HanEncoder,
+    SubgraphBatch,
+    embed_batch,
     embed_subgraph,
     graph_level_embed,
     init_han_params,
     metapath_neighbors,
     node_level_embed,
+    pair_scores,
     path_level_fuse,
 )
 from provrec.graph import EntityType
@@ -367,3 +370,67 @@ def test_encoder_checkpoint_round_trip(shared_file_tsg, tmp_path):
     save_model(enc, path)
     loaded = load_model(path)
     assert (loaded.embed(shared_file_tsg) == before).all()
+
+
+# -- batched forward ------------------------------------------------------------
+
+
+def _random_tsg(gen, n_procs, n_events):
+    kinds = [("launch", EntityType.PROCESS), ("read", EntityType.FILE),
+             ("write", EntityType.FILE), ("query", EntityType.REGISTRY),
+             ("connect", EntityType.SOCKET)]
+    triples = []
+    for _ in range(n_events):
+        op, kind = kinds[int(gen.integers(len(kinds)))]
+        subj = f"p{int(gen.integers(n_procs))}"
+        if kind == EntityType.PROCESS:
+            obj = f"p{(int(subj[1:]) + 1 + int(gen.integers(n_procs - 1))) % n_procs}"
+        else:
+            obj = f"{kind.value}{int(gen.integers(4))}"
+        triples.append((subj, op, obj, kind))
+    return _tsg(triples)
+
+
+def test_batch_embeds_each_subgraph_as_alone():
+    gen = Rng(90)
+    tsgs = [_random_tsg(gen, int(gen.integers(2, 8)), int(gen.integers(3, 25)))
+            for _ in range(7)]
+    assert len({t.n_nodes for t in tsgs}) > 2
+    config = HanConfig(dim=8, seed=4)
+    params = init_han_params(config)
+    batched = embed_batch(SubgraphBatch(tsgs, config), params, config).value
+    assert batched.shape == (len(tsgs), config.dim)
+    for row, tsg in zip(batched, tsgs):
+        alone = embed_subgraph(tsg, params, config).value[0]
+        assert np.abs(row - alone).max() <= 1e-12
+
+
+def test_batch_attention_is_proper_within_each_subgraph():
+    gen = Rng(91)
+    tsgs = [_random_tsg(gen, 4, int(gen.integers(5, 15))) for _ in range(5)]
+    config = HanConfig(dim=6, seed=5)
+    batch = SubgraphBatch(tsgs, config)
+    record = AttentionRecord()
+    embed_batch(batch, init_han_params(config), config, attention=record)
+    n = sum(t.n_nodes for t in tsgs)
+    for mp in config.metapaths:
+        values, dst = record.alpha[mp]
+        assert np.allclose(np.bincount(dst, weights=values, minlength=n), 1.0)
+    assert np.allclose(record.beta.sum(axis=1), 1.0)
+    per_graph = np.bincount(batch.graph_of.ids, weights=record.gamma)
+    assert np.allclose(per_graph, 1.0)
+
+
+def test_split_pair_scores_equal_concat_form():
+    gen = Rng(92)
+    tsg = _random_tsg(gen, 6, 30)
+    d = 5
+    feats = gen.normal(0, 1, size=(tsg.n_nodes, d))
+    w = gen.normal(0, 1, size=(2 * d, d))
+    a = gen.normal(0, 1, size=(1, d))
+    for mp in META_PATHS:
+        src, dst = _pairs(tsg, mp)
+        scores = pair_scores(Matrix(feats), src, dst, w, a, slope=0.01).value
+        z = np.concatenate([feats[src], feats[dst]], axis=1) @ w
+        want = np.where(z > 0, z, 0.01 * z) @ a.T
+        assert np.abs(scores - want).max() <= 1e-12

@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 
 from provrec import numerics as nm
-from provrec.embedding import HanConfig, init_han_params, embed_subgraph
+from provrec.embedding import (
+    HanConfig,
+    SubgraphBatch,
+    embed_batch,
+    embed_subgraph,
+    init_han_params,
+)
 from provrec.graph import EntityType
 from provrec.matching import (
+    DISTANCES,
     UNKNOWN,
     ExemplarSet,
     MatcherConfig,
@@ -14,9 +21,11 @@ from provrec.matching import (
     contrastive_loss,
     pair_loss,
     pick_representative,
+    project,
     recognition_metrics,
     recognize,
     train_matcher,
+    triplet_loss,
 )
 from provrec.numerics import GradientTape, Matrix, Rng
 from provrec.sampling import TechniqueSubgraph
@@ -228,6 +237,9 @@ class _StubModel:
 
     def embed(self, tsg):
         return self.values[id(tsg)]
+
+    def embed_many(self, tsgs):
+        return np.array([self.embed(t) for t in tsgs])
 
     def distance_of(self, ea, eb):
         return float(abs(ea[0] - eb[0]))
@@ -453,3 +465,59 @@ def test_matcher_checkpoint_round_trip(small_model, tmp_path):
     query = samples[0][0]
     assert (loaded.embed(query) == model.embed(query)).all()
     assert loaded.content_hash() == model.content_hash()
+
+
+# -- batched training epoch ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", DISTANCES)
+def test_batched_epoch_matches_looped_reference(kind):
+    tsgs = [_variant(kind_, s) for kind_ in ("files", "socks") for s in range(3)]
+    labels = ["f"] * 3 + ["s"] * 3
+    triplets = build_triplets(labels, Rng(5))
+    config = HanConfig(dim=6, seed=8)
+    head_rng = Rng(9)
+    init = init_han_params(config)
+    init["out_w"] = head_rng.normal(0, 0.4, size=(6, 6))
+    init["out_b"] = head_rng.normal(0, 0.1, size=(1, 6))
+
+    def loss_and_grads(loss_fn):
+        tape = GradientTape()
+        params = {k: tape.parameter(k, v.copy()) for k, v in init.items()}
+        loss = loss_fn(params)
+        tape.backward(loss)
+        return loss.item(), {k: p.grad for k, p in params.items()}
+
+    def batched(params):
+        z = project(embed_batch(SubgraphBatch(tsgs, config), params, config),
+                    params["out_w"], params["out_b"], config.slope)
+        rows = [nm.RowIndex([getattr(t, r) for t in triplets], len(tsgs))
+                for r in ("anchor", "positive", "negative")]
+        return triplet_loss(z, *rows, 1.0, kind)
+
+    def looped(params):
+        z = [nm.leaky_relu(nm.add(nm.matmul(embed_subgraph(t, params, config),
+                                            params["out_w"]), params["out_b"]),
+                           config.slope)
+             for t in tsgs]
+        total = None
+        for t in triplets:
+            for other, same in ((t.positive, True), (t.negative, False)):
+                term = pair_loss(z[t.anchor], z[other], same, 1.0, kind)
+                total = term if total is None else nm.add(total, term)
+        return nm.scale(total, 1.0 / (2 * len(triplets)))
+
+    loss_b, grads_b = loss_and_grads(batched)
+    loss_l, grads_l = loss_and_grads(looped)
+    assert loss_b > 0
+    assert abs(loss_b - loss_l) <= 1e-12
+    for name in init:
+        assert np.abs(grads_b[name] - grads_l[name]).max() <= 1e-12, name
+
+
+def test_embed_many_matches_single_embeds(small_model):
+    samples, model = small_model
+    tsgs = [s for s, _ in samples]
+    many = model.embed_many(tsgs)
+    for row, tsg in zip(many, tsgs):
+        assert np.abs(row - model.embed(tsg)).max() <= 1e-12

@@ -156,10 +156,11 @@ OP_CASES = [
     ("exp", [(3, 4)], lambda a: nm.exp(nm.scale(a, 0.3))),
     ("log", [(3, 4)], lambda a: nm.log(nm.add(nm.mul(a, a), Matrix(0.5)))),
     ("sqrt", [(3, 4)], lambda a: nm.sqrt(nm.add(nm.mul(a, a), Matrix(0.5)))),
-    ("mean_rows", [(5, 3)], lambda a: nm.mean_rows(a)),
     ("softmax_rows", [(4, 5)], lambda a: nm.softmax_rows(a)),
     ("concat", [(3, 2), (3, 4)], lambda a, b: nm.concat_cols(a, b)),
     ("slice", [(3, 5)], lambda a: nm.slice_cols(a, 1, 4)),
+    ("slice_rows", [(5, 3)], lambda a: nm.slice_rows(a, 1, 4)),
+    ("row_sums", [(3, 5)], lambda a: nm.row_sums(a)),
 ]
 
 
@@ -219,6 +220,74 @@ def test_spmm_gradient_and_value():
         return nm.sum_all(nm.mul(nm.spmm(mat, b), probe))
 
     assert nm.grad_check(loss, [b], eps=1e-5) < 1e-4
+
+
+def test_spmm_repeated_calls_on_one_matrix_are_identical():
+    rng = Rng(81)
+    dense = rng.normal(0, 1, size=(4, 5)) * (rng.uniform(size=(4, 5)) < 0.5)
+    mat = sparse.csr_matrix(dense)
+    tape, (b,) = _tape_with(rng, [(5, 3)])
+    probe = Matrix(rng.normal(0, 1, size=(4, 3)))
+    runs = []
+    for _ in range(3):
+        out = nm.spmm(mat, b)
+        tape.zero_grad()
+        tape.backward(nm.sum_all(nm.mul(out, probe)))
+        runs.append((out.value.copy(), b.grad.copy()))
+    for value, grad in runs[1:]:
+        assert (value == runs[0][0]).all() and (grad == runs[0][1]).all()
+    assert np.allclose(runs[0][1], mat.T @ probe.value, atol=1e-12)
+
+
+def test_row_index_scatter_equals_add_at_with_repeats():
+    rng = Rng(82)
+    for sort, width in ((False, 1), (False, 4), (True, 1), (True, 4)):
+        ids = rng.integers(0, 7, size=40)
+        ids[:5] = 3  # repeats guaranteed; buckets 7 and 8 stay empty
+        ids = np.sort(ids) if sort else ids
+        values = rng.normal(0, 1, size=(40, width))
+        index = nm.RowIndex(ids, 9)
+        want = np.zeros((9, width))
+        np.add.at(want, ids, values)
+        assert (index.scatter_add(values) == want).all()
+        want_max = np.full(9, -np.inf)
+        np.maximum.at(want_max, ids, values[:, 0])
+        want_max[~np.isfinite(want_max)] = 0.0
+        assert (index.segment_max(values[:, 0]) == want_max).all()
+
+
+def test_gather_and_segment_gradients_through_row_index():
+    rng = Rng(83)
+    tape, (a,) = _tape_with(rng, [(6, 3)])
+    gather = nm.RowIndex(rng.integers(0, 6, size=15), 6)
+    seg = nm.RowIndex(np.sort(rng.integers(0, 4, size=15)), 4)
+    probe = Matrix(rng.normal(0, 1, size=(4, 3)))
+
+    def loss():
+        gathered = nm.gather_rows(a, gather)
+        weights = nm.segment_softmax(nm.row_sums(gathered), seg, 4)
+        summed = nm.segment_sum(nm.mul(weights, gathered), seg, 4)
+        return nm.sum_all(nm.mul(summed, probe))
+
+    assert nm.grad_check(loss, [a], eps=1e-5) < 1e-6
+
+
+def test_row_index_rejects_bad_ids():
+    with pytest.raises(NumericsError):
+        nm.RowIndex([0, 3], 3)
+    with pytest.raises(NumericsError):
+        nm.gather_rows(Matrix(np.ones((2, 2))), nm.RowIndex([0, 1], 3))
+    with pytest.raises(NumericsError):
+        nm.segment_sum(Matrix(np.ones((3, 2))), nm.RowIndex([0, 1], 2), 2)
+
+
+def test_constant_operands_get_no_gradient():
+    rng = Rng(84)
+    tape, (w,) = _tape_with(rng, [(3, 2)])
+    x = Matrix(rng.normal(0, 1, size=(4, 3)))
+    tape.backward(nm.sum_all(nm.matmul(x, w)))
+    assert x.grad is None
+    assert np.allclose(w.grad, x.value.T @ np.ones((4, 2)))
 
 
 def test_cross_entropy_loss_gradient_and_fused_equivalence():
