@@ -60,11 +60,18 @@ class PipelineConfig:
             raise ConfigError("lam must be at least 1")
         if self.min_nois < 1:
             raise ConfigError("min_nois must be at least 1")
-        if self.margin <= 0:
-            raise ConfigError("margin must be positive")
+        if self.shots < 1:
+            raise ConfigError("shots must be at least 1")
         if not 0 < self.score_threshold <= 1:
             raise ConfigError("score_threshold must be in (0, 1]")
+        if self.contamination is not None and not 0 < self.contamination <= 1:
+            raise ConfigError("contamination must be in (0, 1]")
         self.metapaths = tuple(self.metapaths)
+        try:
+            # the stage configs check distance, margin and meta-paths
+            self.matcher_config()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     # -- per-stage views -----------------------------------------------------
 

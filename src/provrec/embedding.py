@@ -9,7 +9,7 @@ whole composition is differentiable through the numerics layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -106,16 +106,6 @@ class HanConfig:
         if not self.metapaths:
             raise ValueError("at least one meta-path is required")
 
-    def to_dict(self) -> dict:
-        return {
-            "feature_dim": self.feature_dim,
-            "dim": self.dim,
-            "slope": self.slope,
-            "metapaths": list(self.metapaths),
-            "log1p_features": self.log1p_features,
-            "seed": self.seed,
-        }
-
     @classmethod
     def from_dict(cls, payload: Mapping) -> "HanConfig":
         data = dict(payload)
@@ -145,21 +135,26 @@ def init_han_params(config: HanConfig) -> dict[str, np.ndarray]:
 
 
 class HanEncoder:
-    """Trained attention parameters plus the config that shaped them."""
+    """Trained attention parameters plus the config that shaped them.
+
+    The weights never change once trained, so each is wrapped once as a
+    constant matrix (``matrices``) that every embed reuses; ``params`` holds
+    the same arrays.
+    """
 
     def __init__(self, config: HanConfig, params: Mapping[str, np.ndarray]):
         self.config = config
-        expected = han_param_shapes(config)
-        self.params: dict[str, np.ndarray] = {}
-        for name, shape in expected.items():
+        self.matrices: dict[str, nm.Matrix] = {}
+        for name, shape in han_param_shapes(config).items():
             if name not in params:
                 raise ValueError(f"missing parameter {name!r}")
-            arr = np.asarray(params[name], dtype=np.float64)
-            if arr.shape != shape:
+            if np.shape(params[name]) != shape:
                 raise ValueError(
-                    f"parameter {name!r} has shape {arr.shape}, expected {shape}"
+                    f"parameter {name!r} has shape {np.shape(params[name])}, "
+                    f"expected {shape}"
                 )
-            self.params[name] = arr
+            self.matrices[name] = nm.Matrix(params[name], name=name)
+        self.params = {name: m.value for name, m in self.matrices.items()}
 
     @classmethod
     def create(cls, config: HanConfig) -> "HanEncoder":
@@ -167,12 +162,12 @@ class HanEncoder:
 
     def embed(self, tsg: TechniqueSubgraph) -> np.ndarray:
         """Encode one subgraph; returns a (dim,) vector."""
-        h = embed_subgraph(tsg, self.params, self.config)
+        h = embed_subgraph(tsg, self.matrices, self.config)
         return h.value[0].copy()
 
     def to_dict(self) -> dict:
         return {
-            "config": self.config.to_dict(),
+            "config": asdict(self.config),
             "params": {k: v.reshape(-1).tolist() for k, v in self.params.items()},
             "shapes": {k: list(v.shape) for k, v in self.params.items()},
         }
@@ -198,10 +193,6 @@ class AttentionRecord:
     alpha: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     beta: np.ndarray | None = None  # (n, |active metapaths|)
     gamma: np.ndarray | None = None  # (n,)
-
-
-def _as_matrix(x) -> nm.Matrix:
-    return x if isinstance(x, nm.Matrix) else nm.Matrix(x)
 
 
 class SubgraphBatch:
@@ -250,7 +241,6 @@ def pair_scores(
     the node rows by the top and bottom halves of ``att_w`` before gathering,
     so the matmuls run over nodes rather than pairs.
     """
-    att_w, att_a = _as_matrix(att_w), _as_matrix(att_a)
     d = projected.cols
     top = nm.matmul(projected, nm.slice_rows(att_w, 0, d))
     bottom = nm.matmul(projected, nm.slice_rows(att_w, d, 2 * d))
@@ -269,29 +259,6 @@ def _node_level(projected, src: nm.RowIndex, dst: nm.RowIndex, att_w, att_a, slo
     return h, alpha
 
 
-def node_level_embed(
-    tsg: TechniqueSubgraph,
-    projected: nm.Matrix,
-    mp: str,
-    att_w,
-    att_a,
-    *,
-    slope: float = 0.01,
-):
-    """Per-node aggregation over meta-path neighbors with learned weights.
-
-    ``projected`` holds the per-node input features (already projected to
-    hidden width). Returns (h_mp, alpha_column, target_rows); attention
-    weights sum to one within each target node's neighbor set.
-    """
-    src, dst = metapath_pairs(tsg, mp)
-    n = tsg.n_nodes
-    h, alpha = _node_level(
-        projected, nm.RowIndex(src, n), nm.RowIndex(dst, n), att_w, att_a, slope
-    )
-    return h, alpha, dst
-
-
 def path_level_fuse(per_path: Sequence[nm.Matrix], path_w, path_b, path_q):
     """Blend per-meta-path node vectors with softmax weights per node.
 
@@ -299,7 +266,6 @@ def path_level_fuse(per_path: Sequence[nm.Matrix], path_w, path_b, path_q):
     """
     if not per_path:
         raise ValueError("need at least one meta-path vector set")
-    path_w, path_b, path_q = map(_as_matrix, (path_w, path_b, path_q))
     score_cols = [
         nm.matmul(nm.tanh(nm.add(nm.matmul(h, path_w), path_b)), nm.transpose(path_q))
         for h in per_path
@@ -329,7 +295,6 @@ def graph_level_embed(
     counts = np.bincount(graph_of.ids, minlength=graph_of.size)
     if node_vectors.rows == 0 or not counts.all():
         raise ValueError("cannot embed an empty node set")
-    ctx_w = _as_matrix(ctx_w)
     k = graph_of.size
     mean = nm.div(nm.segment_sum(node_vectors, graph_of, k), counts.reshape(-1, 1))
     context = nm.tanh(nm.matmul(mean, ctx_w))
@@ -347,10 +312,11 @@ def embed_batch(
 ) -> nm.Matrix:
     """Full three-stage composition over a batch; one row per subgraph.
 
-    ``params`` may hold plain arrays (inference) or tape-registered matrices
-    (training); gradients flow through every stage.
+    ``params`` may hold constant matrices (inference, as in
+    :attr:`HanEncoder.matrices`), tape-registered matrices (training) or plain
+    arrays; gradients flow through every stage.
     """
-    projected = nm.matmul(batch.features, _as_matrix(params["proj"]))
+    projected = nm.matmul(batch.features, params["proj"])
     per_path = []
     for mp in config.metapaths:
         src, dst = batch.pairs[mp]

@@ -8,7 +8,7 @@ raw graphs fed to the recognizer unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -380,7 +380,7 @@ def evaluate_end_to_end(
         "recognition": recognition_metrics(predictions, truth),
     }
     if mode == "Sampled_Graph":
-        report["sampling"] = _aggregate_sampling(sampling_parts).to_dict()
+        report["sampling"] = asdict(_aggregate_sampling(sampling_parts))
     return report
 
 

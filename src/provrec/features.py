@@ -8,7 +8,7 @@ outlier detection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import sparse
@@ -69,36 +69,11 @@ def aggregation_matrix(graph: ProvenanceGraph) -> sparse.csr_matrix:
     return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
-def gnn_layer_forward(
-    graph_or_agg,
-    e_in,
-    w,
-    *,
-    activation: str = "leaky_relu",
-    slope: float = 0.01,
-) -> nm.Matrix:
-    """One layer: mean over self + in-neighbors of (features @ W), then sigma.
-
-    ``graph_or_agg`` may be a graph or a precomputed aggregation matrix.
-    ``activation`` is "leaky_relu" or "linear".
-    """
-    agg = (
-        graph_or_agg
-        if sparse.issparse(graph_or_agg)
-        else aggregation_matrix(graph_or_agg)
-    )
-    e_in = e_in if isinstance(e_in, nm.Matrix) else nm.Matrix(e_in)
-    w = w if isinstance(w, nm.Matrix) else nm.Matrix(w)
-    if e_in.cols != w.rows:
-        raise nm.NumericsError(
-            f"feature width {e_in.cols} does not match weight rows {w.rows}"
-        )
-    h = nm.spmm(agg, nm.matmul(e_in, w))
-    if activation == "leaky_relu":
-        return nm.leaky_relu(h, slope)
-    if activation == "linear":
-        return h
-    raise ValueError(f"unknown activation {activation!r}")
+def gnn_layer_forward(agg, e_in, w, *, slope: float = 0.01) -> nm.Matrix:
+    """One layer: mean over self + in-neighbors of (features @ W), then leaky
+    ReLU; ``agg`` is the graph's :func:`aggregation_matrix`, and
+    ``slope=1.0`` makes the layer linear."""
+    return nm.leaky_relu(nm.spmm(agg, nm.matmul(e_in, w)), slope)
 
 
 @dataclass
@@ -135,21 +110,9 @@ class GnnEncoder:
     def input_dim(self) -> int:
         return self.weights[0].shape[0]
 
-    @property
-    def hidden_dim(self) -> int:
-        return self.weights[-1].shape[1]
-
     def to_dict(self) -> dict:
         return {
-            "config": {
-                "t_layers": self.config.t_layers,
-                "hidden": self.config.hidden,
-                "epochs": self.config.epochs,
-                "lr": self.config.lr,
-                "seed": self.config.seed,
-                "log1p": self.config.log1p,
-                "slope": self.config.slope,
-            },
+            "config": asdict(self.config),
             "shapes": [list(w.shape) for w in self.weights]
             + [list(self.classifier.shape)],
             "weights": [w.reshape(-1).tolist() for w in self.weights],
@@ -191,12 +154,12 @@ def train_encoder(
     if e0.shape[0] != graph.n_nodes:
         raise ValueError("feature rows must align with graph nodes")
 
-    x = scale_features(e0, config.log1p)
+    x = nm.Matrix(scale_features(e0, config.log1p))
     agg = aggregation_matrix(graph)
     rng = nm.Rng(config.seed).split("encoder-init")
 
     tape = nm.GradientTape()
-    widths = [x.shape[1]] + [config.hidden] * config.t_layers
+    widths = [x.cols] + [config.hidden] * config.t_layers
     layer_params = [
         tape.parameter(f"w{t}", _init_weight(rng, widths[t], widths[t + 1]))
         for t in range(config.t_layers)
@@ -209,7 +172,7 @@ def train_encoder(
     losses: list[float] = []
     for _ in range(config.epochs):
         try:
-            h: nm.Matrix = nm.Matrix(x)
+            h = x
             for w in layer_params:
                 h = gnn_layer_forward(agg, h, w, slope=config.slope)
             loss = nm.softmax_cross_entropy(nm.matmul(h, classifier), labels)
@@ -236,20 +199,19 @@ def train_encoder(
 def extract_embeddings(
     encoder: GnnEncoder, graph: ProvenanceGraph, e0: np.ndarray
 ) -> np.ndarray:
-    """Run the trained stack; rows follow the graph's node order."""
+    """Run the trained stack through the training forward; rows follow the
+    graph's node order."""
     e0 = np.asarray(e0, dtype=np.float64)
     if e0.shape != (graph.n_nodes, encoder.input_dim):
         raise ValueError(
             f"features of shape {e0.shape} do not fit encoder input "
             f"({graph.n_nodes}, {encoder.input_dim})"
         )
-    h = scale_features(e0, encoder.config.log1p)
+    h = nm.Matrix(scale_features(e0, encoder.config.log1p))
     agg = aggregation_matrix(graph)
-    slope = encoder.config.slope
     for w in encoder.weights:
-        z = agg @ (h @ w)
-        h = np.where(z > 0, z, slope * z)
-    return h
+        h = gnn_layer_forward(agg, h, w, slope=encoder.config.slope)
+    return h.value
 
 
 def type_accuracy(encoder: GnnEncoder, graph: ProvenanceGraph, e0: np.ndarray) -> float:

@@ -186,15 +186,6 @@ class ProvenanceGraph:
             seen.setdefault(e.src, None)
         return list(seen)
 
-    def neighbors_undirected(self, node_id: str) -> list[str]:
-        """Unique neighbors ignoring direction, in first-seen order."""
-        seen: dict[str, None] = {}
-        for e in self.out_edges(node_id):
-            seen.setdefault(e.dst, None)
-        for e in self.in_edges(node_id):
-            seen.setdefault(e.src, None)
-        return list(seen)
-
     def induced(self, node_subset: Iterable[str]) -> "ProvenanceGraph":
         """Subgraph on the given nodes, preserving node and edge order."""
         keep = set(node_subset)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -102,16 +102,6 @@ class MatcherConfig:
         if self.margin <= 0:
             raise ValueError("margin must be positive")
 
-    def to_dict(self) -> dict:
-        return {
-            "han": self.han.to_dict(),
-            "margin": self.margin,
-            "epochs": self.epochs,
-            "lr": self.lr,
-            "distance": self.distance,
-            "seed": self.seed,
-        }
-
     @classmethod
     def from_dict(cls, payload: Mapping) -> "MatcherConfig":
         data = dict(payload)
@@ -132,8 +122,9 @@ class SiameseModel:
     ):
         self.config = config
         self.encoder = encoder
-        self.out_w = np.asarray(out_w, dtype=np.float64)
-        self.out_b = np.asarray(out_b, dtype=np.float64)
+        # frozen like the encoder's weights, so wrapped once for every embed
+        self.head = (nm.Matrix(out_w, name="out_w"), nm.Matrix(out_b, name="out_b"))
+        self.out_w, self.out_b = (m.value for m in self.head)
         self.loss_curve = list(loss_curve) if loss_curve else []
         self._hash: str | None = None
 
@@ -143,14 +134,14 @@ class SiameseModel:
 
     def embed(self, tsg: TechniqueSubgraph) -> np.ndarray:
         """Branch output: encoder vector through the projection layer."""
-        h = embed_subgraph(tsg, self.encoder.params, self.config.han)
-        return project(h, self.out_w, self.out_b, self.config.han.slope).value[0]
+        h = embed_subgraph(tsg, self.encoder.matrices, self.config.han)
+        return project(h, *self.head, self.config.han.slope).value[0]
 
     def embed_many(self, subgraphs: Sequence[TechniqueSubgraph]) -> np.ndarray:
         """Branch outputs of several subgraphs from one batched forward."""
         h = embed_batch(SubgraphBatch(subgraphs, self.config.han),
-                        self.encoder.params, self.config.han)
-        return project(h, self.out_w, self.out_b, self.config.han.slope).value
+                        self.encoder.matrices, self.config.han)
+        return project(h, *self.head, self.config.han.slope).value
 
     def distance_of(self, ea: np.ndarray, eb: np.ndarray) -> float:
         if self.config.distance == "euclidean":
@@ -161,9 +152,6 @@ class SiameseModel:
             raise ValueError("cosine distance undefined for zero vectors")
         return float(1.0 - (ea @ eb) / (na * nb))
 
-    def distance_between(self, a: TechniqueSubgraph, b: TechniqueSubgraph) -> float:
-        return self.distance_of(self.embed(a), self.embed(b))
-
     def weights(self) -> dict[str, np.ndarray]:
         out = dict(self.encoder.params)
         out["out_w"] = self.out_w
@@ -172,7 +160,7 @@ class SiameseModel:
 
     def to_dict(self) -> dict:
         return {
-            "config": self.config.to_dict(),
+            "config": asdict(self.config),
             "encoder": self.encoder.to_dict(),
             "out_w": self.out_w.tolist(),
             "out_b": self.out_b.tolist(),
@@ -299,10 +287,9 @@ def train_matcher(
         opt.step()
         losses.append(value)
 
-    encoder = HanEncoder(
-        config.han, {name: p.value.copy() for name, p in han_params.items()}
-    )
-    return SiameseModel(config, encoder, out_w.value.copy(), out_b.value.copy(), losses)
+    # the models copy the values they wrap
+    encoder = HanEncoder(config.han, {name: p.value for name, p in han_params.items()})
+    return SiameseModel(config, encoder, out_w.value, out_b.value, losses)
 
 
 def pick_representative(

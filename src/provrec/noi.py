@@ -54,18 +54,6 @@ class IsoNode:
             "right": self.right.to_dict(),
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "IsoNode":
-        if "dim" not in payload:
-            return cls(size=payload["size"])
-        return cls(
-            size=payload["size"],
-            dim=payload["dim"],
-            threshold=payload["threshold"],
-            left=cls.from_dict(payload["left"]),
-            right=cls.from_dict(payload["right"]),
-        )
-
 
 def _grow(data: np.ndarray, depth: int, limit: int, rng: Rng) -> IsoNode:
     n = len(data)
@@ -130,16 +118,6 @@ class IsolationForest:
             "seed": self.seed,
             "trees": [t.to_dict() for t in self.trees],
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "IsolationForest":
-        return cls(
-            [IsoNode.from_dict(t) for t in payload["trees"]],
-            payload["num_trees"],
-            payload["subsample_size"],
-            payload["dim"],
-            payload["seed"],
-        )
 
 
 def fit_forest(

@@ -65,9 +65,6 @@ class Rng:
     def permutation(self, x):
         return self.generator.permutation(x)
 
-    def shuffle(self, x) -> None:
-        self.generator.shuffle(x)
-
 
 # ---------------------------------------------------------------------------
 # matrices and the implicit operation graph
@@ -457,13 +454,6 @@ def row_sums(a) -> Matrix:
                            (a, lambda g: np.repeat(g, c, axis=1)))
 
 
-def mean_all(a) -> Matrix:
-    a = _wrap(a)
-    n = a.value.size
-    return Matrix._from_op(np.array([[a.value.mean()]]), "mean_all",
-                           (a, lambda g: np.full_like(a.value, g[0, 0] / n)))
-
-
 def softmax_rows(a) -> Matrix:
     """Row-wise softmax, stabilised by max subtraction."""
     a = _wrap(a)
@@ -652,15 +642,6 @@ class GradientTape:
         p = Matrix(value, trainable=True, name=name)
         self._params[name] = p
         return p
-
-    def adopt(self, name: str, param: Matrix) -> Matrix:
-        """Register an existing trainable matrix under ``name``."""
-        if name in self._params:
-            raise NumericsError(f"duplicate parameter name {name!r}")
-        param.trainable = True
-        param.name = name
-        self._params[name] = param
-        return param
 
     @property
     def params(self) -> dict[str, Matrix]:

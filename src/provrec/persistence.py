@@ -12,19 +12,17 @@ import hashlib
 import json
 from pathlib import Path
 
-from .embedding import HanEncoder
+from .evaluation import PipelineModels
 from .features import GnnEncoder
 from .matching import ExemplarSet, SiameseModel
-from .noi import IsolationForest
 
 FORMAT_VERSION = 1
 
 _KINDS = {
     "gnn_encoder": GnnEncoder,
-    "han_encoder": HanEncoder,
-    "isolation_forest": IsolationForest,
     "siamese_matcher": SiameseModel,
     "exemplar_set": ExemplarSet,
+    "bundle": PipelineModels,
 }
 
 
@@ -36,10 +34,6 @@ def _kind_of(model) -> str:
     for kind, cls in _KINDS.items():
         if isinstance(model, cls):
             return kind
-    from .evaluation import PipelineModels
-
-    if isinstance(model, PipelineModels):
-        return "bundle"
     raise ModelFormatError(f"cannot checkpoint object of type {type(model).__name__}")
 
 
@@ -86,10 +80,6 @@ def load_model(path, expect_kind: str | None = None):
         raise ModelFormatError(f"{path}: expected kind {expect_kind!r}, got {kind!r}")
     if _payload_hash(envelope["payload"]) != envelope["content_hash"]:
         raise ModelFormatError(f"{path}: content hash mismatch (corrupt checkpoint)")
-    if kind == "bundle":
-        from .evaluation import PipelineModels
-
-        return PipelineModels.from_dict(envelope["payload"])
     cls = _KINDS.get(kind)
     if cls is None:
         raise ModelFormatError(f"{path}: unknown checkpoint kind {kind!r}")

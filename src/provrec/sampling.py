@@ -224,19 +224,6 @@ class SamplingMetrics:
     def correct(self) -> bool:
         return self.precision > 0.8 and self.coverage > 0.8
 
-    def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "coverage": self.coverage,
-            "tpr": self.tpr,
-            "far": self.far,
-            "n_sampled": self.n_sampled,
-            "n_truth": self.n_truth,
-            "n_correct": self.n_correct,
-            "tpr_defined": self.tpr_defined,
-            "far_defined": self.far_defined,
-        }
-
 
 def match_subgraphs(
     sampled: Sequence[TechniqueSubgraph], truth: Sequence[TechniqueSubgraph]

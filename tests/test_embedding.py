@@ -14,9 +14,10 @@ from provrec.embedding import (
     embed_batch,
     embed_subgraph,
     graph_level_embed,
+    _node_level,
     init_han_params,
     metapath_neighbors,
-    node_level_embed,
+    metapath_pairs,
     pair_scores,
     path_level_fuse,
 )
@@ -118,7 +119,7 @@ def test_singleton_neighborhood_is_activated_projection():
     proj = Matrix(gen.normal(0, 1, size=(1, 5)))
     w = gen.normal(0, 1, size=(10, 5))
     a = gen.normal(0, 1, size=(1, 5))
-    h, alpha, _ = node_level_embed(sub, proj, "MP1", w, a, slope=0.01)
+    h, alpha = _node_level(proj, *_pair_rows(sub, "MP1"), w, a, 0.01)
     assert np.allclose(alpha.value, [[1.0]])
     z = proj.value
     assert np.allclose(h.value, np.where(z > 0, z, 0.01 * z))
@@ -140,20 +141,19 @@ def test_identical_neighbors_share_attention_equally():
     feats[idx["pc"]] = feats[idx["pb"]]
     w = gen.normal(0, 1, size=(8, 4))
     a = gen.normal(0, 1, size=(1, 4))
-    _, alpha, dst = node_level_embed(t, Matrix(feats), "MP2", w, a, slope=0.01)
+    _, alpha = _node_level(Matrix(feats), *_pair_rows(t, "MP2"), w, a, 0.01)
     rows = alpha.value[:, 0]
     pa_weights = {
         int(s): rows[k]
-        for k, (s, d) in enumerate(zip(*_pairs(t, "MP2")))
+        for k, (s, d) in enumerate(zip(*metapath_pairs(t, "MP2")))
         if d == idx["pa"]
     }
     assert abs(pa_weights[idx["pb"]] - pa_weights[idx["pc"]]) < 1e-12
 
 
-def _pairs(tsg, mp):
-    from provrec.embedding import metapath_pairs
-
-    return metapath_pairs(tsg, mp)
+def _pair_rows(tsg, mp):
+    """One subgraph's (source, target) rows of ``mp`` as node-level indices."""
+    return tuple(nm.RowIndex(rows, tsg.n_nodes) for rows in metapath_pairs(tsg, mp))
 
 
 def test_node_level_matches_scalar_oracle():
@@ -171,7 +171,7 @@ def test_node_level_matches_scalar_oracle():
     feats = gen.normal(0, 1, size=(t.n_nodes, d))
     w = gen.normal(0, 1, size=(2 * d, d))
     a = gen.normal(0, 1, size=(1, d))
-    h, _, _ = node_level_embed(t, Matrix(feats), "MP2", w, a, slope=0.01)
+    h, _ = _node_level(Matrix(feats), *_pair_rows(t, "MP2"), w, a, 0.01)
 
     idx = t.graph.node_index()
     for nid in t.node_ids:
@@ -362,14 +362,17 @@ def test_metapath_masking_combinations(shared_file_tsg):
 
 
 def test_encoder_checkpoint_round_trip(shared_file_tsg, tmp_path):
+    from provrec.matching import MatcherConfig, SiameseModel
     from provrec.persistence import load_model, save_model
 
-    enc = HanEncoder.create(HanConfig(dim=8, seed=10))
+    # the encoder is checkpointed inside the matcher that holds it
+    config = MatcherConfig(han=HanConfig(dim=8, seed=10))
+    enc = HanEncoder.create(config.han)
     before = enc.embed(shared_file_tsg)
-    path = tmp_path / "han.json"
-    save_model(enc, path)
+    path = tmp_path / "matcher.json"
+    save_model(SiameseModel(config, enc, np.eye(8), np.zeros((1, 8))), path)
     loaded = load_model(path)
-    assert (loaded.embed(shared_file_tsg) == before).all()
+    assert (loaded.encoder.embed(shared_file_tsg) == before).all()
 
 
 # -- batched forward ------------------------------------------------------------
@@ -429,7 +432,7 @@ def test_split_pair_scores_equal_concat_form():
     w = gen.normal(0, 1, size=(2 * d, d))
     a = gen.normal(0, 1, size=(1, d))
     for mp in META_PATHS:
-        src, dst = _pairs(tsg, mp)
+        src, dst = metapath_pairs(tsg, mp)
         scores = pair_scores(Matrix(feats), src, dst, w, a, slope=0.01).value
         z = np.concatenate([feats[src], feats[dst]], axis=1) @ w
         want = np.where(z > 0, z, 0.01 * z) @ a.T

@@ -80,14 +80,14 @@ def test_layer_identity_on_edgeless_graph():
     )
     g = base.induced(["a", "d"])  # no edges survive
     e_in = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = ft.gnn_layer_forward(g, e_in, np.eye(2), activation="linear")
+    out = ft.gnn_layer_forward(ft.aggregation_matrix(g), e_in, np.eye(2), slope=1.0)
     assert (out.value == e_in).all()
 
 
 def test_layer_two_node_chain_averages_parent():
     g = make_graph([("a", "launch", "b", EntityType.PROCESS)])
     e_in = np.array([[2.0, 0.0], [4.0, 6.0]])
-    out = ft.gnn_layer_forward(g, e_in, np.eye(2), activation="linear")
+    out = ft.gnn_layer_forward(ft.aggregation_matrix(g), e_in, np.eye(2), slope=1.0)
     assert (out.value[0] == e_in[0]).all()           # a: no in-neighbors
     assert (out.value[1] == [3.0, 3.0]).all()        # b: mean of a and b
 
@@ -103,7 +103,7 @@ def test_layer_matches_naive_loop_oracle():
     g = make_graph(triples)
     e_in = gen.normal(0, 1, size=(g.n_nodes, 3))
     w = gen.normal(0, 1, size=(3, 2))
-    got = ft.gnn_layer_forward(g, e_in, w, slope=0.01).value
+    got = ft.gnn_layer_forward(ft.aggregation_matrix(g), e_in, w, slope=0.01).value
 
     index = g.node_index()
     for nid in g.node_ids():
@@ -118,7 +118,7 @@ def test_layer_matches_naive_loop_oracle():
 def test_layer_dimension_mismatch():
     g = make_graph([("a", "launch", "b", EntityType.PROCESS)])
     with pytest.raises(NumericsError):
-        ft.gnn_layer_forward(g, np.ones((2, 3)), np.ones((4, 2)))
+        ft.gnn_layer_forward(ft.aggregation_matrix(g), np.ones((2, 3)), np.ones((4, 2)))
 
 
 def test_layer_permutation_equivariance():
@@ -134,8 +134,8 @@ def test_layer_permutation_equivariance():
     feats = {"a": [1.0, 0.0], "b": [0.0, 2.0], "c": [3.0, 1.0]}
     e1 = np.array([feats[n] for n in g1.node_ids()])
     e2 = np.array([feats[n] for n in g2.node_ids()])
-    o1 = ft.gnn_layer_forward(g1, e1, w).value
-    o2 = ft.gnn_layer_forward(g2, e2, w).value
+    o1 = ft.gnn_layer_forward(ft.aggregation_matrix(g1), e1, w).value
+    o2 = ft.gnn_layer_forward(ft.aggregation_matrix(g2), e2, w).value
     for nid in feats:
         # equal up to float summation order inside the neighbor mean
         assert np.allclose(
@@ -207,6 +207,17 @@ def test_extraction_equals_stacked_forward_passes(trained_setup):
     for w in enc.weights:
         h = ft.gnn_layer_forward(agg, h, w, slope=enc.config.slope)
     assert np.allclose(ft.extract_embeddings(enc, union, e0), h.value, atol=1e-12)
+
+
+def test_extraction_equals_numpy_layer_loop_bit_for_bit(trained_setup):
+    # reference: the trained layer stack in plain numpy
+    union, e0, enc = trained_setup
+    agg = ft.aggregation_matrix(union)
+    h = ft.scale_features(e0, enc.config.log1p)
+    for w in enc.weights:
+        z = agg @ (h @ w)
+        h = np.where(z > 0, z, enc.config.slope * z)
+    assert (ft.extract_embeddings(enc, union, e0) == h).all()
 
 
 def test_edgeless_rows_depend_only_on_own_features():

@@ -162,8 +162,32 @@ def test_epoch_loss_settles(small_model):
 def test_branch_symmetry_exact(small_model):
     samples, model = small_model
     a, b = samples[0][0], samples[3][0]
-    assert model.distance_between(a, b) == model.distance_between(b, a)
-    assert model.distance_between(a, a) == 0.0
+    ea, eb = model.embed(a), model.embed(b)
+    assert model.distance_of(ea, eb) == model.distance_of(eb, ea)
+    assert model.distance_of(ea, model.embed(a)) == 0.0
+
+
+def test_inference_embeds_reuse_the_wrapped_weights(small_model, monkeypatch):
+    _, model = small_model
+    tsg = _variant("socks", 5)  # fresh: its one-subgraph batch is built on first use
+    han = model.config.han
+    # reference: the same forward fed plain arrays, wrapped call by call
+    want = project(embed_subgraph(tsg, model.encoder.params, han),
+                   model.out_w, model.out_b, han.slope).value[0].copy()
+    tsg = _variant("socks", 5)
+    made = []
+    init = Matrix.__init__
+
+    def counting_init(self, value, **kwargs):
+        made.append(np.shape(value))
+        init(self, value, **kwargs)
+
+    monkeypatch.setattr(Matrix, "__init__", counting_init)
+    first, second = model.embed(tsg), model.embed(tsg)
+    # the batch's feature block once and each embed's per-subgraph node count;
+    # no weight is copied
+    assert len(made) <= 3, made
+    assert (first == want).all() and (second == want).all()
 
 
 def test_cosine_mode_distance_properties():
