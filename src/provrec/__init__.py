@@ -64,6 +64,7 @@ from .noi import (
     IsolationForest,
     NoiReport,
     anomaly_score,
+    anomaly_scores,
     detect_nois,
     fit_forest,
 )

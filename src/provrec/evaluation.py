@@ -131,7 +131,7 @@ def noi_lmo_protocol(
     decision threshold is calibrated as a high quantile of the benign
     training scores (never of anything held out).
     """
-    from .noi import anomaly_score, fit_forest
+    from .noi import anomaly_scores, fit_forest
 
     split = split_leave_malicious_out(dataset, seed)
     benign_graphs = []
@@ -161,10 +161,10 @@ def noi_lmo_protocol(
                 train_rows.append(emb[index[nid]])
     train_rows = np.array(train_rows)
     forest = fit_forest(train_rows, config.num_trees, config.subsample, seed=seed)
-    train_scores = np.array([anomaly_score(forest, row) for row in train_rows])
+    train_scores = anomaly_scores(forest, train_rows)
     threshold = float(np.quantile(train_scores, calibration_quantile))
 
-    flagged = set()
+    test_rows = []
     test_ids = []
     truth_ids = set()
     full_emb = {}
@@ -177,12 +177,12 @@ def noi_lmo_protocol(
                 ft.extract_embeddings(encoder, g, ft.init_features(g)),
             )
         index, emb = full_emb[ref.sample_idx]
-        score = anomaly_score(forest, emb[index[ref.node_id]])
+        test_rows.append(emb[index[ref.node_id]])
         test_ids.append(key)
         if ref.malicious:
             truth_ids.add(key)
-        if score > threshold:
-            flagged.add(key)
+    test_scores = anomaly_scores(forest, np.reshape(test_rows, (-1, forest.width)))
+    flagged = {key for key, score in zip(test_ids, test_scores) if score > threshold}
     metrics = evaluate_noi(flagged, truth_ids, test_ids)
     metrics["threshold"] = threshold
     return metrics

@@ -1,9 +1,10 @@
 """Isolation-forest outlier scoring over learned process embeddings.
 
 Process nodes whose embeddings isolate unusually fast are flagged as nodes
-of interest for the subgraph sampler. The forest is built from scratch so
-trees stay inspectable and scoring follows the standard
-``2 ** (-E[h] / c(n))`` form exactly.
+of interest for the subgraph sampler. The forest is built from scratch and
+stored as flat node arrays covering all its trees; :func:`anomaly_scores`
+moves every point down every tree together, one level per step, and scores
+follow the standard ``2 ** (-E[h] / c(n))`` form exactly.
 """
 
 from __future__ import annotations
@@ -27,97 +28,27 @@ def average_path_length(n: int) -> float:
     return 2.0 * h - 2.0 * (n - 1) / n
 
 
-class IsoNode:
-    """One isolation-tree node: a (dim, threshold) split or a sized leaf."""
-
-    __slots__ = ("size", "dim", "threshold", "left", "right")
-
-    def __init__(self, *, size, dim=None, threshold=None, left=None, right=None):
-        self.size = int(size)
-        self.dim = dim
-        self.threshold = threshold
-        self.left = left
-        self.right = right
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.dim is None
-
-    def to_dict(self) -> dict:
-        if self.is_leaf:
-            return {"size": self.size}
-        return {
-            "size": self.size,
-            "dim": int(self.dim),
-            "threshold": float(self.threshold),
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
-
-
-def _grow(data: np.ndarray, depth: int, limit: int, rng: Rng) -> IsoNode:
-    n = len(data)
-    if depth >= limit or n <= 1:
-        return IsoNode(size=n)
-    lo = data.min(axis=0)
-    hi = data.max(axis=0)
-    candidates = np.flatnonzero(hi > lo)
-    if candidates.size == 0:
-        return IsoNode(size=n)
-    dim = int(candidates[rng.integers(candidates.size)])
-    threshold = float(rng.uniform(lo[dim], hi[dim]))
-    mask = data[:, dim] < threshold
-    if not mask.any() or mask.all():
-        # degenerate draw at the boundary; the midpoint always separates
-        threshold = float((lo[dim] + hi[dim]) / 2.0)
-        mask = data[:, dim] < threshold
-    return IsoNode(
-        size=n,
-        dim=dim,
-        threshold=threshold,
-        left=_grow(data[mask], depth + 1, limit, rng),
-        right=_grow(data[~mask], depth + 1, limit, rng),
-    )
-
-
-def _path_length(tree: IsoNode, point: np.ndarray) -> float:
-    depth = 0
-    node = tree
-    while not node.is_leaf:
-        node = node.left if point[node.dim] < node.threshold else node.right
-        depth += 1
-    return depth + average_path_length(node.size)
-
-
+@dataclass(eq=False)
 class IsolationForest:
-    """Ensemble of random-partition trees built on independent subsamples.
+    """Random-partition trees on independent subsamples, as flat node arrays.
 
-    Scores live strictly inside (0, 1); a point whose expected path length
-    equals c(n) scores exactly 0.5.
+    Node ``i`` splits on ``dim[i]`` at ``threshold[i]``: points below go to
+    ``left[i]``, the rest to ``right[i]``. A leaf has ``dim == -1`` and
+    points both children at itself, so descending past it is a no-op; its
+    ``path`` is its depth plus c(its sample count), the path length of every
+    point that ends there. ``roots`` holds each tree's root node. Scores
+    live strictly inside (0, 1); a point whose expected path length equals
+    c(subsample_size) scores exactly 0.5.
     """
 
-    def __init__(
-        self,
-        trees: list[IsoNode],
-        num_trees: int,
-        subsample_size: int,
-        dim: int,
-        seed: int,
-    ):
-        self.trees = trees
-        self.num_trees = num_trees
-        self.subsample_size = subsample_size  # actual per-tree sample count
-        self.dim = dim
-        self.seed = seed
-
-    def to_dict(self) -> dict:
-        return {
-            "num_trees": self.num_trees,
-            "subsample_size": self.subsample_size,
-            "dim": self.dim,
-            "seed": self.seed,
-            "trees": [t.to_dict() for t in self.trees],
-        }
+    dim: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    path: np.ndarray
+    roots: np.ndarray
+    subsample_size: int  # actual per-tree sample count
+    width: int  # training point width
 
 
 def fit_forest(
@@ -126,7 +57,8 @@ def fit_forest(
     """Build ``num_trees`` isolation trees, each on its own random subsample.
 
     When fewer points than ``subsample_size`` exist, the full set is used
-    per tree (and the score normaliser uses that actual count).
+    per tree (and the score normaliser uses that actual count). Each tree
+    grows depth first, left before right, from its own ``Rng`` stream.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
@@ -139,28 +71,80 @@ def fit_forest(
     psi = min(subsample_size, n)
     height_limit = math.ceil(math.log2(psi))
     rng = Rng(seed)
-    trees = []
+    dims, thresholds, lefts, rights, paths, roots = [], [], [], [], [], []
+
+    def new_node() -> int:
+        node = len(dims)
+        dims.append(-1)
+        thresholds.append(0.0)
+        lefts.append(node)
+        rights.append(node)
+        paths.append(0.0)
+        return node
+
     for t in range(num_trees):
         tree_rng = rng.split(f"tree-{t}")
         idx = tree_rng.choice(n, size=psi, replace=False)
-        trees.append(_grow(pts[idx], 0, height_limit, tree_rng))
-    return IsolationForest(trees, num_trees, psi, pts.shape[1], seed)
-
-
-def anomaly_score(forest: IsolationForest, point) -> float:
-    """2 ** (-E[h(x)] / c(n)); higher means more anomalous."""
-    x = np.asarray(point, dtype=np.float64).reshape(-1)
-    if x.shape[0] != forest.dim:
-        raise ValueError(
-            f"point width {x.shape[0]} does not match training width {forest.dim}"
-        )
-    mean_path = sum(_path_length(t, x) for t in forest.trees) / len(forest.trees)
-    return float(2.0 ** (-mean_path / average_path_length(forest.subsample_size)))
+        roots.append(new_node())
+        stack = [(pts[idx], 0, roots[-1])]
+        while stack:
+            data, depth, node = stack.pop()
+            paths[node] = depth + average_path_length(len(data))
+            if depth >= height_limit or len(data) <= 1:
+                continue
+            lo = data.min(axis=0)
+            hi = data.max(axis=0)
+            candidates = np.flatnonzero(hi > lo)
+            if candidates.size == 0:
+                continue
+            dim = int(candidates[tree_rng.integers(candidates.size)])
+            threshold = float(tree_rng.uniform(lo[dim], hi[dim]))
+            mask = data[:, dim] < threshold
+            if not mask.any() or mask.all():
+                # degenerate draw at the boundary; the midpoint always separates
+                threshold = float((lo[dim] + hi[dim]) / 2.0)
+                mask = data[:, dim] < threshold
+            dims[node], thresholds[node] = dim, threshold
+            lefts[node], rights[node] = new_node(), new_node()
+            stack.append((data[~mask], depth + 1, rights[node]))
+            stack.append((data[mask], depth + 1, lefts[node]))
+    return IsolationForest(
+        np.array(dims, dtype=np.int64),
+        np.array(thresholds, dtype=np.float64),
+        np.array(lefts, dtype=np.int64),
+        np.array(rights, dtype=np.int64),
+        np.array(paths, dtype=np.float64),
+        np.array(roots, dtype=np.int64),
+        psi,
+        pts.shape[1],
+    )
 
 
 def anomaly_scores(forest: IsolationForest, points) -> np.ndarray:
+    """2 ** (-E[h(x)] / c(n)) for every row; higher means more anomalous."""
     pts = np.asarray(points, dtype=np.float64)
-    return np.array([anomaly_score(forest, p) for p in pts])
+    if pts.ndim != 2 or pts.shape[1] != forest.width:
+        raise ValueError(
+            f"points of shape {pts.shape} do not match training width {forest.width}"
+        )
+    rows = np.arange(len(pts))
+    node = np.repeat(forest.roots[:, None], len(pts), axis=1)  # (trees, points)
+    while True:
+        dim = forest.dim[node]
+        if not (dim >= 0).any():
+            break
+        below = pts[rows, dim] < forest.threshold[node]
+        node = np.where(below, forest.left[node], forest.right[node])
+    # Python's sum adds the trees one by one in tree order, and Python's **
+    # is C pow: numpy's vectorised power may differ from it in the last bit
+    mean_path = sum(forest.path[node]) / len(forest.roots)
+    exponent = -mean_path / average_path_length(forest.subsample_size)
+    return np.array([2.0 ** x for x in exponent.tolist()])
+
+
+def anomaly_score(forest: IsolationForest, point) -> float:
+    """The score of one point: the one-row case of :func:`anomaly_scores`."""
+    return float(anomaly_scores(forest, np.reshape(point, (1, -1)))[0])
 
 
 @dataclass
@@ -208,6 +192,8 @@ def detect_nois(
     Default mode flags scores above ``score_threshold``; passing
     ``contamination`` instead flags that top fraction of process nodes.
     """
+    if contamination is not None and not 0.0 < contamination <= 1.0:
+        raise ValueError("contamination must be in (0, 1]")
     emb = np.asarray(embeddings, dtype=np.float64)
     if emb.shape[0] != graph.n_nodes:
         raise ValueError("embeddings must align with graph nodes")
@@ -219,10 +205,8 @@ def detect_nois(
     index = graph.node_index()
     rows = emb[[index[nid] for nid in proc_ids]]
     forest = fit_forest(rows, num_trees, subsample_size, seed)
-    scores = {nid: anomaly_score(forest, row) for nid, row in zip(proc_ids, rows)}
+    scores = dict(zip(proc_ids, anomaly_scores(forest, rows).tolist()))
     if contamination is not None:
-        if not 0.0 < contamination <= 1.0:
-            raise ValueError("contamination must be in (0, 1]")
         k = max(1, math.ceil(contamination * len(proc_ids)))
         ordered = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
         flagged = [nid for nid, _ in ordered[:k]]

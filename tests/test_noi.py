@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from provrec import features as ft
+from provrec import noi
 from provrec.graph import EntityType
 from provrec.noi import (
     IsolationForest,
-    IsoNode,
     NoiReport,
     anomaly_score,
     anomaly_scores,
@@ -20,6 +20,32 @@ from provrec.noi import (
 from provrec.numerics import Rng
 
 from conftest import make_graph
+
+FOREST_ARRAYS = ("dim", "threshold", "left", "right", "path", "roots")
+
+
+def _same_forest(a, b):
+    return (a.subsample_size, a.width) == (b.subsample_size, b.width) and all(
+        np.array_equal(getattr(a, name), getattr(b, name)) for name in FOREST_ARRAYS
+    )
+
+
+def _one_tree_forest(dim, threshold, children, path, subsample_size):
+    """A one-tree forest from per-node lists; ``children[i]`` is (left, right)."""
+    left, right = zip(*children)
+    return IsolationForest(
+        np.array(dim), np.array(threshold, dtype=np.float64), np.array(left),
+        np.array(right), np.array(path, dtype=np.float64), np.array([0]),
+        subsample_size, width=1,
+    )
+
+
+def _node_depths(forest):
+    # children are always created after their parent, so one pass suffices
+    depth = np.zeros(len(forest.dim), dtype=np.int64)
+    for node in np.flatnonzero(forest.dim >= 0):
+        depth[forest.left[node]] = depth[forest.right[node]] = depth[node] + 1
+    return depth
 
 
 def test_two_identical_points_score_equal():
@@ -35,9 +61,9 @@ def test_same_seed_identical_forest():
     pts = gen.normal(0, 1, size=(40, 3))
     f1 = fit_forest(pts, num_trees=20, subsample_size=16, seed=9)
     f2 = fit_forest(pts, num_trees=20, subsample_size=16, seed=9)
-    assert f1.to_dict() == f2.to_dict()
+    assert _same_forest(f1, f2)
     f3 = fit_forest(pts, num_trees=20, subsample_size=16, seed=10)
-    assert f3.to_dict() != f1.to_dict()
+    assert not _same_forest(f3, f1)
 
 
 def test_planted_outliers_top_the_ranking():
@@ -57,8 +83,7 @@ def test_planted_outliers_top_the_ranking():
 
 def test_score_half_at_normaliser_fixed_point():
     # a single leaf tree: every point's path length is exactly c(n)
-    tree = IsoNode(size=4)
-    forest = IsolationForest([tree], 1, 4, dim=1, seed=0)
+    forest = _one_tree_forest([-1], [0.0], [(0, 0)], [average_path_length(4)], 4)
     assert anomaly_score(forest, [0.0]) == 0.5
 
 
@@ -68,16 +93,15 @@ def test_hand_built_tree_matches_manual_path_lengths():
     #   leaf(1)   (dim 0 < 8)
     #             /        \
     #          leaf(2)    leaf(1)
-    tree = IsoNode(
-        size=4, dim=0, threshold=5.0,
-        left=IsoNode(size=1),
-        right=IsoNode(
-            size=2, dim=0, threshold=8.0,
-            left=IsoNode(size=2),
-            right=IsoNode(size=1),
-        ),
+    # nodes: 0 root, 1 left leaf, 2 inner, 3 and 4 its leaves (self-looped)
+    forest = _one_tree_forest(
+        dim=[0, -1, 0, -1, -1],
+        threshold=[5.0, 0.0, 8.0, 0.0, 0.0],
+        children=[(1, 2), (1, 1), (3, 4), (3, 3), (4, 4)],
+        path=[0.0, 1 + average_path_length(1), 0.0,
+              2 + average_path_length(2), 2 + average_path_length(1)],
+        subsample_size=4,
     )
-    forest = IsolationForest([tree], 1, 4, dim=1, seed=0)
     c4 = average_path_length(4)
     # point 2.0 -> left leaf at depth 1, size 1: h = 1
     assert anomaly_score(forest, [2.0]) == 2.0 ** (-1.0 / c4)
@@ -113,13 +137,8 @@ def test_tree_depth_bounded_by_log2_subsample():
     pts = Rng(5).normal(0, 1, size=(300, 3))
     forest = fit_forest(pts, num_trees=30, subsample_size=64, seed=2)
     limit = math.ceil(math.log2(64))
-
-    def depth(node):
-        if node.is_leaf:
-            return 0
-        return 1 + max(depth(node.left), depth(node.right))
-
-    assert max(depth(t) for t in forest.trees) <= limit
+    assert len(forest.roots) == 30
+    assert _node_depths(forest).max() <= limit
 
 
 def test_input_validation():
@@ -130,6 +149,78 @@ def test_input_validation():
     forest = fit_forest(np.eye(3), num_trees=3, subsample_size=3, seed=0)
     with pytest.raises(ValueError, match="width"):
         anomaly_score(forest, [1.0, 2.0])
+    with pytest.raises(ValueError, match="width"):
+        anomaly_scores(forest, [1.0, 2.0, 3.0])
+
+
+def _golden_points(seed, rows, width, duplicated):
+    base = Rng(seed).normal(0, 1, size=(rows - duplicated, width))
+    return np.vstack([base, base[:duplicated]])
+
+
+# Scores of fixed-seed fits, pinned bit for bit as float.hex: the training
+# rows (the last ones duplicate the first), their mean and a far point.
+# Rows 0, 1, 2, n-4, n-1, mean, far; then math.fsum over all n + 2 scores.
+GOLDEN = [
+    # (seed, rows, width, duplicated rows, trees, psi, fit seed)
+    ((21, 40, 3, 4, 20, 16, 9), [
+        "0x1.22ec0af4218e1p-1", "0x1.1cece12552fc7p-1", "0x1.12a6fb692a2e1p-1",
+        "0x1.22ec0af4218e1p-1", "0x1.e211f5ef808cbp-2", "0x1.c0005a51bfbddp-2",
+        "0x1.56634e13d5210p-1",
+    ], "0x1.5b8c28e7379c7p+4"),
+    ((22, 140, 64, 10, 100, 256, 0), [
+        "0x1.f1e6042e2d3d4p-2", "0x1.beaadce826529p-2", "0x1.c1c08fdd0f6bcp-2",
+        "0x1.c7e985b1f54a9p-2", "0x1.b3ba38a793c9ep-2", "0x1.6d3ec8f6c3934p-2",
+        "0x1.64f7a3ecc32b9p-1",
+    ], "0x1.0107864b601e0p+6"),
+]
+
+
+@pytest.mark.parametrize("case,picked,total", GOLDEN, ids=["40x3", "140x64"])
+def test_scores_match_golden_bit_for_bit(case, picked, total):
+    seed, rows, width, duplicated, trees, psi, fit_seed = case
+    pts = _golden_points(seed, rows, width, duplicated)
+    forest = fit_forest(pts, num_trees=trees, subsample_size=psi, seed=fit_seed)
+    queries = np.vstack([pts, pts.mean(axis=0), pts.max(axis=0) + 5.0])
+    scores = anomaly_scores(forest, queries).tolist()
+    picks = [0, 1, 2, rows - 4, rows - 1, rows, rows + 1]
+    assert [scores[i].hex() for i in picks] == picked
+    assert math.fsum(scores).hex() == total
+
+
+def _scalar_score(forest, point):
+    """Reference: walk each tree alone, sum in tree order, one ``**``."""
+    lengths = []
+    for node in forest.roots:
+        while forest.dim[node] >= 0:
+            below = point[forest.dim[node]] < forest.threshold[node]
+            node = forest.left[node] if below else forest.right[node]
+        lengths.append(float(forest.path[node]))
+    mean_path = sum(lengths) / len(lengths)
+    return 2.0 ** (-mean_path / average_path_length(forest.subsample_size))
+
+
+def test_batch_scores_equal_per_tree_walk_bit_for_bit():
+    pts = _golden_points(7, 60, 5, 6)
+    forest = fit_forest(pts, num_trees=25, subsample_size=32, seed=4)
+    queries = np.vstack([pts, Rng(8).normal(0, 3, size=(20, 5))])
+    batch = anomaly_scores(forest, queries)
+    assert batch.tolist() == [_scalar_score(forest, q) for q in queries]
+    assert [anomaly_score(forest, q) for q in queries[:5]] == batch[:5].tolist()
+    assert anomaly_scores(forest, queries[:0]).shape == (0,)
+
+
+def test_leaves_loop_to_themselves_and_trees_cover_all_nodes():
+    forest = fit_forest(_golden_points(9, 50, 4, 5), num_trees=10, subsample_size=32)
+    leaves = np.flatnonzero(forest.dim < 0)
+    assert (forest.left[leaves] == leaves).all()
+    assert (forest.right[leaves] == leaves).all()
+    inner = np.flatnonzero(forest.dim >= 0)
+    children = np.concatenate([forest.left[inner], forest.right[inner]])
+    # every node but a root is exactly one node's child
+    assert sorted(children.tolist() + forest.roots.tolist()) == list(
+        range(len(forest.dim))
+    )
 
 
 # -- detect_nois --------------------------------------------------------------
@@ -209,3 +300,14 @@ def test_report_round_trip_sorted_descending():
     back = NoiReport.from_dict(payload)
     assert back.scores == report.scores
     assert back.flagged == sorted(report.flagged, key=lambda n: -report.scores[n])
+
+
+def test_bad_contamination_rejected_before_the_fit(monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit_forest reached")
+
+    monkeypatch.setattr(noi, "fit_forest", no_fit)
+    g = _graph_with_processes(6)
+    emb = ft.scale_features(ft.init_features(g))
+    with pytest.raises(ValueError, match="contamination"):
+        detect_nois(g, emb, contamination=1.5, seed=0)
