@@ -147,9 +147,10 @@ def _cmd_generate(args, config: PipelineConfig) -> int:
 
 
 def _cmd_ingest(args, config: PipelineConfig) -> int:
+    out = _fresh_path(Path(args.out), args.force)
+    stats_out = _fresh_path(out.with_suffix(".stats.json"), args.force)
     events, stats = read_events_jsonl(args.events)
     graph = build_graph(events)
-    out = _fresh_path(Path(args.out), args.force)
     graph.save(out)
     print(
         f"ingested {stats.loaded} events ({stats.rejected_count} rejected) -> "
@@ -157,7 +158,7 @@ def _cmd_ingest(args, config: PipelineConfig) -> int:
     )
     for line_no, reason in stats.rejected[:10]:
         print(f"  rejected line {line_no}: {reason}", file=sys.stderr)
-    _write_json(stats.to_dict(), out.with_suffix(".stats.json"), True)
+    _write_json(stats.to_dict(), stats_out, True)
     return EXIT_OK
 
 

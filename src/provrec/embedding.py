@@ -15,13 +15,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import numerics as nm
-from .graph import EDGE_GROUPS, EntityType
+from .graph import EDGE_GROUPS, EntityType, GraphError
 from .sampling import TechniqueSubgraph
 
 # Meta-path vocabulary: process-to-process hops through a launch edge or
 # through a shared file / registry key / socket.
 META_PATHS = ("MP1", "MP2", "MP3", "MP4")
 _MP_OBJECT = {
+    "MP1": EntityType.PROCESS,
     "MP2": EntityType.FILE,
     "MP3": EntityType.REGISTRY,
     "MP4": EntityType.SOCKET,
@@ -44,46 +45,42 @@ def metapath_neighbors(tsg: TechniqueSubgraph, node_id: str, mp: str) -> set[str
     Always includes the node itself. Non-process nodes have no meta-path
     neighbors beyond themselves.
     """
-    if mp not in META_PATHS:
-        raise ValueError(f"unknown meta-path {mp!r}")
-    g = tsg.graph
-    if g.entity_type(node_id) != EntityType.PROCESS:
-        return {node_id}
-    out = {node_id}
-    if mp == "MP1":
-        group = EDGE_GROUPS[EntityType.PROCESS]
-        for e in g.out_edges(node_id):
-            if e.edge_type_id in group:
-                out.add(e.dst)
-        return out
-    group = EDGE_GROUPS[_MP_OBJECT[mp]]
-    for e in g.out_edges(node_id):
-        if e.edge_type_id not in group:
-            continue
-        for back in g.in_edges(e.dst):
-            if back.edge_type_id in group:
-                out.add(back.src)
-    return out
+    src, dst = metapath_pairs(tsg, mp)
+    i = tsg.graph.node_index().get(node_id)
+    if i is None:
+        raise GraphError(f"unknown node {node_id!r}")
+    ids = tsg.node_ids
+    return {ids[k] for k in src[dst == i]}
 
 
 def metapath_pairs(tsg: TechniqueSubgraph, mp: str) -> tuple[np.ndarray, np.ndarray]:
     """(source_row, target_row) index arrays for all neighbor pairs of ``mp``.
 
-    Pairs are ordered by target node then by source node; self pairs are
-    always present. Cached on the subgraph.
+    Node k neighbors node i when i launched k (MP1) or both act on one
+    object (MP2-MP4), and every node neighbors itself. Pairs are ordered by
+    target node then by source node. Cached on the subgraph.
     """
+    if mp not in META_PATHS:
+        raise ValueError(f"unknown meta-path {mp!r}")
     cached = tsg._metapath_cache.get(mp)
     if cached is not None:
         return cached
-    index = tsg.graph.node_index()
-    src, dst = [], []
-    for nid in tsg.graph.nodes:
-        i = index[nid]
-        neighbors = sorted(index[k] for k in metapath_neighbors(tsg, nid, mp))
-        for k in neighbors:
-            src.append(k)
-            dst.append(i)
-    pair = (np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp))
+    n = tsg.n_nodes
+    src, dst, etype = tsg.graph.edge_arrays()
+    on_path = np.isin(etype, list(EDGE_GROUPS[_MP_OBJECT[mp]]))
+    rows, cols = src[on_path], dst[on_path]
+    if mp != "MP1":  # pair every two subjects of one shared object
+        order = np.argsort(cols)
+        subject, obj = rows[order], cols[order]
+        first = np.searchsorted(obj, obj)  # where each edge's object group starts
+        size = np.searchsorted(obj, obj, side="right") - first
+        # edge j is repeated once per edge of its group, paired with each in turn
+        rows = np.repeat(subject, size)
+        step = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+        cols = subject[np.repeat(first, size) + step]
+    # key i * n + k of target i and source k sorts by target, then by source
+    keys = np.unique(np.concatenate([rows * n + cols, np.arange(n) * (n + 1)]))
+    pair = (keys % n, keys // n)
     tsg._metapath_cache[mp] = pair
     return pair
 

@@ -361,12 +361,13 @@ def evaluate_end_to_end(
             truth.append(label)
         else:
             carved = pipeline_sample(sample, models, config, seed)
-            sampling_parts.append(sampling_metrics(carved, [sample.truth]))
+            matching = match_subgraphs(carved, [sample.truth])
+            sampling_parts.append(sampling_metrics(carved, [sample.truth], matching))
             if not carved:
                 predictions.append(None)
                 truth.append(label)
                 continue
-            pairs = dict(match_subgraphs(carved, [sample.truth]))
+            pairs = dict(matching)
             for ci, tsg in enumerate(carved):
                 predictions.append(
                     recognize(tsg, models.exemplars, models.matcher,

@@ -32,11 +32,10 @@ def init_features(graph: ProvenanceGraph) -> np.ndarray:
 
     Rows follow the graph's node order; row sums equal total degree.
     """
-    index = graph.node_index()
+    src, dst, etype = graph.edge_arrays()
     out = np.zeros((graph.n_nodes, FEATURE_DIM))
-    for e in graph.edges:
-        out[index[e.dst], e.edge_type_id - 1] += 1.0
-        out[index[e.src], NUM_EDGE_TYPES + e.edge_type_id - 1] += 1.0
+    np.add.at(out, (dst, etype - 1), 1.0)
+    np.add.at(out, (src, NUM_EDGE_TYPES + etype - 1), 1.0)
     return out
 
 
@@ -54,19 +53,13 @@ def scale_features(e0: np.ndarray, enabled: bool = True) -> np.ndarray:
 def aggregation_matrix(graph: ProvenanceGraph) -> sparse.csr_matrix:
     """Row i averages node i with its unique in-neighbors (self included)."""
     n = graph.n_nodes
-    index = graph.node_index()
-    rows, cols, vals = [], [], []
-    for nid in graph.nodes:
-        i = index[nid]
-        group = [i] + [
-            index[u] for u in graph.in_neighbors(nid) if index[u] != i
-        ]
-        w = 1.0 / len(group)
-        for j in group:
-            rows.append(i)
-            cols.append(j)
-            vals.append(w)
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    src, dst, _ = graph.edge_arrays()
+    links = sparse.csr_matrix((np.ones(len(src)), (dst, src)), shape=(n, n))
+    agg = links + sparse.identity(n, format="csr")
+    agg.sort_indices()
+    counts = np.diff(agg.indptr)
+    agg.data = np.repeat(1.0 / counts, counts)
+    return agg
 
 
 def gnn_layer_forward(agg, e_in, w, *, slope: float = 0.01) -> nm.Matrix:

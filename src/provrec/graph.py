@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 
 class GraphError(ValueError):
     """Malformed events, id collisions, or unknown nodes."""
@@ -124,8 +126,7 @@ class ProvenanceGraph:
             if e.src not in self.nodes or e.dst not in self.nodes:
                 raise GraphError(f"edge endpoint missing from node set: {e}")
         self._index = {nid: i for i, nid in enumerate(self.nodes)}
-        self._out: dict[str, list[int]] | None = None
-        self._in: dict[str, list[int]] | None = None
+        self._arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
     def n_nodes(self) -> int:
@@ -150,41 +151,26 @@ class ProvenanceGraph:
         except KeyError:
             raise GraphError(f"unknown node {node_id!r}") from None
 
-    def _adjacency(self) -> tuple[dict[str, list[int]], dict[str, list[int]]]:
-        if self._out is None:
-            out: dict[str, list[int]] = {nid: [] for nid in self.nodes}
-            inc: dict[str, list[int]] = {nid: [] for nid in self.nodes}
-            for i, e in enumerate(self.edges):
-                out[e.src].append(i)
-                inc[e.dst].append(i)
-            self._out, self._in = out, inc
-        return self._out, self._in
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(source row, target row, edge-type id) of every edge, in edge order.
 
-    def out_edges(self, node_id: str) -> list[Edge]:
-        out, _ = self._adjacency()
-        if node_id not in out:
-            raise GraphError(f"unknown node {node_id!r}")
-        return [self.edges[i] for i in out[node_id]]
-
-    def in_edges(self, node_id: str) -> list[Edge]:
-        _, inc = self._adjacency()
-        if node_id not in inc:
-            raise GraphError(f"unknown node {node_id!r}")
-        return [self.edges[i] for i in inc[node_id]]
+        Rows index the node order; built once and cached, read-only.
+        """
+        if self._arrays is None:
+            index = self._index
+            rows = [(index[e.src], index[e.dst], e.edge_type_id) for e in self.edges]
+            arrays = np.array(rows, dtype=np.intp).reshape(-1, 3).T.copy()
+            arrays.flags.writeable = False
+            self._arrays = tuple(arrays)
+        return self._arrays
 
     def degree(self, node_id: str) -> tuple[int, int]:
         """(in_degree, out_degree) counting multi-edges."""
-        out, inc = self._adjacency()
-        if node_id not in out:
+        i = self._index.get(node_id)
+        if i is None:
             raise GraphError(f"unknown node {node_id!r}")
-        return len(inc[node_id]), len(out[node_id])
-
-    def in_neighbors(self, node_id: str) -> list[str]:
-        """Unique sources of incoming edges, in first-seen order."""
-        seen: dict[str, None] = {}
-        for e in self.in_edges(node_id):
-            seen.setdefault(e.src, None)
-        return list(seen)
+        src, dst, _ = self.edge_arrays()
+        return int(np.count_nonzero(dst == i)), int(np.count_nonzero(src == i))
 
     def induced(self, node_subset: Iterable[str]) -> "ProvenanceGraph":
         """Subgraph on the given nodes, preserving node and edge order."""
@@ -213,20 +199,23 @@ class ProvenanceGraph:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "ProvenanceGraph":
-        version = payload.get("format_version")
-        if version != cls.FORMAT_VERSION:
-            raise GraphError(f"unsupported graph format_version {version!r}")
-        nodes = {}
-        for n in payload["nodes"]:
-            nodes[n["id"]] = EntityNode(
-                n["id"], EntityType.parse(n["type"]), dict(n.get("attrs") or {})
-            )
-        edges = []
-        for e in payload["edges"]:
-            eid = int(e["type_id"])
-            if eid not in EDGE_TYPE_NAMES:
-                raise GraphError(f"unknown edge type id {eid}")
-            edges.append(Edge(e["src"], e["dst"], eid, int(e["ts"])))
+        try:
+            version = payload.get("format_version")
+            if version != cls.FORMAT_VERSION:
+                raise GraphError(f"unsupported graph format_version {version!r}")
+            nodes = {}
+            for n in payload["nodes"]:
+                nodes[n["id"]] = EntityNode(
+                    n["id"], EntityType.parse(n["type"]), dict(n.get("attrs") or {})
+                )
+            edges = []
+            for e in payload["edges"]:
+                eid = int(e["type_id"])
+                if eid not in EDGE_TYPE_NAMES:
+                    raise GraphError(f"unknown edge type id {eid}")
+                edges.append(Edge(e["src"], e["dst"], eid, int(e["ts"])))
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise GraphError(f"malformed graph: {exc!r}") from None
         return cls(nodes, edges)
 
     def save(self, path) -> None:

@@ -172,9 +172,13 @@ class NoiReport:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "NoiReport":
-        scores = {row["node_id"]: row["score"] for row in payload["nois"]}
-        flagged = [row["node_id"] for row in payload["nois"] if row["flagged"]]
-        return cls(flagged, scores, payload["threshold"], payload.get("contamination"))
+        try:
+            scores = {row["node_id"]: row["score"] for row in payload["nois"]}
+            flagged = [row["node_id"] for row in payload["nois"] if row["flagged"]]
+            threshold = payload["threshold"]
+            return cls(flagged, scores, threshold, payload.get("contamination"))
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed noi report: {exc!r}") from None
 
 
 def detect_nois(

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .graph import GraphError, ProvenanceGraph
 
 
@@ -65,16 +67,11 @@ class TechniqueSubgraph:
         return self._features
 
     def to_dict(self) -> dict:
+        graph = self.graph.to_dict()
         payload = {
             "seed": self.seed,
-            "nodes": [
-                {"id": n.id, "type": n.entity_type.value, "attrs": n.attrs}
-                for n in self.graph.nodes.values()
-            ],
-            "edges": [
-                {"src": e.src, "dst": e.dst, "type_id": e.edge_type_id, "ts": e.ts}
-                for e in self.graph.edges
-            ],
+            "nodes": graph["nodes"],
+            "edges": graph["edges"],
             "nois": list(self.nois),
         }
         if self.technique is not None:
@@ -83,21 +80,16 @@ class TechniqueSubgraph:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "TechniqueSubgraph":
+        try:
+            label = payload.get("label") or {}
+            nois, seed = payload["nois"], payload["seed"]
+            technique, tactic = label.get("technique"), label.get("tactic")
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise GraphError(f"malformed subgraph: {exc!r}") from None
         graph = ProvenanceGraph.from_dict(
-            {
-                "format_version": ProvenanceGraph.FORMAT_VERSION,
-                "nodes": payload["nodes"],
-                "edges": payload["edges"],
-            }
+            {**payload, "format_version": ProvenanceGraph.FORMAT_VERSION}
         )
-        label = payload.get("label") or {}
-        return cls(
-            graph,
-            payload["nois"],
-            payload["seed"],
-            technique=label.get("technique"),
-            tactic=label.get("tactic"),
-        )
+        return cls(graph, nois, seed, technique=technique, tactic=tactic)
 
 
 def select_seed(nois: Iterable[str], graph: ProvenanceGraph) -> str:
@@ -105,14 +97,13 @@ def select_seed(nois: Iterable[str], graph: ProvenanceGraph) -> str:
     pool = list(nois)
     if not pool:
         raise ValueError("cannot select a seed from an empty noi set")
-    best = None
-    best_key = None
-    for nid in pool:
-        din, dout = graph.degree(nid)
-        key = (-(din + dout), nid)
-        if best_key is None or key < best_key:
-            best, best_key = nid, key
-    return best
+    src, dst, _ = graph.edge_arrays()
+    degree = np.bincount(np.concatenate([src, dst]), minlength=graph.n_nodes)
+    index = graph.node_index()
+    try:
+        return min(pool, key=lambda nid: (-degree[index[nid]], nid))
+    except KeyError as exc:
+        raise GraphError(f"unknown node {exc.args[0]!r}") from None
 
 
 def _undirected_adjacency(graph: ProvenanceGraph) -> dict[str, list[str]]:

@@ -163,20 +163,21 @@ class LabeledDataset:
         root = Path(directory)
         with open(root / "manifest.json", "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
-        if manifest.get("format_version") != cls.FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported dataset format_version "
-                f"{manifest.get('format_version')!r}"
-            )
-        samples = []
-        for entry in manifest["samples"]:
-            graph = ProvenanceGraph.load(root / entry["graph"])
-            with open(root / entry["truth"], "r", encoding="utf-8") as fh:
-                truth = TechniqueSubgraph.from_dict(json.load(fh))
-            samples.append(
-                LabeledSample(graph, truth, entry["technique"], entry["tactic"])
-            )
-        return cls(samples, manifest.get("seed", 0))
+        try:
+            version = manifest.get("format_version")
+            if version != cls.FORMAT_VERSION:
+                raise ValueError(f"unsupported dataset format_version {version!r}")
+            samples = []
+            for entry in manifest["samples"]:
+                graph = ProvenanceGraph.load(root / entry["graph"])
+                with open(root / entry["truth"], "r", encoding="utf-8") as fh:
+                    truth = TechniqueSubgraph.from_dict(json.load(fh))
+                samples.append(
+                    LabeledSample(graph, truth, entry["technique"], entry["tactic"])
+                )
+            return cls(samples, manifest.get("seed", 0))
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed dataset manifest: {exc!r}") from None
 
 
 class _EventSink:

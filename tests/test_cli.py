@@ -193,3 +193,54 @@ def test_evaluate_reports_are_deterministic(workspace):
                    "--models", root / "bundle.json", "--mode", "true",
                    "--out", out) == EXIT_OK
     assert r1.read_bytes() == r2.read_bytes()
+
+
+_GRAPH = {"format_version": 1, "nodes": [{"id": "p", "type": "process"}], "edges": []}
+_REPORT = {"threshold": 0.6, "nois": [{"node_id": "p", "score": 0.9, "flagged": True}]}
+_TRUTH = {"seed": "p", "nodes": _GRAPH["nodes"], "edges": [], "nois": ["p"]}
+_ENTRY = {"technique": "T1", "tactic": "TA1", "graph": "g.json", "truth": "t.json"}
+_MALFORMED = {
+    "graph_without_edges": ("graph", {k: v for k, v in _GRAPH.items() if k != "edges"}),
+    "report_row_without_score": ("report", {**_REPORT, "nois": [{"node_id": "p"}]}),
+    "report_as_list": ("report", [_REPORT]),
+    "manifest_without_samples": ("manifest", {"format_version": 1}),
+    "manifest_sample_as_list": ("manifest", {"format_version": 1, "samples": [[1]]}),
+    "manifest_as_list": ("manifest", [_ENTRY]),
+    "truth_without_nois": ("truth", {k: v for k, v in _TRUTH.items() if k != "nois"}),
+    "truth_label_as_list": ("truth", {**_TRUTH, "label": ["T1"]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_json_inputs_exit_two(tmp_path, case):
+    which, broken = _MALFORMED[case]
+    files = {
+        "graph": _GRAPH,
+        "report": _REPORT,
+        "manifest": {"format_version": 1, "seed": 0, "samples": [_ENTRY]},
+        "truth": _TRUTH,
+        which: broken,
+    }
+    for name, path in (("graph", "g.json"), ("report", "nois.json"),
+                       ("manifest", "manifest.json"), ("truth", "t.json")):
+        (tmp_path / path).write_text(json.dumps(files[name]))
+    if which in ("graph", "report"):
+        argv = ("sample", "--graph", tmp_path / "g.json",
+                "--nois", tmp_path / "nois.json")
+    else:
+        argv = ("train-matcher", "--data", tmp_path)
+    assert run(*argv, "--out", tmp_path / "out.json") == EXIT_DATA
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_ingest_refuses_existing_stats_without_force(workspace, tmp_path):
+    root, config = workspace
+    events = root / "ds" / "events" / "e0004.jsonl"
+    target = tmp_path / "g9.json"
+    stats = tmp_path / "g9.stats.json"
+    stats.write_text("kept")
+    assert run("ingest", "--events", events, "--out", target) == EXIT_DATA
+    assert stats.read_text() == "kept"
+    assert not target.exists()
+    assert run("ingest", "--events", events, "--out", target, "--force") == EXIT_OK
+    assert json.loads(stats.read_text())["loaded"] > 0
