@@ -20,6 +20,7 @@ from .embedding import (
 from .evaluation import (
     MODES,
     PipelineModels,
+    Triage,
     evaluate_end_to_end,
     evaluate_noi,
     noi_lmo_protocol,
@@ -27,6 +28,7 @@ from .evaluation import (
     split_few_shot,
     split_leave_malicious_out,
     train_pipeline,
+    triage,
 )
 from .features import (
     FEATURE_DIM,
@@ -73,8 +75,8 @@ from .numerics import (
     Matrix,
     NumericsError,
     Rng,
-    Sgd,
     cross_entropy,
+    descend,
     grad_check,
     softmax_row,
 )

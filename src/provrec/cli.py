@@ -22,6 +22,7 @@ from . import features as ft
 from .config import ConfigError, PipelineConfig
 from .evaluation import (
     MODES,
+    detect,
     evaluate_end_to_end,
     run_experiment,
     split_few_shot,
@@ -37,7 +38,7 @@ from .graph import (
     write_events_jsonl,
 )
 from .matching import recognize
-from .noi import NoiReport, detect_nois
+from .noi import NoiReport
 from .numerics import NumericsError
 from .persistence import ModelFormatError, load_model, save_model
 from .rules import RuleError, load_blacklists, replay
@@ -187,16 +188,7 @@ def _cmd_train_encoder(args, config: PipelineConfig) -> int:
 def _cmd_detect_noi(args, config: PipelineConfig) -> int:
     graph = ProvenanceGraph.load(args.graph)
     encoder = load_model(args.encoder, expect_kind="gnn_encoder")
-    embeddings = ft.extract_embeddings(encoder, graph, ft.init_features(graph))
-    report = detect_nois(
-        graph,
-        embeddings,
-        num_trees=config.num_trees,
-        subsample_size=config.subsample,
-        score_threshold=config.score_threshold,
-        contamination=config.contamination,
-        seed=config.seed,
-    )
+    report = detect(graph, encoder, config, config.seed)
     _write_json(report.to_dict(), Path(args.out), args.force)
     print(f"flagged {len(report.flagged)} of {len(report.scores)} process nodes")
     return EXIT_OK
@@ -238,11 +230,12 @@ def _cmd_recognize(args, config: PipelineConfig) -> int:
     models = load_model(args.models, expect_kind="bundle")
     with open(args.subgraph, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    queries = (
-        [TechniqueSubgraph.from_dict(q) for q in payload["subgraphs"]]
-        if "subgraphs" in payload
-        else [TechniqueSubgraph.from_dict(payload)]
-    )
+    if not isinstance(payload, dict):
+        raise GraphError("a subgraph file must hold a JSON object")
+    entries = payload.get("subgraphs", [payload])
+    if not isinstance(entries, list):
+        raise GraphError('"subgraphs" must be a list of subgraphs')
+    queries = [TechniqueSubgraph.from_dict(q) for q in entries]
     results = []
     for i, query in enumerate(queries):
         result = recognize(

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import features as ft
 from .config import PipelineConfig
-from .graph import EntityType, disjoint_union
+from .graph import EntityType, ProvenanceGraph, disjoint_union
 from .matching import (
     ExemplarSet,
     RecognitionResult,
@@ -24,7 +24,7 @@ from .matching import (
     recognize,
     train_matcher,
 )
-from .noi import detect_nois
+from .noi import NoiReport, detect_nois
 from .numerics import Rng
 from .sampling import (
     SamplingMetrics,
@@ -148,17 +148,12 @@ def noi_lmo_protocol(
     )
 
     # training embeddings for the forest: benign process nodes only
+    train_keys = {(r.sample_idx, r.node_id) for r in split.train}
     train_rows = []
-    per_graph_emb = {}
     for si, g in enumerate(benign_graphs):
         emb = ft.extract_embeddings(encoder, g, ft.init_features(g))
-        per_graph_emb[si] = (g.node_index(), emb)
-    train_keys = {(r.sample_idx, r.node_id) for r in split.train}
-    for si, g in enumerate(benign_graphs):
-        index, emb = per_graph_emb[si]
-        for nid in g.nodes:
-            if (si, nid) in train_keys:
-                train_rows.append(emb[index[nid]])
+        index = g.node_index()
+        train_rows += [emb[index[nid]] for nid in g.nodes if (si, nid) in train_keys]
     train_rows = np.array(train_rows)
     forest = fit_forest(train_rows, config.num_trees, config.subsample, seed=seed)
     train_scores = anomaly_scores(forest, train_rows)
@@ -297,27 +292,48 @@ def _aggregate_sampling(parts: Sequence[SamplingMetrics]) -> SamplingMetrics:
     )
 
 
-def pipeline_sample(
-    sample: LabeledSample,
+def detect(
+    graph: ProvenanceGraph,
+    encoder: ft.GnnEncoder,
+    config: PipelineConfig,
+    seed: int = 0,
+) -> NoiReport:
+    """Embed one host's nodes with the trained encoder and flag the anomalous
+    process nodes."""
+    embeddings = ft.extract_embeddings(encoder, graph, ft.init_features(graph))
+    return detect_nois(
+        graph, embeddings, num_trees=config.num_trees, subsample_size=config.subsample,
+        score_threshold=config.score_threshold, contamination=config.contamination,
+        seed=seed,
+    )
+
+
+@dataclass
+class Triage:
+    """One host from its graph to decisions: the detector's report, the
+    subgraphs carved around its flags, and one result per carve in order."""
+
+    report: NoiReport
+    carved: list[TechniqueSubgraph]
+    results: list[RecognitionResult]
+
+
+def triage(
+    graph: ProvenanceGraph,
     models: PipelineModels,
     config: PipelineConfig,
     seed: int = 0,
-) -> list[TechniqueSubgraph]:
-    """Detect anomalous nodes on one graph and carve subgraphs around them."""
-    graph = sample.graph
-    emb = ft.extract_embeddings(models.encoder, graph, ft.init_features(graph))
-    report = detect_nois(
-        graph,
-        emb,
-        num_trees=config.num_trees,
-        subsample_size=config.subsample,
-        score_threshold=config.score_threshold,
-        contamination=config.contamination,
-        seed=seed,
-    )
-    return sample_subgraphs(
+) -> Triage:
+    """Detect anomalous nodes on one host, carve subgraphs around them and
+    recognise each carve."""
+    report = detect(graph, models.encoder, config, seed)
+    carved = sample_subgraphs(
         graph, report.flagged, lam=config.lam, min_nois=config.min_nois
     )
+    return Triage(report, carved, [
+        recognize(tsg, models.exemplars, models.matcher, config.unknown_threshold)
+        for tsg in carved
+    ])
 
 
 def evaluate_end_to_end(
@@ -347,33 +363,23 @@ def evaluate_end_to_end(
 
     for sample in test_samples:
         label = (sample.technique, sample.tactic)
-        if mode == "True_Graph":
-            predictions.append(
-                recognize(sample.truth, models.exemplars, models.matcher,
-                          config.unknown_threshold)
+        if mode == "Sampled_Graph":
+            host = triage(sample.graph, models, config, seed)
+            matching = match_subgraphs(host.carved, [sample.truth])
+            sampling_parts.append(
+                sampling_metrics(host.carved, [sample.truth], matching)
             )
-            truth.append(label)
-        elif mode == "Raw_Graph":
-            predictions.append(
-                recognize(_whole_graph_subgraph(sample), models.exemplars,
-                          models.matcher, config.unknown_threshold)
-            )
-            truth.append(label)
-        else:
-            carved = pipeline_sample(sample, models, config, seed)
-            matching = match_subgraphs(carved, [sample.truth])
-            sampling_parts.append(sampling_metrics(carved, [sample.truth], matching))
-            if not carved:
-                predictions.append(None)
-                truth.append(label)
-                continue
             pairs = dict(matching)
-            for ci, tsg in enumerate(carved):
-                predictions.append(
-                    recognize(tsg, models.exemplars, models.matcher,
-                              config.unknown_threshold)
-                )
-                truth.append(label if ci in pairs else _SPURIOUS)
+            # an empty sampling is one wrong prediction for the host
+            predictions.extend(host.results or [None])
+            truth.extend([label if ci in pairs else _SPURIOUS
+                          for ci in range(len(host.carved))] or [label])
+            continue
+        query = sample.truth if mode == "True_Graph" else _whole_graph_subgraph(sample)
+        predictions.append(
+            recognize(query, models.exemplars, models.matcher, config.unknown_threshold)
+        )
+        truth.append(label)
 
     report = {
         "mode": mode,

@@ -135,8 +135,8 @@ def train_encoder(
 ) -> GnnEncoder:
     """Fit the stack on node-type classification by full-batch descent.
 
-    Deterministic under ``config.seed``; raises if the loss goes non-finite
-    (reduce the learning rate).
+    Deterministic under ``config.seed``; :func:`numerics.descend` raises if
+    training goes non-finite (reduce the learning rate).
     """
     labels = node_type_labels(graph)
     if len(set(labels.tolist())) < 2:
@@ -160,26 +160,14 @@ def train_encoder(
     classifier = tape.parameter(
         "classifier", _init_weight(rng, config.hidden, len(NODE_TYPE_ORDER))
     )
-    opt = nm.Sgd(tape, config.lr)
 
-    losses: list[float] = []
-    for _ in range(config.epochs):
-        try:
-            h = x
-            for w in layer_params:
-                h = gnn_layer_forward(agg, h, w, slope=config.slope)
-            loss = nm.softmax_cross_entropy(nm.matmul(h, classifier), labels)
-        except nm.NumericsError as exc:
-            raise nm.NumericsError(
-                f"training diverged ({exc}); reduce the learning rate"
-            ) from None
-        value = loss.item()
-        if not np.isfinite(value):
-            raise nm.NumericsError("training loss diverged; reduce the learning rate")
-        tape.zero_grad()
-        tape.backward(loss)
-        opt.step()
-        losses.append(value)
+    def loss_fn():
+        h = x
+        for w in layer_params:
+            h = gnn_layer_forward(agg, h, w, slope=config.slope)
+        return nm.softmax_cross_entropy(nm.matmul(h, classifier), labels)
+
+    losses = nm.descend(tape, loss_fn, config.epochs, config.lr)
 
     return GnnEncoder(
         config,

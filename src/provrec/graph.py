@@ -325,6 +325,8 @@ def parse_event(record: Mapping, strict: bool = True) -> Event:
     Graph building needs strict events; the rule baseline accepts stream
     operations (execute, image_load, registry create) outside that list.
     """
+    if not isinstance(record, Mapping):
+        raise GraphError(f"event must be a JSON object, got {type(record).__name__}")
     missing = [k for k in _REQUIRED_EVENT_KEYS if k not in record]
     if missing:
         raise GraphError(f"event missing fields {missing}")
@@ -338,13 +340,17 @@ def parse_event(record: Mapping, strict: bool = True) -> Event:
     attrs = record.get("attrs")
     if attrs is not None and not isinstance(attrs, Mapping):
         raise GraphError("attrs must be a string map")
+    try:
+        ts = int(record["ts"])
+    except (TypeError, ValueError, OverflowError):
+        raise GraphError(f"event ts {record['ts']!r} is not an integer") from None
     return Event(
         subject_id=str(record["subject_id"]),
         subject_type=st,
         operation=op,
         object_id=str(record["object_id"]),
         object_type=ot,
-        ts=int(record["ts"]),
+        ts=ts,
         attrs=dict(attrs) if attrs else None,
     )
 

@@ -267,25 +267,14 @@ def train_matcher(
         nm.RowIndex([row[getattr(t, role)] for t in triplets], len(used))
         for role in ("anchor", "positive", "negative")
     )
-    opt = nm.Sgd(tape, config.lr)
-    losses: list[float] = []
-    for _ in range(config.epochs):
-        try:
-            z = project(embed_batch(batch, han_params, config.han), out_w, out_b,
-                        config.han.slope)
-            loss = triplet_loss(z, anchor, positive, negative, config.margin,
-                                config.distance)
-        except nm.NumericsError as exc:
-            raise nm.NumericsError(
-                f"training diverged ({exc}); reduce the learning rate"
-            ) from None
-        value = loss.item()
-        if not np.isfinite(value):
-            raise nm.NumericsError("matcher loss diverged; reduce the learning rate")
-        tape.zero_grad()
-        tape.backward(loss)
-        opt.step()
-        losses.append(value)
+
+    def loss_fn():
+        z = project(embed_batch(batch, han_params, config.han), out_w, out_b,
+                    config.han.slope)
+        return triplet_loss(z, anchor, positive, negative, config.margin,
+                            config.distance)
+
+    losses = nm.descend(tape, loss_fn, config.epochs, config.lr)
 
     # the models copy the values they wrap
     encoder = HanEncoder(config.han, {name: p.value for name, p in han_params.items()})

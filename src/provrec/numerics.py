@@ -11,7 +11,6 @@ intermediate raises immediately instead of propagating NaNs.
 from __future__ import annotations
 
 import hashlib
-import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -643,46 +642,45 @@ class GradientTape:
         self._params[name] = p
         return p
 
-    @property
-    def params(self) -> dict[str, Matrix]:
-        return self._params
-
     def __iter__(self):
         return iter(self._params.values())
 
-    def zero_grad(self) -> None:
-        for p in self._params.values():
-            p.grad = np.zeros_like(p.value)
-
     def backward(self, loss: Matrix) -> None:
+        for p in self._params.values():
+            p.grad = None  # a parameter this loss does not reach gets zeros
         backward(loss)
         for p in self._params.values():
             if p.grad is None:
                 p.grad = np.zeros_like(p.value)
 
-    def gradients(self) -> dict[str, np.ndarray]:
-        return {name: p.grad for name, p in self._params.items()}
 
-
-class Sgd:
-    """Plain gradient descent over a tape's registered parameters."""
-
-    def __init__(self, tape: GradientTape, lr: float):
-        if lr <= 0:
-            raise NumericsError("learning rate must be positive")
-        self.tape = tape
-        self.lr = float(lr)
-
-    def step(self) -> None:
-        for p in self.tape:
-            if p.grad is None:
-                continue
+def descend(
+    tape: GradientTape, loss_fn: Callable[[], Matrix], epochs: int, lr: float
+) -> list[float]:
+    """Full-batch gradient descent on every parameter of ``tape``; returns the
+    loss of each epoch. ``loss_fn`` rebuilds the forward from the current
+    parameter values. A forward or a step that goes non-finite raises
+    :class:`NumericsError` advising a smaller learning rate."""
+    if lr <= 0:
+        raise NumericsError("learning rate must be positive")
+    losses: list[float] = []
+    for _ in range(epochs):
+        try:
+            loss = loss_fn()
+        except NumericsError as exc:
+            raise NumericsError(
+                f"training diverged ({exc}); reduce the learning rate"
+            ) from None
+        tape.backward(loss)
+        for p in tape:
             with np.errstate(over="ignore", invalid="ignore"):
-                p.value -= self.lr * p.grad
+                p.value -= lr * p.grad
             if not np.isfinite(p.value).all():
                 raise NumericsError(
                     f"parameter {p.name!r} diverged; reduce the learning rate"
                 )
+        losses.append(loss.item())
+    return losses
 
 
 def grad_check(
@@ -701,8 +699,6 @@ def grad_check(
     loss = loss_fn()
     if not isinstance(loss, Matrix) or loss.shape != (1, 1):
         raise NumericsError("loss_fn must return a scalar Matrix")
-    if not math.isfinite(loss.item()):
-        raise NumericsError("loss is not finite")
     backward(loss)
     analytic = [
         p.grad.copy() if p.grad is not None else np.zeros_like(p.value) for p in plist
@@ -718,8 +714,6 @@ def grad_check(
             flat[i] = orig - eps
             down = loss_fn().item()
             flat[i] = orig
-            if not (math.isfinite(up) and math.isfinite(down)):
-                raise NumericsError("loss is not finite during perturbation")
             numeric = (up - down) / (2.0 * eps)
             err = abs(flat_ana[i] - numeric) / max(1.0, abs(flat_ana[i]))
             worst = max(worst, err)

@@ -5,6 +5,9 @@ import json
 import pytest
 
 from provrec.cli import EXIT_DATA, EXIT_MODEL, EXIT_OK, EXIT_USAGE, main
+from provrec.config import PipelineConfig
+from provrec.evaluation import detect
+from provrec.graph import ProvenanceGraph
 from provrec.persistence import ModelFormatError, load_model
 
 
@@ -69,6 +72,40 @@ def test_full_subcommand_chain(workspace):
                "--mode", "all", "--out", report) == EXIT_OK
     modes = json.loads(report.read_text())["modes"]
     assert set(modes) == {"True_Graph", "Sampled_Graph", "Raw_Graph"}
+
+
+def test_detect_noi_writes_the_library_report(workspace):
+    root, config = workspace
+    graph = ProvenanceGraph.load(root / "g0.json")
+    encoder = load_model(root / "encoder.json", expect_kind="gnn_encoder")
+    cfg = PipelineConfig.from_file(config)
+    want = detect(graph, encoder, cfg, cfg.seed).to_dict()
+    assert json.loads((root / "noi.json").read_text()) == want
+
+
+@pytest.mark.parametrize("payload", [5, {"subgraphs": 5}])
+def test_recognize_rejects_wrong_top_level_shape(workspace, tmp_path, payload):
+    root, config = workspace
+    query = tmp_path / "query.json"
+    query.write_text(json.dumps(payload))
+    out = tmp_path / "rec.json"
+    assert run("--config", config, "recognize", "--subgraph", query,
+               "--models", root / "bundle.json", "--out", out) == EXIT_DATA
+    assert not out.exists()
+
+
+def test_ingest_counts_non_object_lines_as_rejected(workspace, tmp_path):
+    root, _ = workspace
+    events = root / "ds" / "events" / "e0000.jsonl"
+    good = events.read_text().splitlines()[0]
+    bad_ts = json.dumps({**json.loads(good), "ts": None})
+    log = tmp_path / "mixed.jsonl"
+    log.write_text("\n".join(["5", "null", bad_ts, good]) + "\n")
+    target = tmp_path / "g.json"
+    assert run("ingest", "--events", log, "--out", target) == EXIT_OK
+    stats = json.loads((tmp_path / "g.stats.json").read_text())
+    assert stats["loaded"] == 1
+    assert [r["line"] for r in stats["rejected"]] == [1, 2, 3]
 
 
 def test_generate_is_bit_deterministic(workspace):

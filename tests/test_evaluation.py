@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from provrec import features as ft
 from provrec.config import PipelineConfig
 from provrec.evaluation import (
     evaluate_end_to_end,
@@ -14,7 +15,11 @@ from provrec.evaluation import (
     split_few_shot,
     split_leave_malicious_out,
     train_pipeline,
+    triage,
 )
+from provrec.matching import UNKNOWN, recognize
+from provrec.noi import detect_nois
+from provrec.sampling import sample_subgraphs
 from provrec.synthetic import ScenarioSpec, generate_scenario
 
 
@@ -182,6 +187,62 @@ def test_untrained_or_empty_inputs_rejected(tiny_models, tiny_config):
         evaluate_end_to_end([], "True_Graph", models, tiny_config)
     with pytest.raises(ValueError):
         evaluate_end_to_end(test, "True_Graph", None, tiny_config)
+
+
+def _reference_triage(graph, models, config, seed):
+    """The host chain step by step: embed, detect, carve, recognise."""
+    emb = ft.extract_embeddings(models.encoder, graph, ft.init_features(graph))
+    report = detect_nois(
+        graph, emb, num_trees=config.num_trees, subsample_size=config.subsample,
+        score_threshold=config.score_threshold,
+        contamination=config.contamination, seed=seed,
+    )
+    carved = sample_subgraphs(
+        graph, report.flagged, lam=config.lam, min_nois=config.min_nois
+    )
+    results = [
+        recognize(t, models.exemplars, models.matcher, config.unknown_threshold)
+        for t in carved
+    ]
+    return report, carved, results
+
+
+# at the default min_nois=5 the tiny hosts carve nothing
+_TRIAGE_CASES = {
+    "min_nois_2": {"min_nois": 2},
+    "contamination": {"contamination": 0.1},
+    "unknown_threshold_zero": {"min_nois": 2, "unknown_threshold": 0.0},
+    "nothing_carved": {"min_nois": 10_000},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TRIAGE_CASES))
+def test_triage_equals_the_step_by_step_chain(tiny_models, tiny_config, case):
+    _, test, models = tiny_models
+    config = tiny_config.override(**_TRIAGE_CASES[case])
+    carves = 0
+    for sample in test:
+        report, carved, results = _reference_triage(sample.graph, models, config, 20)
+        got = triage(sample.graph, models, config, seed=20)
+        assert got.report.flagged == report.flagged
+        assert got.report.scores == report.scores
+        assert [(t.node_ids, t.nois, t.seed) for t in got.carved] == [
+            (t.node_ids, t.nois, t.seed) for t in carved
+        ]
+        assert got.results == results
+        carves += len(got.carved)
+        if case == "unknown_threshold_zero":
+            assert all(r.decision == UNKNOWN for r in got.results)
+    assert (carves == 0) == (case == "nothing_carved")
+
+
+def test_nothing_carved_counts_one_empty_prediction_per_host(tiny_models, tiny_config):
+    _, test, models = tiny_models
+    config = tiny_config.override(min_nois=10_000)
+    report = evaluate_end_to_end(test, "Sampled_Graph", models, config, seed=20)
+    assert report["n_queries"] == len(test)
+    assert report["recognition"] == {"ACC": 0.0, "Top3ACC": 0.0, "TacticACC": 0.0}
+    assert report["sampling"]["n_sampled"] == 0
 
 
 def test_run_experiment_report_is_complete(tiny_dataset, tiny_config):

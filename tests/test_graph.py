@@ -233,6 +233,24 @@ def test_ingest_rejects_bad_lines_with_reasons(tmp_path):
     assert [line for line, _ in stats.rejected] == [2, 3, 4]
 
 
+def test_ingest_rejects_non_object_lines_and_bad_timestamps(tmp_path):
+    path = tmp_path / "events.jsonl"
+    event = (
+        '{"subject_id": "p", "subject_type": "process", "operation": "read",'
+        ' "object_id": "f", "object_type": "file", "ts": %s}'
+    )
+    lines = ["5", "null", "true", event % "null", event % "[1]", event % "1"]
+    path.write_text("\n".join(lines) + "\n")
+    for strict in (True, False):
+        events, stats = read_events_jsonl(path, strict=strict)
+        assert [e.ts for e in events] == [1]
+        assert stats.loaded == 1
+        assert [line for line, _ in stats.rejected] == [1, 2, 3, 4, 5]
+        reasons = [reason for _, reason in stats.rejected]
+        assert all("JSON object" in r for r in reasons[:3])
+        assert all("ts" in r for r in reasons[3:])
+
+
 def test_lenient_parse_allows_stream_operations():
     record = {
         "subject_id": "p", "subject_type": "process", "operation": "execute",

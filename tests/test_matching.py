@@ -238,7 +238,6 @@ def test_shared_gradient_is_sum_of_branch_contributions():
         ea = embed_subgraph(a, const if freeze_a else params, config)
         eb = embed_subgraph(b, const if freeze_b else params, config)
         diff = nm.sub(ea, eb)
-        tape.zero_grad()
         tape.backward(nm.sum_all(nm.mul(diff, diff)))
         return {k: p.grad.copy() for k, p in params.items()}
 

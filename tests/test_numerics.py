@@ -7,7 +7,7 @@ import pytest
 from scipy import sparse
 
 from provrec import numerics as nm
-from provrec.numerics import GradientTape, Matrix, NumericsError, Rng, Sgd
+from provrec.numerics import GradientTape, Matrix, NumericsError, Rng
 
 
 # -- softmax ------------------------------------------------------------------
@@ -231,7 +231,6 @@ def test_spmm_repeated_calls_on_one_matrix_are_identical():
     runs = []
     for _ in range(3):
         out = nm.spmm(mat, b)
-        tape.zero_grad()
         tape.backward(nm.sum_all(nm.mul(out, probe)))
         runs.append((out.value.copy(), b.grad.copy()))
     for value, grad in runs[1:]:
@@ -319,6 +318,16 @@ def test_backward_fills_every_registered_parameter():
     assert unused.grad.shape == unused.value.shape
 
 
+def test_backward_zeroes_gradients_an_earlier_loss_left():
+    tape = GradientTape()
+    a = tape.parameter("a", np.ones((2, 2)))
+    b = tape.parameter("b", np.ones((2, 2)))
+    tape.backward(nm.sum_all(nm.add(a, b)))
+    assert (b.grad == 1).all()
+    tape.backward(nm.sum_all(a))
+    assert (a.grad == 1).all() and (b.grad == 0).all()
+
+
 def test_backward_requires_scalar():
     with pytest.raises(NumericsError):
         nm.backward(Matrix(np.ones((2, 2))))
@@ -334,9 +343,65 @@ def test_duplicate_parameter_name_rejected():
 def test_sgd_divergence_raises_with_advice():
     tape = GradientTape()
     p = tape.parameter("w", [[1e300]])
-    p.grad = np.array([[-1e300]])
-    with pytest.raises(NumericsError, match="learning rate"):
-        Sgd(tape, 1e10).step()
+    with pytest.raises(NumericsError, match="'w' diverged; reduce the learning rate"):
+        nm.descend(tape, lambda: nm.scale(p, -1e8), 1, 1e301)
+
+
+def _two_parameter_model(seed):
+    gen = Rng(seed)
+    tape = GradientTape()
+    w1 = tape.parameter("w1", gen.normal(0, 1, size=(4, 3)))
+    w2 = tape.parameter("w2", gen.normal(0, 1, size=(3, 2)))
+    x = Matrix(gen.normal(0, 1, size=(6, 4)))
+
+    def loss_fn():
+        return nm.softmax_cross_entropy(
+            nm.matmul(nm.tanh(nm.matmul(x, w1)), w2), [0, 1, 1, 0, 1, 0]
+        )
+
+    return tape, loss_fn
+
+
+def _reference_descent(tape, loss_fn, epochs, lr):
+    """The trainers' earlier loop: forward, zero every gradient, backward,
+    then a plain descent step on each parameter."""
+    losses = []
+    for _ in range(epochs):
+        loss = loss_fn()
+        value = loss.item()
+        for p in tape:
+            p.grad = np.zeros_like(p.value)
+        tape.backward(loss)
+        for p in tape:
+            p.value -= float(lr) * p.grad
+        losses.append(value)
+    return losses
+
+
+def test_descend_equals_the_reference_loop():
+    ref_tape, ref_loss = _two_parameter_model(56)
+    tape, loss_fn = _two_parameter_model(56)
+    want = _reference_descent(ref_tape, ref_loss, 40, 0.3)
+    got = nm.descend(tape, loss_fn, 40, 0.3)
+    assert got == want
+    assert want[-1] < want[0]
+    for p, q in zip(tape, ref_tape):
+        assert (p.value == q.value).all()
+
+
+def test_descend_checks_the_rate_and_wraps_a_failing_forward():
+    tape, loss_fn = _two_parameter_model(57)
+    before = [p.value.copy() for p in tape]
+    for lr in (0.0, -1.0):
+        with pytest.raises(NumericsError, match="learning rate must be positive"):
+            nm.descend(tape, loss_fn, 3, lr)
+    assert all((p.value == b).all() for p, b in zip(tape, before))
+
+    def failing():
+        raise NumericsError("non-finite result from op 'exp'")
+
+    with pytest.raises(NumericsError, match=r"training diverged \(non-finite"):
+        nm.descend(tape, failing, 3, 0.1)
 
 
 def test_forward_backward_bit_identical_replay():
@@ -349,7 +414,6 @@ def test_forward_backward_bit_identical_replay():
         loss = nm.softmax_cross_entropy(
             nm.matmul(nm.tanh(nm.matmul(x, w1)), w2), [0, 1, 1, 0, 1]
         )
-        tape.zero_grad()
         tape.backward(loss)
         return loss.item(), w1.grad.copy(), w2.grad.copy()
 
