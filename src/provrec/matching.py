@@ -176,10 +176,16 @@ class SiameseModel:
         )
 
     def content_hash(self) -> str:
+        """SHA-256 of both configs and every weight's name, shape, dtype and
+        raw bytes: any change to a weight's last bit changes it."""
         # weights are frozen once training returns, so hash once
         if self._hash is None:
-            blob = json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")
-            self._hash = hashlib.sha256(blob).hexdigest()
+            configs = [asdict(self.config), asdict(self.encoder.config)]
+            digest = hashlib.sha256(json.dumps(configs, sort_keys=True).encode("utf-8"))
+            for name, value in sorted(self.weights().items()):
+                digest.update(f"{name} {value.shape} {value.dtype}\n".encode("utf-8"))
+                digest.update(value.tobytes())
+            self._hash = digest.hexdigest()
         return self._hash
 
 

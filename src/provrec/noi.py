@@ -2,9 +2,14 @@
 
 Process nodes whose embeddings isolate unusually fast are flagged as nodes
 of interest for the subgraph sampler. The forest is built from scratch and
-stored as flat node arrays covering all its trees; :func:`anomaly_scores`
-moves every point down every tree together, one level per step, and scores
-follow the standard ``2 ** (-E[h] / c(n))`` form exactly.
+stored as flat node arrays covering all its trees. :func:`fit_forest` grows
+every tree at once, one depth level per step, over the distinct rows of the
+input weighted by their multiplicity in each tree's subsample: a host's
+processes repeat a handful of embeddings, so a level costs a few array
+operations over (node, distinct row) slots instead of a Python step per
+node. :func:`anomaly_scores` moves every distinct row down every tree
+together, one level per step, and scores follow the standard
+``2 ** (-E[h] / c(n))`` form.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ from .graph import EntityType, ProvenanceGraph
 from .numerics import Rng
 
 _EULER_GAMMA = 0.5772156649015329
+# rounds of drawing a split dimension at random before picking it exactly
+_DIM_DRAWS = 4
 
 
 def average_path_length(n: int) -> float:
@@ -38,7 +45,8 @@ class IsolationForest:
     ``path`` is its depth plus c(its sample count), the path length of every
     point that ends there. ``roots`` holds each tree's root node. Scores
     live strictly inside (0, 1); a point whose expected path length equals
-    c(subsample_size) scores exactly 0.5.
+    c(subsample_size) scores 0.5, up to the last-bit rounding of the float
+    mean over trees.
     """
 
     dim: np.ndarray
@@ -51,72 +59,132 @@ class IsolationForest:
     width: int  # training point width
 
 
+def _distinct_rows(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D float array and each row's index among them.
+
+    Rows are compared byte for byte after adding 0.0, which turns -0.0 into
+    0.0, so two finite rows count as distinct only when some entry differs.
+    """
+    canon = np.ascontiguousarray(pts + 0.0)
+    keys = canon.view(np.dtype((np.void, canon.itemsize * canon.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return canon[first], inverse
+
+
+def _slots_of(node: np.ndarray, nodes: np.ndarray, width: int):
+    """Indices of the slots that belong to ``nodes`` and the start of each
+    node's run among them; ``node`` is sorted and ``nodes`` ascending."""
+    member = np.zeros(width, dtype=bool)
+    member[nodes] = True
+    sel = np.flatnonzero(member[node])
+    return sel, np.flatnonzero(np.diff(node[sel], prepend=-1))
+
+
 def fit_forest(
     points, num_trees: int = 100, subsample_size: int = 256, seed: int = 0
 ) -> IsolationForest:
     """Build ``num_trees`` isolation trees, each on its own random subsample.
 
     When fewer points than ``subsample_size`` exist, the full set is used
-    per tree (and the score normaliser uses that actual count). Each tree
-    grows depth first, left before right, from its own ``Rng`` stream.
+    per tree (and the score normaliser uses that actual count). All trees
+    grow together, one depth level per step, over the distinct rows of
+    ``points``, each weighted by how often it occurs in the tree's
+    subsample, so with the whole set in every tree the forest does not
+    depend on row order. A node holding two or more distinct rows below the
+    height limit splits on a dimension drawn uniformly among those that vary
+    within it, at a threshold drawn uniformly in [lo, hi) of that dimension;
+    a draw that separates nothing falls back to the midpoint.
+
+    Every draw comes from one ``Rng(seed)`` stream: first the subsamples,
+    only when there are more points than ``subsample_size``; then per level
+    the split dimensions, drawn uniformly over all dimensions and redrawn
+    where the node does not vary in them for a few rounds before the rest
+    pick exactly among their varying ones, and last the thresholds.
     """
     pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2:
-        raise ValueError("points must be a 2-D array")
+    if pts.ndim != 2 or pts.shape[1] == 0:
+        raise ValueError("points must be a 2-D array with at least one column")
     n = len(pts)
     if n < 2:
         raise ValueError("need at least two points to fit a forest")
     if subsample_size < 2:
         raise ValueError("subsample_size must be at least 2")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
     psi = min(subsample_size, n)
     height_limit = math.ceil(math.log2(psi))
     rng = Rng(seed)
-    dims, thresholds, lefts, rights, paths, roots = [], [], [], [], [], []
-
-    def new_node() -> int:
-        node = len(dims)
-        dims.append(-1)
-        thresholds.append(0.0)
-        lefts.append(node)
-        rights.append(node)
-        paths.append(0.0)
-        return node
-
-    for t in range(num_trees):
-        tree_rng = rng.split(f"tree-{t}")
-        idx = tree_rng.choice(n, size=psi, replace=False)
-        roots.append(new_node())
-        stack = [(pts[idx], 0, roots[-1])]
-        while stack:
-            data, depth, node = stack.pop()
-            paths[node] = depth + average_path_length(len(data))
-            if depth >= height_limit or len(data) <= 1:
-                continue
-            lo = data.min(axis=0)
-            hi = data.max(axis=0)
-            candidates = np.flatnonzero(hi > lo)
-            if candidates.size == 0:
-                continue
-            dim = int(candidates[tree_rng.integers(candidates.size)])
-            threshold = float(tree_rng.uniform(lo[dim], hi[dim]))
-            mask = data[:, dim] < threshold
-            if not mask.any() or mask.all():
-                # degenerate draw at the boundary; the midpoint always separates
-                threshold = float((lo[dim] + hi[dim]) / 2.0)
-                mask = data[:, dim] < threshold
-            dims[node], thresholds[node] = dim, threshold
-            lefts[node], rights[node] = new_node(), new_node()
-            stack.append((data[~mask], depth + 1, rights[node]))
-            stack.append((data[mask], depth + 1, lefts[node]))
+    rows, inverse = _distinct_rows(pts)
+    m = len(rows)
+    if n > psi:
+        picks = rng.generator.permuted(np.tile(np.arange(n), (num_trees, 1)), axis=1)
+        slot = inverse[picks[:, :psi]] + m * np.arange(num_trees)[:, None]
+        counts = np.bincount(slot.ravel(), minlength=num_trees * m)
+    else:
+        counts = np.tile(np.bincount(inverse, minlength=m), num_trees)
+    # one slot per (node, distinct row) pair, sorted by node; node ids are
+    # local to the current level, whose first global id is ``first``
+    slots = np.flatnonzero(counts)
+    node, row = np.divmod(slots, m)
+    weight = counts[slots]
+    c = np.array([average_path_length(k) for k in range(psi + 1)])
+    levels = []
+    first, width, depth = 0, num_trees, 0
+    while True:
+        dims = np.full(width, -1, dtype=np.int64)
+        thresholds = np.zeros(width)
+        lefts = np.arange(first, first + width)
+        rights = lefts.copy()
+        starts = np.flatnonzero(np.diff(node, prepend=-1))
+        size = np.add.reduceat(weight, starts)
+        levels.append((dims, thresholds, lefts, rights, depth + c[size]))
+        if depth == height_limit:
+            break
+        split = np.flatnonzero(np.diff(starts, append=len(node)) > 1)
+        if not split.size:
+            break
+        lo, hi = np.zeros(width), np.zeros(width)
+        # draw a dimension for each pending node and keep it where it varies,
+        # a few rounds; the rest then pick exactly from their varying mask
+        pending = split
+        for attempt in range(_DIM_DRAWS + 1):
+            sel, seg = _slots_of(node, pending, width)
+            if attempt < _DIM_DRAWS:
+                dims[pending] = rng.integers(pts.shape[1], size=pending.size)
+            else:
+                block = rows[row[sel]]
+                varying = np.maximum.reduceat(block, seg) > np.minimum.reduceat(block, seg)
+                pick = rng.integers(varying.sum(axis=1))
+                dims[pending] = np.argmax(np.cumsum(varying, axis=1) > pick[:, None], axis=1)
+            values = rows[row[sel], dims[node[sel]]]
+            lo[pending] = np.minimum.reduceat(values, seg)
+            hi[pending] = np.maximum.reduceat(values, seg)
+            pending = pending[lo[pending] == hi[pending]]
+            if not pending.size:
+                break
+        lo, hi = lo[split], hi[split]
+        threshold = rng.uniform(lo, hi)
+        # a draw on a boundary separates nothing; the midpoint does unless
+        # lo and hi are adjacent floats, where hi itself separates
+        bad = ~((threshold > lo) & (threshold <= hi))
+        mid = (lo + hi) / 2.0
+        threshold[bad] = np.where(mid > lo, mid, hi)[bad]
+        thresholds[split] = threshold
+        lefts[split] = first + width + 2 * np.arange(split.size)
+        rights[split] = lefts[split] + 1
+        # route the slots of splitting nodes to their children, keeping order
+        sel, _ = _slots_of(node, split, width)
+        node, row, weight = node[sel], row[sel], weight[sel]
+        rank = np.zeros(width, dtype=np.int64)
+        rank[split] = np.arange(split.size)
+        child = 2 * rank[node] + (rows[row, dims[node]] >= thresholds[node])
+        order = np.argsort(child, kind="stable")
+        node, row, weight = child[order], row[order], weight[order]
+        first, width, depth = first + width, 2 * split.size, depth + 1
+    dims, thresholds, lefts, rights, paths = (np.concatenate(a) for a in zip(*levels))
     return IsolationForest(
-        np.array(dims, dtype=np.int64),
-        np.array(thresholds, dtype=np.float64),
-        np.array(lefts, dtype=np.int64),
-        np.array(rights, dtype=np.int64),
-        np.array(paths, dtype=np.float64),
-        np.array(roots, dtype=np.int64),
-        psi,
-        pts.shape[1],
+        dims, thresholds, lefts, rights, paths,
+        np.arange(num_trees, dtype=np.int64), psi, pts.shape[1],
     )
 
 
@@ -127,6 +195,8 @@ def anomaly_scores(forest: IsolationForest, points) -> np.ndarray:
         raise ValueError(
             f"points of shape {pts.shape} do not match training width {forest.width}"
         )
+    # equal rows score equally, so each distinct row is scored once
+    pts, inverse = _distinct_rows(pts)
     rows = np.arange(len(pts))
     node = np.repeat(forest.roots[:, None], len(pts), axis=1)  # (trees, points)
     while True:
@@ -139,7 +209,7 @@ def anomaly_scores(forest: IsolationForest, points) -> np.ndarray:
     # is C pow: numpy's vectorised power may differ from it in the last bit
     mean_path = sum(forest.path[node]) / len(forest.roots)
     exponent = -mean_path / average_path_length(forest.subsample_size)
-    return np.array([2.0 ** x for x in exponent.tolist()])
+    return np.array([2.0 ** x for x in exponent.tolist()])[inverse]
 
 
 def anomaly_score(forest: IsolationForest, point) -> float:

@@ -1,11 +1,14 @@
 """Contrastive loss, triplet building, twin-branch training, and recognition."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from provrec import numerics as nm
 from provrec.embedding import (
     HanConfig,
+    HanEncoder,
     SubgraphBatch,
     embed_batch,
     embed_subgraph,
@@ -17,6 +20,7 @@ from provrec.matching import (
     UNKNOWN,
     ExemplarSet,
     MatcherConfig,
+    SiameseModel,
     build_triplets,
     contrastive_loss,
     pair_loss,
@@ -488,6 +492,28 @@ def test_matcher_checkpoint_round_trip(small_model, tmp_path):
     query = samples[0][0]
     assert (loaded.embed(query) == model.embed(query)).all()
     assert loaded.content_hash() == model.content_hash()
+
+
+def _rebuilt(model, config=None, bump=None):
+    """A copy of ``model`` whose weight ``bump`` has its last entry one ulp up."""
+    weights = {name: value.copy() for name, value in model.weights().items()}
+    if bump is not None:
+        weights[bump].flat[-1] = np.nextafter(weights[bump].flat[-1], np.inf)
+    out_w, out_b = weights.pop("out_w"), weights.pop("out_b")
+    encoder = HanEncoder(model.encoder.config, weights)
+    return SiameseModel(config or model.config, encoder, out_w, out_b)
+
+
+def test_content_hash_sees_one_ulp_in_any_weight(small_model):
+    _, model = small_model
+    base = model.content_hash()
+    assert _rebuilt(model).content_hash() == base
+    names = list(model.weights())
+    assert len(names) == 15  # 13 encoder weights, out_w and out_b
+    hashes = {_rebuilt(model, bump=name).content_hash() for name in names}
+    assert len(hashes) == len(names) and base not in hashes
+    wider = dataclasses.replace(model.config, margin=model.config.margin * 2)
+    assert _rebuilt(model, config=wider).content_hash() != base
 
 
 # -- batched training epoch ------------------------------------------------------------

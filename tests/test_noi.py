@@ -48,6 +48,21 @@ def _node_depths(forest):
     return depth
 
 
+def _leaf_sizes_per_tree(forest):
+    """Each tree's leaf sample counts, read back from ``path = depth + c(size)``."""
+    tree = np.zeros(len(forest.dim), dtype=np.int64)
+    tree[forest.roots] = np.arange(len(forest.roots))
+    for node in np.flatnonzero(forest.dim >= 0):
+        tree[forest.left[node]] = tree[forest.right[node]] = tree[node]
+    depth = _node_depths(forest)
+    c = [average_path_length(k) for k in range(forest.subsample_size + 1)]
+    sizes = [[] for _ in forest.roots]
+    for leaf in np.flatnonzero(forest.dim < 0):
+        matches = [k for k in range(1, len(c)) if depth[leaf] + c[k] == forest.path[leaf]]
+        sizes[tree[leaf]].append(matches[-1])  # c(1) == c(0): size 1 reads as 1
+    return sizes
+
+
 def test_two_identical_points_score_equal():
     pts = np.array([[1.0, 2.0], [1.0, 2.0]])
     forest = fit_forest(pts, num_trees=10, subsample_size=2, seed=0)
@@ -59,11 +74,12 @@ def test_two_identical_points_score_equal():
 def test_same_seed_identical_forest():
     gen = Rng(12)
     pts = gen.normal(0, 1, size=(40, 3))
-    f1 = fit_forest(pts, num_trees=20, subsample_size=16, seed=9)
-    f2 = fit_forest(pts, num_trees=20, subsample_size=16, seed=9)
-    assert _same_forest(f1, f2)
-    f3 = fit_forest(pts, num_trees=20, subsample_size=16, seed=10)
-    assert not _same_forest(f3, f1)
+    for psi in (16, 64):  # subsampled, then the whole set in every tree
+        f1 = fit_forest(pts, num_trees=20, subsample_size=psi, seed=9)
+        f2 = fit_forest(pts, num_trees=20, subsample_size=psi, seed=9)
+        assert _same_forest(f1, f2)
+        f3 = fit_forest(pts, num_trees=20, subsample_size=psi, seed=10)
+        assert not _same_forest(f3, f1)
 
 
 def test_planted_outliers_top_the_ranking():
@@ -146,6 +162,8 @@ def test_input_validation():
         fit_forest(np.ones((1, 2)))
     with pytest.raises(ValueError):
         fit_forest(np.ones((5, 2)), subsample_size=1)
+    with pytest.raises(ValueError, match="finite"):
+        fit_forest(np.array([[0.0], [np.nan], [1.0]]))
     forest = fit_forest(np.eye(3), num_trees=3, subsample_size=3, seed=0)
     with pytest.raises(ValueError, match="width"):
         anomaly_score(forest, [1.0, 2.0])
@@ -164,15 +182,15 @@ def _golden_points(seed, rows, width, duplicated):
 GOLDEN = [
     # (seed, rows, width, duplicated rows, trees, psi, fit seed)
     ((21, 40, 3, 4, 20, 16, 9), [
-        "0x1.22ec0af4218e1p-1", "0x1.1cece12552fc7p-1", "0x1.12a6fb692a2e1p-1",
-        "0x1.22ec0af4218e1p-1", "0x1.e211f5ef808cbp-2", "0x1.c0005a51bfbddp-2",
-        "0x1.56634e13d5210p-1",
-    ], "0x1.5b8c28e7379c7p+4"),
+        "0x1.2242a14b6180ep-1", "0x1.0bd4464133c16p-1", "0x1.076eb12bea562p-1",
+        "0x1.2242a14b6180ep-1", "0x1.f257690f5703fp-2", "0x1.bd7607f25b549p-2",
+        "0x1.572767624675ap-1",
+    ], "0x1.5f82cbaf4bcc8p+4"),
     ((22, 140, 64, 10, 100, 256, 0), [
-        "0x1.f1e6042e2d3d4p-2", "0x1.beaadce826529p-2", "0x1.c1c08fdd0f6bcp-2",
-        "0x1.c7e985b1f54a9p-2", "0x1.b3ba38a793c9ep-2", "0x1.6d3ec8f6c3934p-2",
-        "0x1.64f7a3ecc32b9p-1",
-    ], "0x1.0107864b601e0p+6"),
+        "0x1.e409a0a3bb781p-2", "0x1.a9de0e830e050p-2", "0x1.a641a9ce3d2c5p-2",
+        "0x1.c1bc1c872b0d2p-2", "0x1.c2b665a50f92ap-2", "0x1.6b522ccb5c31cp-2",
+        "0x1.7e43611a0bf6bp-1",
+    ], "0x1.fa8bd4665ef0dp+5"),
 ]
 
 
@@ -221,6 +239,72 @@ def test_leaves_loop_to_themselves_and_trees_cover_all_nodes():
     assert sorted(children.tolist() + forest.roots.tolist()) == list(
         range(len(forest.dim))
     )
+
+
+def test_only_the_varying_dimension_is_split_on():
+    # one varying dimension of 64: a random draw finds it with odds 1/64
+    pts = np.zeros((50, 64))
+    pts[:, 17] = Rng(13).normal(0, 1, size=50)
+    forest = fit_forest(pts, num_trees=20, subsample_size=32, seed=0)
+    inner = forest.dim >= 0
+    assert inner.sum() >= 20 * 5
+    assert (forest.dim[inner] == 17).all()
+
+
+def test_split_dimension_is_uniform_over_the_varying_ones():
+    pts = np.zeros((40, 64))
+    varying = [5, 40, 63]
+    pts[:, varying] = Rng(14).normal(0, 1, size=(40, 3))
+    forest = fit_forest(pts, num_trees=600, subsample_size=64, seed=1)
+    root_dims = forest.dim[forest.roots]
+    counts = [int((root_dims == d).sum()) for d in varying]
+    assert sum(counts) == 600
+    assert min(counts) >= 150  # 200 expected each, sd 11.5
+
+
+def test_identical_rows_grow_one_leaf_per_tree():
+    for n, psi in [(30, 16), (7, 256)]:
+        pts = np.full((n, 4), 2.5)
+        for trees in (1, 100):
+            forest = fit_forest(pts, num_trees=trees, subsample_size=psi, seed=0)
+            assert (forest.dim == -1).all() and forest.roots.tolist() == list(range(trees))
+            assert (forest.path == average_path_length(min(n, psi))).all()
+            scores = anomaly_scores(forest, np.vstack([pts, pts[:1] + 1.0]))
+            assert (scores == scores[0]).all()
+            # E[h] is exactly c(psi); the tree-order float mean over 100
+            # trees may round it by an ulp, a single tree cannot
+            assert scores[0] == 0.5 if trees == 1 else abs(scores[0] - 0.5) < 1e-15
+
+
+def test_row_order_does_not_change_a_whole_set_forest():
+    pts = _golden_points(15, 60, 5, 8)
+    forest = fit_forest(pts, num_trees=30, subsample_size=64, seed=3)
+    shuffled = pts[Rng(16).permutation(len(pts))]
+    assert _same_forest(fit_forest(shuffled, num_trees=30, subsample_size=64, seed=3), forest)
+
+
+@pytest.mark.parametrize("rows,psi", [(60, 64), (300, 32)], ids=["whole-set", "subsampled"])
+def test_every_tree_holds_its_sample_and_every_split_separates(rows, psi):
+    pts = _golden_points(17, rows, 3, rows // 5)  # duplicates: weighted rows
+    forest = fit_forest(pts, num_trees=25, subsample_size=psi, seed=5)
+    assert forest.subsample_size == min(rows, psi)
+    sizes = _leaf_sizes_per_tree(forest)
+    assert [sum(s) for s in sizes] == [forest.subsample_size] * 25
+    assert (forest.path[forest.roots] == average_path_length(forest.subsample_size)).all()
+    limit = math.ceil(math.log2(forest.subsample_size))
+    assert _node_depths(forest).max() <= limit
+    if rows > psi:  # each tree draws its own subsample
+        assert len(set(zip(forest.dim[forest.roots], forest.threshold[forest.roots]))) > 1
+
+
+def test_adjacent_floats_still_split():
+    # the midpoint of two adjacent floats rounds onto one of them
+    pts = np.array([[1.0], [np.nextafter(1.0, 2.0)]])
+    forest = fit_forest(pts, num_trees=50, subsample_size=2, seed=0)
+    assert (forest.dim[forest.roots] == 0).all()
+    assert _leaf_sizes_per_tree(forest) == [[1, 1]] * 50
+    scores = anomaly_scores(forest, pts)
+    assert scores[0] == scores[1] == 2.0 ** (-1.0 / average_path_length(2))
 
 
 # -- detect_nois --------------------------------------------------------------

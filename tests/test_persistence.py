@@ -1,6 +1,7 @@
 """The checkpoint format: envelope, payload nesting and key order, byte-stable
 re-saves."""
 
+import hashlib
 import json
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from provrec.config import PipelineConfig
 from provrec.embedding import META_PATHS
 from provrec.evaluation import split_few_shot, train_pipeline
+from provrec.matching import recognize
 from provrec.persistence import ModelFormatError, load_model, save_model
 from provrec.synthetic import generate_scenario
 
@@ -90,6 +92,30 @@ def test_load_and_save_again_is_byte_identical(bundle_file, tmp_path):
     save_model(loaded, again)
     assert again.read_bytes() == path.read_bytes()
     assert loaded.matcher.content_hash() == models.matcher.content_hash()
+
+
+def test_bundle_with_an_older_model_hash_still_recognises(bundle_file, tmp_path):
+    # earlier releases hashed the matcher's JSON; such a bundle differs only
+    # in each exemplar's model_hash, which now mismatches and re-embeds
+    _, models, path = bundle_file
+    old = load_model(path, expect_kind="bundle")
+    blob = json.dumps(old.matcher.to_dict(), sort_keys=True).encode("utf-8")
+    older_hash = hashlib.sha256(blob).hexdigest()
+    assert older_hash != models.matcher.content_hash()
+    for tech in old.exemplars.techniques():
+        old.exemplars.get(tech).model_hash = older_hash
+    older = tmp_path / "older.json"
+    save_model(old, older)
+    loaded = load_model(older, expect_kind="bundle")
+    for tech in models.exemplars.techniques():
+        query = models.exemplars.get(tech).subgraph
+        expected = recognize(query, models.exemplars, models.matcher)
+        got = recognize(query, loaded.exemplars, loaded.matcher)
+        assert got.ranking == expected.ranking and got.decision == tech
+    for tech in loaded.exemplars.techniques():
+        entry = loaded.exemplars.get(tech)
+        assert entry.model_hash == models.matcher.content_hash()
+        assert (entry.embedding == models.exemplars.get(tech).embedding).all()
 
 
 @pytest.mark.parametrize("kind", ["han_encoder", "isolation_forest"])
