@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -67,8 +68,10 @@ def _fresh_path(path: Path, force: bool) -> Path:
     return path
 
 
-def _write_json(payload: dict, path: Path, force: bool) -> None:
-    with open(_fresh_path(path, force), "w", encoding="utf-8") as fh:
+def _write_json(payload: dict, path: Path) -> None:
+    """Write ``path``; an existing one was refused without --force before
+    the command did any work."""
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
 
 
@@ -76,14 +79,25 @@ def _log_path(out: Path) -> Path:
     return out.with_suffix(out.suffix + ".log.json")
 
 
+def _blas_setup() -> dict:
+    """The BLAS thread settings a run saw; results can differ in the last
+    bits between thread counts."""
+    setup = {
+        key: os.environ.get(key, "default")
+        for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    }
+    setup["cpu_count"] = os.cpu_count()
+    return setup
+
+
 def _write_log(out: Path, command: str, args: dict, elapsed: float) -> None:
     log = {
         "command": command,
         "args": {k: str(v) for k, v in args.items() if v is not None and k != "fn"},
         "elapsed_seconds": round(elapsed, 3),
+        "blas": _blas_setup(),
     }
-    # main() refused an existing log without --force before the command ran
-    _write_json(log, _log_path(out), True)
+    _write_json(log, _log_path(out))
 
 
 def _parse_set_overrides(pairs) -> dict:
@@ -148,7 +162,7 @@ def _cmd_generate(args, config: PipelineConfig) -> int:
 
 
 def _cmd_ingest(args, config: PipelineConfig) -> int:
-    out = _fresh_path(Path(args.out), args.force)
+    out = Path(args.out)
     stats_out = _fresh_path(out.with_suffix(".stats.json"), args.force)
     events, stats = read_events_jsonl(args.events)
     graph = build_graph(events)
@@ -159,7 +173,7 @@ def _cmd_ingest(args, config: PipelineConfig) -> int:
     )
     for line_no, reason in stats.rejected[:10]:
         print(f"  rejected line {line_no}: {reason}", file=sys.stderr)
-    _write_json(stats.to_dict(), stats_out, True)
+    _write_json(stats.to_dict(), stats_out)
     return EXIT_OK
 
 
@@ -175,7 +189,7 @@ def _cmd_train_encoder(args, config: PipelineConfig) -> int:
     encoder = ft.train_encoder(
         union, ft.init_features(union), config.encoder_config()
     )
-    out = _fresh_path(Path(args.out), args.force)
+    out = Path(args.out)
     save_model(encoder, out, force=True)
     acc = ft.type_accuracy(encoder, union, ft.init_features(union))
     print(
@@ -189,7 +203,7 @@ def _cmd_detect_noi(args, config: PipelineConfig) -> int:
     graph = ProvenanceGraph.load(args.graph)
     encoder = load_model(args.encoder, expect_kind="gnn_encoder")
     report = detect(graph, encoder, config, config.seed)
-    _write_json(report.to_dict(), Path(args.out), args.force)
+    _write_json(report.to_dict(), Path(args.out))
     print(f"flagged {len(report.flagged)} of {len(report.scores)} process nodes")
     return EXIT_OK
 
@@ -207,7 +221,7 @@ def _cmd_sample(args, config: PipelineConfig) -> int:
         "min_nois": config.min_nois,
         "subgraphs": [t.to_dict() for t in subgraphs],
     }
-    _write_json(payload, Path(args.out), args.force)
+    _write_json(payload, Path(args.out))
     sizes = [t.n_nodes for t in subgraphs]
     print(f"sampled {len(subgraphs)} subgraphs (node counts {sizes})")
     return EXIT_OK
@@ -217,7 +231,7 @@ def _cmd_train_matcher(args, config: PipelineConfig) -> int:
     dataset = _load_dataset(args.data)
     train, _ = split_few_shot(dataset, config.shots, config.seed)
     models = train_pipeline(train, config, config.seed)
-    out = _fresh_path(Path(args.out), args.force)
+    out = Path(args.out)
     save_model(models, out, force=True)
     print(
         f"trained matcher on {len(train)} shots "
@@ -243,7 +257,7 @@ def _cmd_recognize(args, config: PipelineConfig) -> int:
         )
         results.append({"query_id": i, **result.to_dict()})
         print(f"query {i}: {result.decision} ({result.decision_tactic})")
-    _write_json({"results": results}, Path(args.out), args.force)
+    _write_json({"results": results}, Path(args.out))
     return EXIT_OK
 
 
@@ -267,7 +281,7 @@ def _cmd_evaluate(args, config: PipelineConfig) -> int:
         from .evaluation import noi_lmo_protocol
 
         report["noi_detection"] = noi_lmo_protocol(dataset, config, config.seed)
-    _write_json(report, Path(args.out), args.force)
+    _write_json(report, Path(args.out))
     print(f"{'mode':<14} {'ACC':>6} {'Top3ACC':>8} {'TacticACC':>10}")
     for mode, r in report["modes"].items():
         rec = r["recognition"]
@@ -298,7 +312,7 @@ def _cmd_baseline(args, config: PipelineConfig) -> int:
         with open(args.blacklists, "r", encoding="utf-8") as fh:
             blacklists = load_blacklists(json.load(fh))
     _, alerts = replay(events, blacklists=blacklists)
-    out = _fresh_path(Path(args.out), args.force)
+    out = Path(args.out)
     with open(out, "w", encoding="utf-8") as fh:
         for alert in alerts:
             fh.write(json.dumps(alert.to_dict()) + "\n")
@@ -416,7 +430,10 @@ def main(argv=None) -> int:
     out = Path(args.out) if getattr(args, "out", None) else None
     try:
         if out is not None:
-            # an existing run log needs --force like any output; refuse before any work
+            # an existing output or run log needs --force; refuse before any
+            # work (generate's --out is a directory with its own manifest check)
+            if args.command != "generate":
+                _fresh_path(out, args.force)
             _fresh_path(_log_path(out), args.force)
         config = _load_config(args)
         code = args.fn(args, config)

@@ -4,6 +4,12 @@ Each node gets a 42-dim count vector (incoming then outgoing edges per edge
 type). A stack of mean-aggregation layers is then trained to classify node
 types; the trained stack serves as a feature extractor whose output feeds
 outlier detection.
+
+Training runs on node classes rather than nodes. A mean-aggregation stack
+of ``t`` layers cannot tell apart two nodes that ``t`` rounds of colour
+refinement (the 1-WL test) leave in one class, so each layer is computed
+once per class: the ≈7,000-node training union has only ≈300 classes.
+Inference runs the same layers on the full per-node aggregation.
 """
 
 from __future__ import annotations
@@ -64,9 +70,82 @@ def aggregation_matrix(graph: ProvenanceGraph) -> sparse.csr_matrix:
 
 def gnn_layer_forward(agg, e_in, w, *, slope: float = 0.01) -> nm.Matrix:
     """One layer: mean over self + in-neighbors of (features @ W), then leaky
-    ReLU; ``agg`` is the graph's :func:`aggregation_matrix`, and
-    ``slope=1.0`` makes the layer linear."""
+    ReLU; ``agg`` is the graph's :func:`aggregation_matrix` (or a layer
+    operator of :func:`class_operators`), and ``slope=1.0`` makes the layer
+    linear."""
     return nm.leaky_relu(nm.spmm(agg, nm.matmul(e_in, w)), slope)
+
+
+def _layer_stack(operators, h, weights, slope: float) -> nm.Matrix:
+    """The encoder's layers in order, layer t aggregating with ``operators[t]``."""
+    for op, w in zip(operators, weights):
+        h = gnn_layer_forward(op, h, w, slope=slope)
+    return h
+
+
+def _row_classes(rows: sparse.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Class of each row of ``rows`` and the first row of each class.
+
+    Two rows share a class exactly when their stored column indices and
+    values are equal byte for byte (explicit zeros count). Classes are
+    numbered in the order of their first row. Keys are built once per
+    distinct row length, never per row. ``rows`` is put in canonical form
+    (sorted column indices, one entry per column) in place.
+    """
+    rows.sum_duplicates()
+    lengths = np.diff(rows.indptr)
+    classes = np.empty(rows.shape[0], dtype=np.intp)
+    firsts, offset = [], 0
+    for m in np.unique(lengths).tolist():
+        members = np.flatnonzero(lengths == m)
+        slots = rows.indptr[members][:, None] + np.arange(m)
+        # the leading length column keeps an empty row a valid 8-byte key
+        keys = np.concatenate(
+            [np.full((len(members), 1), m, dtype=np.int64),
+             rows.indices[slots].astype(np.int64),
+             (rows.data[slots] + 0.0).view(np.int64)],
+            axis=1,
+        )
+        keys = np.ascontiguousarray(keys).view(np.dtype((np.void, 8 + 16 * m))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        classes[members] = offset + inverse.reshape(-1)
+        firsts.append(members[first])
+        offset += len(first)
+    firsts = np.concatenate(firsts)
+    order = np.argsort(firsts)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[classes], firsts[order]
+
+
+def class_operators(
+    agg: sparse.csr_matrix, x: np.ndarray, t_layers: int
+) -> tuple[np.ndarray, list[sparse.csr_matrix], np.ndarray]:
+    """Class-level inputs of a ``t_layers`` stack over ``agg``.
+
+    Round 0 puts nodes with equal rows of ``x`` in one class. Round t forms
+    ``Q_t = agg @ onehot(classes of round t-1)`` and puts nodes with equal
+    ``Q_t`` rows in one class; since layer t of a node reads only its
+    ``Q_t`` row, nodes of one class get the same layer output exactly. Each
+    class keeps the ``Q_t`` row of its first node, so layer t runs on a
+    ``k_t × k_{t-1}`` operator. Returns the class rows of ``x``, the
+    ``t_layers`` operators and each node's class after the last round.
+
+    Exactly ``t_layers`` rounds run, whether or not the classes have
+    settled: a chain would need one round per node to settle.
+    """
+    n = agg.shape[0]
+    classes, first = _row_classes(sparse.csr_matrix(x))
+    x_rows = np.asarray(x, dtype=np.float64)[first]
+    operators = []
+    for _ in range(t_layers):
+        onehot = sparse.csr_matrix(
+            (np.ones(n), classes, np.arange(n + 1)), shape=(n, len(first))
+        )
+        q = sparse.csr_matrix(agg @ onehot)
+        classes, first = _row_classes(q)
+        operators.append(q[first])
+    return x_rows, operators, classes
 
 
 @dataclass
@@ -135,8 +214,11 @@ def train_encoder(
 ) -> GnnEncoder:
     """Fit the stack on node-type classification by full-batch descent.
 
-    Deterministic under ``config.seed``; :func:`numerics.descend` raises if
-    training goes non-finite (reduce the learning rate).
+    The layers run on the node classes of :func:`class_operators`. The loss
+    has one row per (class, node type) pair, weighted by the pair's node
+    count, so it is the mean over nodes. Deterministic under ``config.seed``;
+    :func:`numerics.descend` raises if training goes non-finite (reduce the
+    learning rate).
     """
     labels = node_type_labels(graph)
     if len(set(labels.tolist())) < 2:
@@ -147,8 +229,15 @@ def train_encoder(
     if e0.shape[0] != graph.n_nodes:
         raise ValueError("feature rows must align with graph nodes")
 
-    x = nm.Matrix(scale_features(e0, config.log1p))
-    agg = aggregation_matrix(graph)
+    x_rows, operators, classes = class_operators(
+        aggregation_matrix(graph), scale_features(e0, config.log1p), config.t_layers
+    )
+    x = nm.Matrix(x_rows)
+    # one loss row per (class, node type) pair, weighted by its node count
+    n_types = len(NODE_TYPE_ORDER)
+    pairs, counts = np.unique(classes * n_types + labels, return_counts=True)
+    pair_class, pair_label = np.divmod(pairs, n_types)
+    pair_rows = nm.RowIndex(pair_class, operators[-1].shape[0])
     rng = nm.Rng(config.seed).split("encoder-init")
 
     tape = nm.GradientTape()
@@ -162,10 +251,9 @@ def train_encoder(
     )
 
     def loss_fn():
-        h = x
-        for w in layer_params:
-            h = gnn_layer_forward(agg, h, w, slope=config.slope)
-        return nm.softmax_cross_entropy(nm.matmul(h, classifier), labels)
+        h = _layer_stack(operators, x, layer_params, config.slope)
+        logits = nm.gather_rows(nm.matmul(h, classifier), pair_rows)
+        return nm.softmax_cross_entropy(logits, pair_label, counts)
 
     losses = nm.descend(tape, loss_fn, config.epochs, config.lr)
 
@@ -189,10 +277,8 @@ def extract_embeddings(
             f"({graph.n_nodes}, {encoder.input_dim})"
         )
     h = nm.Matrix(scale_features(e0, encoder.config.log1p))
-    agg = aggregation_matrix(graph)
-    for w in encoder.weights:
-        h = gnn_layer_forward(agg, h, w, slope=encoder.config.slope)
-    return h.value
+    operators = [aggregation_matrix(graph)] * len(encoder.weights)
+    return _layer_stack(operators, h, encoder.weights, encoder.config.slope).value
 
 
 def type_accuracy(encoder: GnnEncoder, graph: ProvenanceGraph, e0: np.ndarray) -> float:

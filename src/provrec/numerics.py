@@ -552,22 +552,36 @@ def cross_entropy_loss(probs: Matrix, labels) -> Matrix:
     )
 
 
-def softmax_cross_entropy(logits: Matrix, labels) -> Matrix:
-    """Fused row softmax + cross-entropy on logits (log-sum-exp form)."""
+def softmax_cross_entropy(logits: Matrix, labels, weights=None) -> Matrix:
+    """Fused row softmax + cross-entropy on logits (log-sum-exp form).
+
+    The loss is the mean over rows. With ``weights`` (one finite,
+    non-negative value per row, positive in total) it is the weighted mean
+    ``sum(w * ce) / sum(w)``, so a row of weight k counts as k equal rows.
+    """
     logits = _wrap(logits)
     y = _check_labels(labels, logits.rows, logits.cols)
+    n = logits.rows
+    if weights is None:
+        w = np.ones(n)
+    else:
+        w = np.asarray(weights, dtype=np.float64).reshape(-1)
+        if w.shape != (n,) or not np.isfinite(w).all() or (w < 0).any() or w.sum() <= 0:
+            raise NumericsError(
+                f"expected {n} finite non-negative row weights with a positive sum"
+            )
+    total = w.sum()
     z = logits.value
     m = z.max(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
-    n = logits.rows
-    value = float((lse - z[np.arange(n), y]).mean())
+    value = float(((lse - z[np.arange(n), y]) * w).sum() / total)
     p = np.exp(z - m)
     p /= p.sum(axis=1, keepdims=True)
 
     def vjp(g):
         out = p.copy()
         out[np.arange(n), y] -= 1.0
-        return out * (g[0, 0] / n)
+        return out * (w[:, None] * (g[0, 0] / total))
 
     return Matrix._from_op(
         np.array([[value]]), "softmax_cross_entropy", (logits, vjp)

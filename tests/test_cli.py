@@ -1,6 +1,7 @@
 """CLI chain, exit codes, overwrite protection, and artifact determinism."""
 
 import json
+import os
 
 import pytest
 
@@ -281,3 +282,57 @@ def test_ingest_refuses_existing_stats_without_force(workspace, tmp_path):
     assert not target.exists()
     assert run("ingest", "--events", events, "--out", target, "--force") == EXIT_OK
     assert json.loads(stats.read_text())["loaded"] > 0
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("work started although --out exists")
+
+
+def _existing_out_argv(root, config, command, out):
+    ds, bundle = root / "ds", root / "bundle.json"
+    inputs = {
+        "train-encoder": ("--data", ds),
+        "train-matcher": ("--data", ds),
+        "detect-noi": ("--graph", root / "g0.json", "--encoder", root / "encoder.json"),
+        "recognize": ("--subgraph", ds / "truth" / "t0000.json", "--models", bundle),
+        "evaluate": ("--data", ds, "--models", bundle),
+    }[command]
+    return ("--config", config, command, *inputs, "--out", out)
+
+
+@pytest.mark.parametrize("command, module, name", [
+    ("train-encoder", "provrec.features", "train_encoder"),
+    ("train-matcher", "provrec.cli", "train_pipeline"),
+    ("detect-noi", "provrec.cli", "detect"),
+    ("recognize", "provrec.cli", "recognize"),
+    ("evaluate", "provrec.cli", "evaluate_end_to_end"),
+])
+def test_existing_out_is_refused_before_any_work(
+    workspace, tmp_path, monkeypatch, command, module, name
+):
+    root, config = workspace
+    out = tmp_path / "out.json"
+    out.write_text("kept")
+    monkeypatch.setattr(f"{module}.{name}", _refuse)
+    assert run(*_existing_out_argv(root, config, command, out)) == EXIT_DATA
+    assert out.read_text() == "kept"
+    assert not (tmp_path / "out.json.log.json").exists()
+
+
+@pytest.mark.parametrize("threads", ["1", None])
+def test_run_log_records_blas_setup(workspace, tmp_path, monkeypatch, threads):
+    root, _ = workspace
+    if threads is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    target = tmp_path / "g.json"
+    assert run("ingest", "--events", root / "ds" / "events" / "e0005.jsonl",
+               "--out", target) == EXIT_OK
+    blas = json.loads((tmp_path / "g.json.log.json").read_text())["blas"]
+    assert blas == {
+        "OPENBLAS_NUM_THREADS": threads or "default",
+        "OMP_NUM_THREADS": "default",
+        "cpu_count": os.cpu_count(),
+    }

@@ -1,7 +1,10 @@
 """Initial count features and the self-supervised node-type encoder."""
 
+import time
+
 import numpy as np
 import pytest
+from scipy import sparse
 
 from provrec import features as ft
 from provrec import numerics as nm
@@ -196,6 +199,176 @@ def test_divergence_raises_advice():
     e0 = ft.init_features(g)
     with pytest.raises(NumericsError, match="learning rate"):
         ft.train_encoder(g, e0, EncoderConfig(epochs=200, hidden=8, lr=1e18, seed=1))
+
+
+# -- class-level operators ----------------------------------------------------
+
+
+def _full_graph_training(graph, e0, config):
+    """Reference: the training loop on the full graph, every layer aggregating
+    over all nodes and the loss the plain mean over nodes."""
+    labels = ft.node_type_labels(graph)
+    x = Matrix(ft.scale_features(e0, config.log1p))
+    agg = ft.aggregation_matrix(graph)
+    rng = Rng(config.seed).split("encoder-init")
+    widths = [x.cols] + [config.hidden] * config.t_layers + [4]
+    tape = nm.GradientTape()
+    params = [
+        tape.parameter(f"p{t}", rng.normal(0.0, 1.0 / np.sqrt(a), size=(a, b)))
+        for t, (a, b) in enumerate(zip(widths, widths[1:]))
+    ]
+
+    def loss_fn():
+        h = x
+        for w in params[:-1]:
+            h = ft.gnn_layer_forward(agg, h, w, slope=config.slope)
+        return nm.softmax_cross_entropy(nm.matmul(h, params[-1]), labels)
+
+    losses = nm.descend(tape, loss_fn, config.epochs, config.lr)
+    return losses, [p.value for p in params]
+
+
+@pytest.fixture(scope="module", params=[4, 9])
+def scenario_union(request):
+    spec = ScenarioSpec(samples_per_class=2, background=60, seed=request.param)
+    union = disjoint_union([s.graph for s in generate_scenario(spec).samples])
+    return union, ft.init_features(union)
+
+
+@pytest.mark.parametrize("t_layers", [1, 2, 3])
+def test_class_training_matches_full_graph_reference(scenario_union, t_layers):
+    union, e0 = scenario_union
+    cfg = EncoderConfig(t_layers=t_layers, hidden=32, epochs=120, seed=t_layers)
+    enc = ft.train_encoder(union, e0, cfg)
+    losses, weights = _full_graph_training(union, e0, cfg)
+    got, want = np.array(enc.loss_curve), np.array(losses)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    for a, b in zip(enc.weights + [enc.classifier], weights):
+        assert np.abs(a - b).max() <= 1e-12
+
+
+def _onehot(classes):
+    n = len(classes)
+    return sparse.csr_matrix(
+        (np.ones(n), classes, np.arange(n + 1)), shape=(n, classes.max() + 1)
+    )
+
+
+@pytest.mark.parametrize("t_layers", [1, 2, 3])
+def test_one_class_means_byte_equal_aggregation_rows(scenario_union, t_layers):
+    union, e0 = scenario_union
+    agg = ft.aggregation_matrix(union)
+    x = ft.scale_features(e0)
+    _, _, before = ft.class_operators(agg, x, t_layers - 1)
+    q = (agg @ _onehot(before)).toarray()
+    _, ops, classes = ft.class_operators(agg, x, t_layers)
+    first = np.unique(classes, return_index=True)[1]
+    assert (q == q[first][classes]).all()  # byte-equal within each class...
+    assert len(np.unique(q, axis=0)) == len(first)  # ...and distinct across
+    assert (ops[-1].toarray() == q[first]).all()
+    assert ops[-1].shape == (len(first), before.max() + 1)
+
+
+def test_class_forward_equals_node_forward(scenario_union):
+    union, e0 = scenario_union
+    agg = ft.aggregation_matrix(union)
+    x = ft.scale_features(e0)
+    gen = Rng(8)
+    weights = [gen.normal(0, 1, size=(42, 6)), gen.normal(0, 1, size=(6, 6))]
+    x_rows, ops, classes = ft.class_operators(agg, x, 2)
+    h_class, h_node = Matrix(x_rows), Matrix(x)
+    for op, w in zip(ops, weights):
+        h_class = ft.gnn_layer_forward(op, h_class, w)
+        h_node = ft.gnn_layer_forward(agg, h_node, w)
+    assert np.allclose(h_class.value[classes], h_node.value, rtol=0, atol=1e-12)
+
+
+def test_edgeless_graph_classes_are_distinct_features():
+    base = make_graph(
+        [("a", "launch", "b", EntityType.PROCESS),
+         ("c", "read", "f", EntityType.FILE),
+         ("d", "read", "g", EntityType.FILE),
+         ("e", "read", "h", EntityType.FILE)]
+    )
+    g = base.induced(["a", "c", "d", "e"])  # no edges survive
+    assert g.n_edges == 0
+    x = np.array([[1.0, 0.0], [2.0, 0.0], [1.0, 0.0], [-0.0, 0.0]])
+    x_rows, ops, classes = ft.class_operators(ft.aggregation_matrix(g), x, 2)
+    assert classes.tolist() == [0, 1, 0, 2]
+    assert x_rows.tolist() == [[1.0, 0.0], [2.0, 0.0], [0.0, 0.0]]
+    for op in ops:
+        assert (op.toarray() == np.eye(3)).all()
+
+
+def test_self_loops_and_repeated_edges_do_not_split_classes():
+    # the mean is over unique in-neighbours, self included: b's repeated
+    # parent edge counts once, as e's single one does, and c's self-loops
+    # merge with c itself
+    g = make_graph(
+        [("a", "launch", "b", EntityType.PROCESS),
+         ("a", "launch", "b", EntityType.PROCESS),
+         ("d", "launch", "e", EntityType.PROCESS),
+         ("c", "launch", "c", EntityType.PROCESS),
+         ("c", "launch", "c", EntityType.PROCESS)]
+    )
+    assert g.node_ids() == ["a", "b", "d", "e", "c"]
+    x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+    for t_layers in (1, 2):
+        _, ops, classes = ft.class_operators(ft.aggregation_matrix(g), x, t_layers)
+        assert classes.tolist() == [0, 1, 0, 1, 2]
+    assert ops[-1].toarray().tolist() == [[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]
+
+
+def test_training_with_self_loops_and_repeated_edges_matches_reference():
+    g = make_graph(
+        [("a", "launch", "b", EntityType.PROCESS),
+         ("a", "launch", "b", EntityType.PROCESS),
+         ("b", "launch", "a", EntityType.PROCESS),
+         ("b", "launch", "b", EntityType.PROCESS),
+         ("b", "write", "f", EntityType.FILE),
+         ("b", "write", "f", EntityType.FILE),
+         ("a", "read", "f", EntityType.FILE)]
+    )
+    e0 = ft.init_features(g)
+    cfg = EncoderConfig(t_layers=2, hidden=8, epochs=40, seed=3)
+    losses, weights = _full_graph_training(g, e0, cfg)
+    enc = ft.train_encoder(g, e0, cfg)
+    assert np.allclose(enc.loss_curve, losses, rtol=1e-12, atol=0)
+    for a, b in zip(enc.weights + [enc.classifier], weights):
+        assert np.abs(a - b).max() <= 1e-12
+
+
+def test_every_node_its_own_class_keeps_the_full_operator():
+    g = launch_chain(["p0", "p1", "p2"])
+    agg = ft.aggregation_matrix(g)
+    x = ft.scale_features(ft.init_features(g))
+    x_rows, ops, classes = ft.class_operators(agg, x, 3)
+    assert classes.tolist() == [0, 1, 2]
+    assert (x_rows == x).all()
+    for op in ops:
+        assert (op != agg).nnz == 0
+
+
+def test_long_chain_builds_operators_fast_in_exactly_t_rounds(monkeypatch):
+    n = 100_000
+    chain = launch_chain([f"p{i}" for i in range(n)])
+    agg = ft.aggregation_matrix(chain)
+    x = ft.scale_features(ft.init_features(chain))
+    calls = []
+    row_classes = ft._row_classes
+
+    def counted(rows):
+        calls.append(rows.shape)
+        return row_classes(rows)
+
+    monkeypatch.setattr(ft, "_row_classes", counted)
+    started = time.perf_counter()
+    _, ops, classes = ft.class_operators(agg, x, 2)
+    elapsed = time.perf_counter() - started
+    assert len(calls) == 3  # the feature rows, then exactly 2 refinement rounds
+    assert len(ops) == 2
+    assert classes.max() + 1 == ops[-1].shape[0] <= 6
+    assert elapsed < 1.0
 
 
 # -- extraction ---------------------------------------------------------------

@@ -308,6 +308,44 @@ def test_cross_entropy_loss_gradient_and_fused_equivalence():
     ) < 1e-4
 
 
+def test_weighted_cross_entropy_counts_a_row_as_its_weight_in_copies():
+    rng = Rng(81)
+    z = rng.normal(0, 1, size=(3, 4))
+    labels, weights = [0, 3, 1], [2.0, 1.0, 3.0]
+    rows = Matrix(z, trainable=True)
+    copies = Matrix(np.repeat(z, [2, 1, 3], axis=0), trainable=True)
+    weighted = nm.softmax_cross_entropy(rows, labels, weights)
+    repeated = nm.softmax_cross_entropy(copies, np.repeat(labels, [2, 1, 3]))
+    assert abs(weighted.item() - repeated.item()) < 1e-15
+    nm.backward(weighted)
+    nm.backward(repeated)
+    summed = np.add.reduceat(copies.grad, [0, 2, 3])
+    assert np.allclose(rows.grad, summed, rtol=0, atol=1e-15)
+    assert nm.grad_check(
+        lambda: nm.softmax_cross_entropy(rows, labels, weights), [rows], eps=1e-5
+    ) < 1e-4
+
+
+def test_unit_weights_leave_cross_entropy_bit_identical():
+    z = Matrix(Rng(82).normal(0, 1, size=(5, 3)), trainable=True)
+    labels = [0, 1, 2, 2, 1]
+    plain = nm.softmax_cross_entropy(z, labels)
+    nm.backward(plain)
+    grad = z.grad.copy()
+    unit = nm.softmax_cross_entropy(z, labels, np.ones(5))
+    nm.backward(unit)
+    assert plain.item() == unit.item()
+    assert (z.grad == grad).all()
+
+
+@pytest.mark.parametrize("weights", [[1.0, 2.0], [1.0, -1.0, 1.0], [0.0, 0.0, 0.0],
+                                     [1.0, np.nan, 1.0]])
+def test_bad_cross_entropy_weights_rejected(weights):
+    z = Matrix(np.zeros((3, 2)))
+    with pytest.raises(NumericsError, match="row weights"):
+        nm.softmax_cross_entropy(z, [0, 1, 0], weights)
+
+
 def test_backward_fills_every_registered_parameter():
     tape = GradientTape()
     used = tape.parameter("used", np.ones((2, 2)))
