@@ -75,10 +75,8 @@ from .numerics import (
     Matrix,
     NumericsError,
     Rng,
-    cross_entropy,
     descend,
     grad_check,
-    softmax_row,
 )
 from .persistence import ModelFormatError, load_model, save_model
 from .rules import (

@@ -5,7 +5,7 @@ train the encoders, detect anomalous nodes, carve subgraphs, train the
 matcher, recognise queries, evaluate end to end and replay the rule
 baseline. Every subcommand is deterministic given (config, seed,
 inputs), never mutates its inputs, and refuses to overwrite outputs without
---force.
+--force. Config keys come only from --config, --seed and --set KEY=VALUE.
 
 Exit codes: 0 success, 1 usage, 2 data error, 3 model error.
 """
@@ -119,16 +119,9 @@ def _load_config(args) -> PipelineConfig:
         if args.config
         else PipelineConfig()
     )
-    overrides = _parse_set_overrides(getattr(args, "set", None))
-    if getattr(args, "seed", None) is not None:
+    overrides = _parse_set_overrides(args.set)
+    if args.seed is not None:
         overrides["seed"] = args.seed
-    for key in (
-        "lam", "min_nois", "score_threshold", "shots", "samples_per_class",
-        "background", "noise_rate", "unknown_threshold",
-    ):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
     return config.override(**overrides) if overrides else config
 
 
@@ -344,9 +337,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("generate", help="write a synthetic labeled dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--samples-per-class", dest="samples_per_class", type=int)
-    p.add_argument("--background", type=int)
-    p.add_argument("--noise-rate", dest="noise_rate", type=float)
     p.add_argument("--force", action="store_true")
     p.set_defaults(fn=_cmd_generate)
 
@@ -368,7 +358,6 @@ def build_parser() -> _Parser:
     p.add_argument("--graph", required=True)
     p.add_argument("--encoder", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--score-threshold", dest="score_threshold", type=float)
     p.add_argument("--force", action="store_true")
     p.set_defaults(fn=_cmd_detect_noi)
 
@@ -376,15 +365,12 @@ def build_parser() -> _Parser:
     p.add_argument("--graph", required=True)
     p.add_argument("--nois", required=True, help="detect-noi report JSON")
     p.add_argument("--out", required=True)
-    p.add_argument("--lam", type=int)
-    p.add_argument("--min-nois", dest="min_nois", type=int)
     p.add_argument("--force", action="store_true")
     p.set_defaults(fn=_cmd_sample)
 
     p = sub.add_parser("train-matcher", help="train the few-shot matcher bundle")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--shots", type=int)
     p.add_argument("--force", action="store_true")
     p.set_defaults(fn=_cmd_train_matcher)
 
@@ -392,7 +378,6 @@ def build_parser() -> _Parser:
     p.add_argument("--subgraph", required=True, help="subgraph (or sample output) JSON")
     p.add_argument("--models", required=True, help="bundle checkpoint")
     p.add_argument("--out", required=True)
-    p.add_argument("--unknown-threshold", dest="unknown_threshold", type=float)
     p.add_argument("--force", action="store_true")
     p.set_defaults(fn=_cmd_recognize)
 
@@ -401,7 +386,6 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=["true", "sampled", "raw", "all"], default="all")
     p.add_argument("--models", help="bundle checkpoint (else trains in-run)")
     p.add_argument("--out", required=True)
-    p.add_argument("--shots", type=int)
     p.add_argument(
         "--with-noi", dest="with_noi", action="store_true",
         help="also run the leave-malicious-out detector protocol",

@@ -1,8 +1,9 @@
 """One validated configuration object covering every pipeline stage.
 
-Defaults are the package defaults end to end; a JSON config file or CLI
-flags override individual keys. Unknown keys are rejected rather than
-ignored so typos cannot silently fall back to defaults.
+Defaults are the package defaults end to end; a JSON config file, or the
+CLI's --seed and --set KEY=VALUE, override individual keys. Unknown keys
+are rejected rather than ignored so typos cannot silently fall back to
+defaults.
 """
 
 from __future__ import annotations
@@ -145,11 +146,10 @@ class PipelineConfig:
         return cls.from_dict(payload)
 
     def override(self, **kwargs) -> "PipelineConfig":
-        """New config with the given keys replaced; None values are ignored."""
+        """New config with the given keys replaced (None included, so that
+        ``--set contamination=null`` clears a key a config file set)."""
         data = self.to_dict()
         for key, value in kwargs.items():
-            if value is None:
-                continue
             if key not in data:
                 raise ConfigError(f"unknown config key {key!r}")
             data[key] = value

@@ -14,6 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import features as ft
 from . import numerics as nm
 from .graph import EDGE_GROUPS, EntityType, GraphError
 from .sampling import TechniqueSubgraph
@@ -89,9 +90,7 @@ def metapath_pairs(tsg: TechniqueSubgraph, mp: str) -> tuple[np.ndarray, np.ndar
 class HanConfig:
     """Shapes and switches for the attention encoder."""
 
-    feature_dim: int = 42
     dim: int = 128  # hidden and output width
-    slope: float = 0.01
     metapaths: tuple[str, ...] = META_PATHS
     log1p_features: bool = True
     seed: int = 0
@@ -105,14 +104,14 @@ class HanConfig:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "HanConfig":
-        data = dict(payload)
+        data = ft.without_retired(payload, "slope", "feature_dim")
         data["metapaths"] = tuple(data.get("metapaths", META_PATHS))
         return cls(**data)
 
 
 def han_param_shapes(config: HanConfig) -> dict[str, tuple[int, int]]:
     d = config.dim
-    shapes: dict[str, tuple[int, int]] = {"proj": (config.feature_dim, d)}
+    shapes: dict[str, tuple[int, int]] = {"proj": (ft.FEATURE_DIM, d)}
     for mp in config.metapaths:
         shapes[f"att_w_{mp}"] = (2 * d, d)
         shapes[f"att_a_{mp}"] = (1, d)
@@ -125,10 +124,10 @@ def han_param_shapes(config: HanConfig) -> dict[str, tuple[int, int]]:
 
 def init_han_params(config: HanConfig) -> dict[str, np.ndarray]:
     rng = nm.Rng(config.seed).split("han-init")
-    params = {}
-    for name, (r, c) in han_param_shapes(config).items():
-        params[name] = rng.normal(0.0, 1.0 / np.sqrt(r), size=(r, c))
-    return params
+    return {
+        name: ft.init_weight(rng, r, c)
+        for name, (r, c) in han_param_shapes(config).items()
+    }
 
 
 class HanEncoder:
@@ -205,17 +204,8 @@ class SubgraphBatch:
     def __init__(self, subgraphs: Sequence[TechniqueSubgraph], config: HanConfig):
         if not subgraphs:
             raise ValueError("cannot embed an empty batch of subgraphs")
-        feats = [tsg.features() for tsg in subgraphs]
-        for f in feats:
-            if f.shape[1] != config.feature_dim:
-                raise ValueError(
-                    f"subgraph features are {f.shape[1]}-dim, "
-                    f"encoder expects {config.feature_dim}"
-                )
-        stacked = np.vstack(feats)
-        if config.log1p_features:
-            stacked = np.log1p(stacked)
-        self.features = nm.Matrix(stacked)
+        stacked = np.vstack([tsg.features() for tsg in subgraphs])
+        self.features = nm.Matrix(ft.scale_features(stacked, config.log1p_features))
         sizes = [tsg.n_nodes for tsg in subgraphs]
         offsets = np.cumsum([0] + sizes[:-1])
         n = self.features.rows
@@ -229,9 +219,7 @@ class SubgraphBatch:
             )
 
 
-def pair_scores(
-    projected: nm.Matrix, src, dst, att_w, att_a, *, slope: float = 0.01
-) -> nm.Matrix:
+def pair_scores(projected: nm.Matrix, src, dst, att_w, att_a) -> nm.Matrix:
     """Node-level attention logit of every (source, target) row pair, (m, 1).
 
     Equals ``leaky(concat(e_src, e_dst) @ att_w) @ att_aᵀ`` but multiplies
@@ -242,16 +230,14 @@ def pair_scores(
     top = nm.matmul(projected, nm.slice_rows(att_w, 0, d))
     bottom = nm.matmul(projected, nm.slice_rows(att_w, d, 2 * d))
     z = nm.add(nm.gather_rows(top, src), nm.gather_rows(bottom, dst))
-    return nm.matmul(nm.leaky_relu(z, slope), nm.transpose(att_a))
+    return nm.matmul(nm.leaky_relu(z), nm.transpose(att_a))
 
 
-def _node_level(projected, src: nm.RowIndex, dst: nm.RowIndex, att_w, att_a, slope):
+def _node_level(projected, src: nm.RowIndex, dst: nm.RowIndex, att_w, att_a):
     n = projected.rows
-    alpha = nm.segment_softmax(
-        pair_scores(projected, src, dst, att_w, att_a, slope=slope), dst, n
-    )
+    alpha = nm.segment_softmax(pair_scores(projected, src, dst, att_w, att_a), dst, n)
     h = nm.leaky_relu(
-        nm.segment_sum(nm.mul(alpha, nm.gather_rows(projected, src)), dst, n), slope
+        nm.segment_sum(nm.mul(alpha, nm.gather_rows(projected, src)), dst, n)
     )
     return h, alpha
 
@@ -318,8 +304,7 @@ def embed_batch(
     for mp in config.metapaths:
         src, dst = batch.pairs[mp]
         h_mp, alpha = _node_level(
-            projected, src, dst, params[f"att_w_{mp}"], params[f"att_a_{mp}"],
-            config.slope,
+            projected, src, dst, params[f"att_w_{mp}"], params[f"att_a_{mp}"]
         )
         per_path.append(h_mp)
         if attention is not None:
@@ -349,7 +334,7 @@ def embed_subgraph(
     """
     # a subgraph never changes, so its one-subgraph batch (indices and their
     # scatter matrices) is kept beside its cached meta-path pairs
-    key = ("batch", config.metapaths, config.log1p_features, config.feature_dim)
+    key = ("batch", config.metapaths, config.log1p_features)
     batch = tsg._metapath_cache.get(key)
     if batch is None:
         batch = tsg._metapath_cache[key] = SubgraphBatch([tsg], config)

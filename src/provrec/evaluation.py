@@ -118,21 +118,20 @@ def evaluate_noi(flagged, truth_malicious, universe) -> dict[str, float]:
 
 
 def noi_lmo_protocol(
-    dataset: LabeledDataset,
-    config: PipelineConfig,
-    seed: int = 0,
-    calibration_quantile: float = 0.995,
+    dataset: LabeledDataset, config: PipelineConfig, seed: int | None = None
 ) -> dict[str, float]:
     """Run the leave-malicious-out protocol end to end and score it.
 
     The encoder and forest see only benign-induced graphs; scoring happens
     on the full graphs so malicious nodes keep their true neighborhoods.
     Because isolation scores shift with the training population size, the
-    decision threshold is calibrated as a high quantile of the benign
-    training scores (never of anything held out).
+    decision threshold is calibrated as the 0.995 quantile of the benign
+    training scores (never of anything held out). ``seed`` defaults to
+    ``config.seed``.
     """
     from .noi import anomaly_scores, fit_forest
 
+    seed = config.seed if seed is None else seed
     split = split_leave_malicious_out(dataset, seed)
     benign_graphs = []
     for si, sample in enumerate(dataset):
@@ -157,7 +156,7 @@ def noi_lmo_protocol(
     train_rows = np.array(train_rows)
     forest = fit_forest(train_rows, config.num_trees, config.subsample, seed=seed)
     train_scores = anomaly_scores(forest, train_rows)
-    threshold = float(np.quantile(train_scores, calibration_quantile))
+    threshold = float(np.quantile(train_scores, 0.995))
 
     test_rows = []
     test_ids = []
@@ -233,9 +232,12 @@ class PipelineModels:
 
 
 def train_pipeline(
-    train_samples: Sequence[LabeledSample], config: PipelineConfig, seed: int = 0
+    train_samples: Sequence[LabeledSample],
+    config: PipelineConfig,
+    seed: int | None = None,
 ) -> PipelineModels:
-    """Fit the node-type encoder, the matcher, and the exemplar cache."""
+    """Fit the node-type encoder, the matcher, and the exemplar cache;
+    ``seed`` defaults to ``config.seed``."""
     if not train_samples:
         raise ValueError("no training samples")
     union = disjoint_union([s.graph for s in train_samples])
@@ -296,15 +298,15 @@ def detect(
     graph: ProvenanceGraph,
     encoder: ft.GnnEncoder,
     config: PipelineConfig,
-    seed: int = 0,
+    seed: int | None = None,
 ) -> NoiReport:
     """Embed one host's nodes with the trained encoder and flag the anomalous
-    process nodes."""
+    process nodes; ``seed`` defaults to ``config.seed``."""
     embeddings = ft.extract_embeddings(encoder, graph, ft.init_features(graph))
     return detect_nois(
         graph, embeddings, num_trees=config.num_trees, subsample_size=config.subsample,
         score_threshold=config.score_threshold, contamination=config.contamination,
-        seed=seed,
+        seed=config.seed if seed is None else seed,
     )
 
 
@@ -322,10 +324,10 @@ def triage(
     graph: ProvenanceGraph,
     models: PipelineModels,
     config: PipelineConfig,
-    seed: int = 0,
+    seed: int | None = None,
 ) -> Triage:
     """Detect anomalous nodes on one host, carve subgraphs around them and
-    recognise each carve."""
+    recognise each carve; ``seed`` defaults to ``config.seed``."""
     report = detect(graph, models.encoder, config, seed)
     carved = sample_subgraphs(
         graph, report.flagged, lam=config.lam, min_nois=config.min_nois
@@ -341,14 +343,14 @@ def evaluate_end_to_end(
     mode: str,
     models: PipelineModels,
     config: PipelineConfig,
-    seed: int = 0,
+    seed: int | None = None,
 ) -> dict:
     """Score recognition under one input condition.
 
     True_Graph feeds ground-truth subgraphs; Sampled_Graph feeds whatever
     the pipeline carved (each sampled subgraph is a query labeled by
     flagged-node overlap, zero-overlap and empty samplings count as wrong);
-    Raw_Graph feeds whole graphs.
+    Raw_Graph feeds whole graphs. ``seed`` defaults to ``config.seed``.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -394,10 +396,12 @@ def evaluate_end_to_end(
 def run_experiment(
     dataset: LabeledDataset,
     config: PipelineConfig,
-    seed: int = 0,
+    seed: int | None = None,
     modes: Sequence[str] = MODES,
 ) -> dict:
-    """Few-shot split, pipeline training, and every requested condition."""
+    """Few-shot split, pipeline training, and every requested condition;
+    ``seed`` defaults to ``config.seed``."""
+    seed = config.seed if seed is None else seed
     train, test = split_few_shot(dataset, config.shots, seed)
     models = train_pipeline(train, config, seed)
     report = {

@@ -15,6 +15,7 @@ Inference runs the same layers on the full per-node aggregation.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import Mapping
 
 import numpy as np
 from scipy import sparse
@@ -68,18 +69,17 @@ def aggregation_matrix(graph: ProvenanceGraph) -> sparse.csr_matrix:
     return agg
 
 
-def gnn_layer_forward(agg, e_in, w, *, slope: float = 0.01) -> nm.Matrix:
+def gnn_layer_forward(agg, e_in, w) -> nm.Matrix:
     """One layer: mean over self + in-neighbors of (features @ W), then leaky
     ReLU; ``agg`` is the graph's :func:`aggregation_matrix` (or a layer
-    operator of :func:`class_operators`), and ``slope=1.0`` makes the layer
-    linear."""
-    return nm.leaky_relu(nm.spmm(agg, nm.matmul(e_in, w)), slope)
+    operator of :func:`class_operators`)."""
+    return nm.leaky_relu(nm.spmm(agg, nm.matmul(e_in, w)))
 
 
-def _layer_stack(operators, h, weights, slope: float) -> nm.Matrix:
+def _layer_stack(operators, h, weights) -> nm.Matrix:
     """The encoder's layers in order, layer t aggregating with ``operators[t]``."""
     for op, w in zip(operators, weights):
-        h = gnn_layer_forward(op, h, w, slope=slope)
+        h = gnn_layer_forward(op, h, w)
     return h
 
 
@@ -156,7 +156,6 @@ class EncoderConfig:
     lr: float = 0.5  # full-batch descent; smaller steps stall at desk scale
     seed: int = 0
     log1p: bool = True
-    slope: float = 0.01
 
 
 class GnnEncoder:
@@ -193,7 +192,7 @@ class GnnEncoder:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "GnnEncoder":
-        cfg = EncoderConfig(**payload["config"])
+        cfg = EncoderConfig(**without_retired(payload["config"], "slope"))
         shapes = payload["shapes"]
         weights = [
             np.array(flat, dtype=np.float64).reshape(shape)
@@ -205,7 +204,25 @@ class GnnEncoder:
         return cls(cfg, weights, classifier)
 
 
-def _init_weight(rng: nm.Rng, fan_in: int, fan_out: int) -> np.ndarray:
+# What older checkpoints stored for settings that are now fixed: every layer's
+# leaky ReLU slope (numerics' default) and the feature width.
+_RETIRED = {"slope": 0.01, "feature_dim": FEATURE_DIM}
+
+
+def without_retired(config: Mapping, *keys: str) -> dict:
+    """``config`` without ``keys``, settings older checkpoints stored that now
+    have one value; a stored value other than that one is refused."""
+    data = dict(config)
+    for key in keys:
+        value = data.pop(key, _RETIRED[key])
+        if value != _RETIRED[key]:
+            raise ValueError(f"{key}={value!r} is not supported; it is fixed at "
+                             f"{_RETIRED[key]!r}")
+    return data
+
+
+def init_weight(rng: nm.Rng, fan_in: int, fan_out: int) -> np.ndarray:
+    """A (fan_in, fan_out) weight drawn from N(0, 1/sqrt(fan_in))."""
     return rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, fan_out))
 
 
@@ -243,15 +260,15 @@ def train_encoder(
     tape = nm.GradientTape()
     widths = [x.cols] + [config.hidden] * config.t_layers
     layer_params = [
-        tape.parameter(f"w{t}", _init_weight(rng, widths[t], widths[t + 1]))
+        tape.parameter(f"w{t}", init_weight(rng, widths[t], widths[t + 1]))
         for t in range(config.t_layers)
     ]
     classifier = tape.parameter(
-        "classifier", _init_weight(rng, config.hidden, len(NODE_TYPE_ORDER))
+        "classifier", init_weight(rng, config.hidden, len(NODE_TYPE_ORDER))
     )
 
     def loss_fn():
-        h = _layer_stack(operators, x, layer_params, config.slope)
+        h = _layer_stack(operators, x, layer_params)
         logits = nm.gather_rows(nm.matmul(h, classifier), pair_rows)
         return nm.softmax_cross_entropy(logits, pair_label, counts)
 
@@ -278,7 +295,7 @@ def extract_embeddings(
         )
     h = nm.Matrix(scale_features(e0, encoder.config.log1p))
     operators = [aggregation_matrix(graph)] * len(encoder.weights)
-    return _layer_stack(operators, h, encoder.weights, encoder.config.slope).value
+    return _layer_stack(operators, h, encoder.weights).value
 
 
 def type_accuracy(encoder: GnnEncoder, graph: ProvenanceGraph, e0: np.ndarray) -> float:

@@ -26,6 +26,7 @@ from .embedding import (
     embed_subgraph,
     init_han_params,
 )
+from .features import init_weight
 from .sampling import TechniqueSubgraph
 
 UNKNOWN = "UNKNOWN"
@@ -135,13 +136,13 @@ class SiameseModel:
     def embed(self, tsg: TechniqueSubgraph) -> np.ndarray:
         """Branch output: encoder vector through the projection layer."""
         h = embed_subgraph(tsg, self.encoder.matrices, self.config.han)
-        return project(h, *self.head, self.config.han.slope).value[0]
+        return project(h, *self.head).value[0]
 
     def embed_many(self, subgraphs: Sequence[TechniqueSubgraph]) -> np.ndarray:
         """Branch outputs of several subgraphs from one batched forward."""
         h = embed_batch(SubgraphBatch(subgraphs, self.config.han),
                         self.encoder.matrices, self.config.han)
-        return project(h, *self.head, self.config.han.slope).value
+        return project(h, *self.head).value
 
     def distance_of(self, ea: np.ndarray, eb: np.ndarray) -> float:
         if self.config.distance == "euclidean":
@@ -189,9 +190,9 @@ class SiameseModel:
         return self._hash
 
 
-def project(h, out_w, out_b, slope: float) -> nm.Matrix:
+def project(h, out_w, out_b) -> nm.Matrix:
     """The branch head: encoder rows through the fully connected layer."""
-    return nm.leaky_relu(nm.add(nm.matmul(h, out_w), out_b), slope)
+    return nm.leaky_relu(nm.add(nm.matmul(h, out_w), out_b))
 
 
 def pair_loss(
@@ -263,7 +264,7 @@ def train_matcher(
     }
     d = config.han.dim
     init_rng = rng.split("head-init")
-    out_w = tape.parameter("out_w", init_rng.normal(0.0, 1.0 / np.sqrt(d), (d, d)))
+    out_w = tape.parameter("out_w", init_weight(init_rng, d, d))
     out_b = tape.parameter("out_b", np.zeros((1, d)))
 
     used = sorted({i for t in triplets for i in (t.anchor, t.positive, t.negative)})
@@ -275,8 +276,7 @@ def train_matcher(
     )
 
     def loss_fn():
-        z = project(embed_batch(batch, han_params, config.han), out_w, out_b,
-                    config.han.slope)
+        z = project(embed_batch(batch, han_params, config.han), out_w, out_b)
         return triplet_loss(z, anchor, positive, negative, config.margin,
                             config.distance)
 
@@ -342,9 +342,6 @@ class ExemplarSet:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __contains__(self, technique: str) -> bool:
-        return technique in self._entries
 
     def techniques(self) -> list[str]:
         return list(self._entries)

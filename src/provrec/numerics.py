@@ -412,19 +412,6 @@ def tanh(a) -> Matrix:
     return Matrix._from_op(t, "tanh", (a, lambda g: g * (1.0 - t * t)))
 
 
-def exp(a) -> Matrix:
-    a = _wrap(a)
-    e = np.exp(a.value)
-    return Matrix._from_op(e, "exp", (a, lambda g: g * e))
-
-
-def log(a) -> Matrix:
-    a = _wrap(a)
-    if (a.value <= 0).any():
-        raise NumericsError("log of non-positive value")
-    return Matrix._from_op(np.log(a.value), "log", (a, lambda g: g / a.value))
-
-
 def sqrt(a) -> Matrix:
     a = _wrap(a)
     if (a.value < 0).any():
@@ -495,17 +482,6 @@ def segment_softmax(scores, segments, num_segments: int) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-def softmax_row(v) -> np.ndarray:
-    """Plain softmax of a 1-D vector (stable, order-preserving)."""
-    arr = np.asarray(v, dtype=np.float64).reshape(-1)
-    if arr.size == 0:
-        raise NumericsError("softmax of empty vector")
-    if not np.isfinite(arr).all():
-        raise NumericsError("softmax of non-finite vector")
-    e = np.exp(arr - arr.max())
-    return e / e.sum()
-
-
 def _check_labels(labels, n_rows: int, n_cols: int) -> np.ndarray:
     y = np.asarray(labels, dtype=np.intp).reshape(-1)
     if y.shape != (n_rows,):
@@ -513,43 +489,6 @@ def _check_labels(labels, n_rows: int, n_cols: int) -> np.ndarray:
     if y.size and (y.min() < 0 or y.max() >= n_cols):
         raise NumericsError(f"label out of range for {n_cols} classes")
     return y
-
-
-def cross_entropy(pred, labels) -> float:
-    """Mean negative log-probability of the true class per row.
-
-    ``pred`` rows must already be probability distributions (sum to 1 within
-    1e-6). Zero probability on a true class is an error state, not inf.
-    """
-    p = np.asarray(pred, dtype=np.float64)
-    if p.ndim == 1:
-        p = p.reshape(1, -1)
-    y = _check_labels(labels, p.shape[0], p.shape[1])
-    if not np.allclose(p.sum(axis=1), 1.0, atol=1e-6):
-        raise NumericsError("prediction rows must sum to 1")
-    picked = p[np.arange(p.shape[0]), y]
-    if (picked <= 0).any():
-        raise NumericsError("true class has zero probability")
-    return float(-np.log(picked).mean())
-
-
-def cross_entropy_loss(probs: Matrix, labels) -> Matrix:
-    """Differentiable cross-entropy over probability rows; returns 1x1."""
-    probs = _wrap(probs)
-    y = _check_labels(labels, probs.rows, probs.cols)
-    picked = probs.value[np.arange(probs.rows), y]
-    if (picked <= 0).any():
-        raise NumericsError("true class has zero probability")
-    n = probs.rows
-
-    def vjp(g):
-        out = np.zeros_like(probs.value)
-        out[np.arange(n), y] = -g[0, 0] / (n * picked)
-        return out
-
-    return Matrix._from_op(
-        np.array([[-np.log(picked).mean()]]), "cross_entropy", (probs, vjp)
-    )
 
 
 def softmax_cross_entropy(logits: Matrix, labels, weights=None) -> Matrix:

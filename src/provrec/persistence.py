@@ -67,6 +67,8 @@ def load_model(path, expect_kind: str | None = None):
             envelope = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ModelFormatError(f"cannot read checkpoint {path}: {exc}") from None
+    if not isinstance(envelope, dict):
+        raise ModelFormatError(f"{path}: a checkpoint must hold a JSON object")
     for key in ("format_version", "kind", "content_hash", "payload"):
         if key not in envelope:
             raise ModelFormatError(f"{path}: missing checkpoint field {key!r}")
@@ -83,4 +85,8 @@ def load_model(path, expect_kind: str | None = None):
     cls = _KINDS.get(kind)
     if cls is None:
         raise ModelFormatError(f"{path}: unknown checkpoint kind {kind!r}")
-    return cls.from_dict(envelope["payload"])
+    try:
+        return cls.from_dict(envelope["payload"])
+    except (KeyError, TypeError, ValueError) as exc:
+        # a payload that passes the hash check can still miss or add a key
+        raise ModelFormatError(f"{path}: malformed {kind} payload: {exc!r}") from None

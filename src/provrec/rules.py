@@ -100,11 +100,6 @@ class TransferRule:
     grant_side: str  # "subject" or "object"
     any_process_state: bool = False  # disjunction over process_states
 
-    def grant(self) -> tuple[str, str]:
-        if self.grant_side == "object":
-            return "object", self.object_state
-        return "subject", self.process_states[0]
-
 
 def _rule(rule_id, tactic, pstates, ostate, kind, ops, grant_side, any_of=False):
     return TransferRule(
@@ -386,12 +381,8 @@ def _edge_operation(edge_type_id: int) -> str:
     return EDGE_TYPE_NAMES[edge_type_id][1]
 
 
-def step_event(
-    store: StateStore,
-    event: Event,
-    rules: Sequence[TransferRule] = TRANSFER_RULES,
-) -> list[Alert]:
-    """Match one event against every rule and apply the grants.
+def step_event(store: StateStore, event: Event) -> list[Alert]:
+    """Match one event against every transfer rule and apply the grants.
 
     All rules are evaluated against the state as it stood before the event;
     grants land afterwards, so rule order within one event cannot chain.
@@ -399,7 +390,7 @@ def step_event(
     alerts: list[Alert] = []
     grants: list[tuple[str, str]] = []
     op = event.operation.lower()
-    for rule in rules:
+    for rule in TRANSFER_RULES:
         if event.object_type != rule.object_kind or op not in rule.operations:
             continue
         if rule.grant_side == "object":
@@ -423,18 +414,13 @@ def step_event(
 
 
 def replay(
-    events: Iterable[Event],
-    store: StateStore | None = None,
-    blacklists: BlacklistConfig | None = None,
-    rules: Sequence[TransferRule] = TRANSFER_RULES,
+    events: Iterable[Event], blacklists: BlacklistConfig | None = None
 ) -> tuple[StateStore, list[Alert]]:
-    """Seed (optionally), then run every event through the rule set in order."""
+    """Seed from ``blacklists`` (if given), then run every event through the
+    transfer rules in order."""
     events = list(events)
-    if store is None:
-        store = (
-            seed_states(events, blacklists) if blacklists is not None else StateStore()
-        )
+    store = seed_states(events, blacklists) if blacklists is not None else StateStore()
     alerts: list[Alert] = []
     for ev in events:
-        alerts.extend(step_event(store, ev, rules))
+        alerts.extend(step_event(store, ev))
     return store, alerts

@@ -1,4 +1,8 @@
-"""Shared builders for small provenance graphs used across the suite."""
+"""Shared builders for small provenance graphs and checkpoints used across
+the suite."""
+
+import hashlib
+import json
 
 import pytest
 
@@ -38,6 +42,17 @@ def random_process_graph(rng, n_nodes, n_edges):
             b = (a + 1) % n_nodes
         events.append(ev(f"p{a}", "launch", f"p{b}", EntityType.PROCESS, ts=t))
     return build_graph(events)
+
+
+def rewritten_checkpoint(path, out, edit):
+    """Copy the checkpoint at ``path`` to ``out`` after ``edit`` changed its
+    payload in place, with the content hash recomputed to pass the check."""
+    envelope = json.loads(path.read_text())
+    edit(envelope["payload"])
+    blob = json.dumps(envelope["payload"], sort_keys=True).encode("utf-8")
+    envelope["content_hash"] = hashlib.sha256(blob).hexdigest()
+    out.write_text(json.dumps(envelope))
+    return out
 
 
 @pytest.fixture

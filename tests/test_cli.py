@@ -11,6 +11,8 @@ from provrec.evaluation import detect
 from provrec.graph import ProvenanceGraph
 from provrec.persistence import ModelFormatError, load_model
 
+from conftest import rewritten_checkpoint
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -82,6 +84,45 @@ def test_detect_noi_writes_the_library_report(workspace):
     cfg = PipelineConfig.from_file(config)
     want = detect(graph, encoder, cfg, cfg.seed).to_dict()
     assert json.loads((root / "noi.json").read_text()) == want
+
+
+def test_set_reaches_detect_noi(workspace, tmp_path):
+    root, config = workspace
+    out = tmp_path / "noi.json"
+    assert run("--config", config, "--set", "score_threshold=0.55", "detect-noi",
+               "--graph", root / "g0.json", "--encoder", root / "encoder.json",
+               "--out", out) == EXIT_OK
+    graph = ProvenanceGraph.load(root / "g0.json")
+    encoder = load_model(root / "encoder.json", expect_kind="gnn_encoder")
+    cfg = PipelineConfig.from_file(config).override(score_threshold=0.55)
+    assert json.loads(out.read_text()) == detect(graph, encoder, cfg).to_dict()
+
+
+def test_set_reaches_sample(workspace, tmp_path):
+    root, config = workspace
+    out = tmp_path / "subs.json"
+    argv = ("sample", "--graph", root / "g0.json", "--nois", root / "noi.json")
+    assert run("--config", config, "--set", "lam=4", *argv, "--out", out) == EXIT_OK
+    assert json.loads(out.read_text())["lam"] == 4
+    # config keys have no per-command flags
+    assert run("--config", config, *argv, "--lam", "4",
+               "--out", tmp_path / "flag.json") == EXIT_USAGE
+
+
+def test_checkpoint_with_another_slope_or_width_exits_three(workspace, tmp_path):
+    root, config = workspace
+    encoder = rewritten_checkpoint(root / "encoder.json", tmp_path / "enc.json",
+                                   lambda p: p["config"].update(slope=0.2))
+    assert run("--config", config, "detect-noi", "--graph", root / "g0.json",
+               "--encoder", encoder, "--out", tmp_path / "noi.json") == EXIT_MODEL
+    bundle = rewritten_checkpoint(
+        root / "bundle.json", tmp_path / "bundle.json",
+        lambda p: p["matcher"]["config"]["han"].update(feature_dim=41))
+    assert run("--config", config, "recognize", "--subgraph",
+               root / "ds" / "truth" / "t0000.json", "--models", bundle,
+               "--out", tmp_path / "rec.json") == EXIT_MODEL
+    assert not (tmp_path / "noi.json").exists()
+    assert not (tmp_path / "rec.json").exists()
 
 
 @pytest.mark.parametrize("payload", [5, {"subgraphs": 5}])
@@ -194,6 +235,12 @@ def test_corrupt_checkpoint_exits_three(workspace):
                "--models", truncated, "--out", root / "r3.json") == EXIT_MODEL
     with pytest.raises(ModelFormatError):
         load_model(truncated)
+    # a string holding every field name passes a bare `in` check
+    for i, top_level in enumerate((5, "format_version kind content_hash payload")):
+        not_object = root / f"not-object{i}.json"
+        not_object.write_text(json.dumps(top_level))
+        assert run("--config", config, "evaluate", "--data", root / "ds", "--models",
+                   not_object, "--out", root / f"r-not-object{i}.json") == EXIT_MODEL
 
 
 def test_wrong_kind_checkpoint_rejected(workspace):

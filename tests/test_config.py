@@ -35,6 +35,12 @@ def test_boundary_values_accepted():
     assert config.matcher_config(seed=3).han.metapaths == ("MP1",)
 
 
+def test_override_to_none_clears_a_key():
+    config = PipelineConfig(contamination=0.1, unknown_threshold=0.5)
+    cleared = config.override(contamination=None, unknown_threshold=None)
+    assert cleared.contamination is None and cleared.unknown_threshold is None
+
+
 @pytest.fixture(scope="module")
 def dataset_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("config")

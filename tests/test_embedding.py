@@ -119,7 +119,7 @@ def test_singleton_neighborhood_is_activated_projection():
     proj = Matrix(gen.normal(0, 1, size=(1, 5)))
     w = gen.normal(0, 1, size=(10, 5))
     a = gen.normal(0, 1, size=(1, 5))
-    h, alpha = _node_level(proj, *_pair_rows(sub, "MP1"), w, a, 0.01)
+    h, alpha = _node_level(proj, *_pair_rows(sub, "MP1"), w, a)
     assert np.allclose(alpha.value, [[1.0]])
     z = proj.value
     assert np.allclose(h.value, np.where(z > 0, z, 0.01 * z))
@@ -141,7 +141,7 @@ def test_identical_neighbors_share_attention_equally():
     feats[idx["pc"]] = feats[idx["pb"]]
     w = gen.normal(0, 1, size=(8, 4))
     a = gen.normal(0, 1, size=(1, 4))
-    _, alpha = _node_level(Matrix(feats), *_pair_rows(t, "MP2"), w, a, 0.01)
+    _, alpha = _node_level(Matrix(feats), *_pair_rows(t, "MP2"), w, a)
     rows = alpha.value[:, 0]
     pa_weights = {
         int(s): rows[k]
@@ -171,7 +171,7 @@ def test_node_level_matches_scalar_oracle():
     feats = gen.normal(0, 1, size=(t.n_nodes, d))
     w = gen.normal(0, 1, size=(2 * d, d))
     a = gen.normal(0, 1, size=(1, d))
-    h, _ = _node_level(Matrix(feats), *_pair_rows(t, "MP2"), w, a, 0.01)
+    h, _ = _node_level(Matrix(feats), *_pair_rows(t, "MP2"), w, a)
 
     idx = t.graph.node_index()
     for nid in t.node_ids:
@@ -433,7 +433,7 @@ def test_split_pair_scores_equal_concat_form():
     a = gen.normal(0, 1, size=(1, d))
     for mp in META_PATHS:
         src, dst = metapath_pairs(tsg, mp)
-        scores = pair_scores(Matrix(feats), src, dst, w, a, slope=0.01).value
+        scores = pair_scores(Matrix(feats), src, dst, w, a).value
         z = np.concatenate([feats[src], feats[dst]], axis=1) @ w
         want = np.where(z > 0, z, 0.01 * z) @ a.T
         assert np.abs(scores - want).max() <= 1e-12

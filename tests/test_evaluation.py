@@ -256,3 +256,15 @@ def test_run_experiment_is_deterministic(tiny_dataset, tiny_config):
     r1 = run_experiment(tiny_dataset, tiny_config, seed=20, modes=("True_Graph",))
     r2 = run_experiment(tiny_dataset, tiny_config, seed=20, modes=("True_Graph",))
     assert r1 == r2
+
+
+def test_seed_defaults_to_the_config_seed(tiny_dataset, tiny_models, tiny_config):
+    # tiny_config carries seed 20; no call below is given a seed
+    config = tiny_config.override(min_nois=2)
+    assert run_experiment(tiny_dataset, config) == run_experiment(
+        tiny_dataset, config, seed=20)
+    _, test, models = tiny_models
+    host = triage(test[0].graph, models, config)
+    assert host.report.scores == triage(test[0].graph, models, config, 20).report.scores
+    assert noi_lmo_protocol(tiny_dataset, config) == noi_lmo_protocol(
+        tiny_dataset, config, 20)

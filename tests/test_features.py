@@ -83,14 +83,14 @@ def test_layer_identity_on_edgeless_graph():
     )
     g = base.induced(["a", "d"])  # no edges survive
     e_in = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = ft.gnn_layer_forward(ft.aggregation_matrix(g), e_in, np.eye(2), slope=1.0)
+    out = ft.gnn_layer_forward(ft.aggregation_matrix(g), e_in, np.eye(2))
     assert (out.value == e_in).all()
 
 
 def test_layer_two_node_chain_averages_parent():
     g = make_graph([("a", "launch", "b", EntityType.PROCESS)])
     e_in = np.array([[2.0, 0.0], [4.0, 6.0]])
-    out = ft.gnn_layer_forward(ft.aggregation_matrix(g), e_in, np.eye(2), slope=1.0)
+    out = ft.gnn_layer_forward(ft.aggregation_matrix(g), e_in, np.eye(2))
     assert (out.value[0] == e_in[0]).all()           # a: no in-neighbors
     assert (out.value[1] == [3.0, 3.0]).all()        # b: mean of a and b
 
@@ -106,7 +106,7 @@ def test_layer_matches_naive_loop_oracle():
     g = make_graph(triples)
     e_in = gen.normal(0, 1, size=(g.n_nodes, 3))
     w = gen.normal(0, 1, size=(3, 2))
-    got = ft.gnn_layer_forward(ft.aggregation_matrix(g), e_in, w, slope=0.01).value
+    got = ft.gnn_layer_forward(ft.aggregation_matrix(g), e_in, w).value
 
     index = g.node_index()
     for nid in g.node_ids():
@@ -221,7 +221,7 @@ def _full_graph_training(graph, e0, config):
     def loss_fn():
         h = x
         for w in params[:-1]:
-            h = ft.gnn_layer_forward(agg, h, w, slope=config.slope)
+            h = ft.gnn_layer_forward(agg, h, w)
         return nm.softmax_cross_entropy(nm.matmul(h, params[-1]), labels)
 
     losses = nm.descend(tape, loss_fn, config.epochs, config.lr)
@@ -379,7 +379,7 @@ def test_extraction_equals_stacked_forward_passes(trained_setup):
     agg = ft.aggregation_matrix(union)
     h = Matrix(ft.scale_features(e0, enc.config.log1p))
     for w in enc.weights:
-        h = ft.gnn_layer_forward(agg, h, w, slope=enc.config.slope)
+        h = ft.gnn_layer_forward(agg, h, w)
     assert np.allclose(ft.extract_embeddings(enc, union, e0), h.value, atol=1e-12)
 
 
@@ -390,7 +390,7 @@ def test_extraction_equals_numpy_layer_loop_bit_for_bit(trained_setup):
     h = ft.scale_features(e0, enc.config.log1p)
     for w in enc.weights:
         z = agg @ (h @ w)
-        h = np.where(z > 0, z, enc.config.slope * z)
+        h = np.where(z > 0, z, 0.01 * z)
     assert (ft.extract_embeddings(enc, union, e0) == h).all()
 
 

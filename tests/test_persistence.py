@@ -13,6 +13,8 @@ from provrec.matching import recognize
 from provrec.persistence import ModelFormatError, load_model, save_model
 from provrec.synthetic import generate_scenario
 
+from conftest import rewritten_checkpoint
+
 
 @pytest.fixture(scope="module")
 def bundle_file(tmp_path_factory):
@@ -44,10 +46,10 @@ def test_bundle_payload_layout(bundle_file):
     assert list(encoder) == ["config", "shapes", "weights", "classifier"]
     assert encoder["config"] == {
         "t_layers": 2, "hidden": 8, "epochs": 20, "lr": 0.5, "seed": 21,
-        "log1p": True, "slope": 0.01,
+        "log1p": True,
     }
     assert list(encoder["config"]) == [
-        "t_layers", "hidden", "epochs", "lr", "seed", "log1p", "slope"]
+        "t_layers", "hidden", "epochs", "lr", "seed", "log1p"]
     assert encoder["shapes"] == [[42, 8], [8, 8], [8, 4]]
     assert [len(w) for w in encoder["weights"]] == [42 * 8, 8 * 8]
     assert len(encoder["classifier"]) == 8 * 4
@@ -57,11 +59,10 @@ def test_bundle_payload_layout(bundle_file):
     assert list(matcher["config"]) == [
         "han", "margin", "epochs", "lr", "distance", "seed"]
     assert matcher["config"]["han"] == {
-        "feature_dim": 42, "dim": 8, "slope": 0.01, "metapaths": list(META_PATHS),
-        "log1p_features": True, "seed": 21,
+        "dim": 8, "metapaths": list(META_PATHS), "log1p_features": True, "seed": 21,
     }
     assert list(matcher["config"]["han"]) == [
-        "feature_dim", "dim", "slope", "metapaths", "log1p_features", "seed"]
+        "dim", "metapaths", "log1p_features", "seed"]
     assert matcher["config"]["epochs"] == 5 and matcher["config"]["distance"] == "euclidean"
     han = matcher["encoder"]
     assert list(han) == ["config", "params", "shapes"]
@@ -127,3 +128,53 @@ def test_retired_kinds_are_unknown(bundle_file, tmp_path, kind):
     retagged.write_text(json.dumps(envelope))
     with pytest.raises(ModelFormatError, match="unknown checkpoint kind"):
         load_model(retagged)
+
+
+def test_bundle_in_the_older_layout_ranks_alike(bundle_file, tmp_path):
+    # earlier releases stored the fixed slope and feature width in every
+    # config, and their exemplars carry a model hash taken over those configs
+    _, models, path = bundle_file
+    stale = []
+
+    def older(payload):
+        payload["encoder"]["config"]["slope"] = 0.01
+        matcher = payload["matcher"]
+        for han in (matcher["config"]["han"], matcher["encoder"]["config"]):
+            han.update(feature_dim=42, slope=0.01)
+        configs = [matcher["config"], matcher["encoder"]["config"]]
+        digest = hashlib.sha256(json.dumps(configs, sort_keys=True).encode("utf-8"))
+        for name, value in sorted(models.matcher.weights().items()):
+            digest.update(f"{name} {value.shape} {value.dtype}\n".encode("utf-8"))
+            digest.update(value.tobytes())
+        stale.append(digest.hexdigest())
+        for entry in payload["exemplars"]["exemplars"]:
+            entry["model_hash"] = stale[0]
+
+    older_file = rewritten_checkpoint(path, tmp_path / "older.json", older)
+    loaded = load_model(older_file, expect_kind="bundle")
+    assert stale[0] != models.matcher.content_hash()
+    assert loaded.matcher.content_hash() == models.matcher.content_hash()
+    for tech in models.exemplars.techniques():
+        query = models.exemplars.get(tech).subgraph
+        want = recognize(query, models.exemplars, models.matcher).ranking
+        got = recognize(query, loaded.exemplars, loaded.matcher).ranking
+        assert [(t, ta, d.hex()) for t, ta, d in got] == [
+            (t, ta, d.hex()) for t, ta, d in want]
+    for tech in loaded.exemplars.techniques():
+        assert loaded.exemplars.get(tech).model_hash == models.matcher.content_hash()
+
+
+_MALFORMED = {
+    "missing_classifier": lambda p: p["encoder"].pop("classifier"),
+    "unknown_config_key": lambda p: p["matcher"]["config"].update(momentum=0.9),
+    "slope_not_the_constant": lambda p: p["encoder"]["config"].update(slope=0.2),
+    "feature_dim_not_the_constant":
+        lambda p: p["matcher"]["encoder"]["config"].update(feature_dim=41),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_payload_is_a_model_format_error(bundle_file, tmp_path, case):
+    _, _, path = bundle_file
+    with pytest.raises(ModelFormatError, match="malformed bundle payload"):
+        load_model(rewritten_checkpoint(path, tmp_path / "bad.json", _MALFORMED[case]))

@@ -166,9 +166,10 @@ def test_every_rule_row_fires_and_grants(rule):
     event = _event("subj", rule.operations[0], "obj", rule.object_kind)
     alerts = step_event(store, event)
     assert any(a.rule_id == rule.rule_id for a in alerts)
-    target, code = rule.grant()
-    holder = "subj" if target == "subject" else "obj"
-    assert store.holds(holder, code)
+    if rule.grant_side == "object":
+        assert store.holds("obj", rule.object_state)
+    else:
+        assert store.holds("subj", rule.process_states[0])
 
 
 def test_exfiltration_any_of_disjunction():
