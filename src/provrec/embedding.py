@@ -2,9 +2,12 @@
 
 A subgraph is mapped to one fixed-width vector in three stages: node-level
 attention over meta-path neighbors, path-level attention across the four
-meta-paths, and graph-level attention against a global context vector. All
-three attention distributions are proper (nonnegative, sum to one), and the
-whole composition is differentiable through the numerics layer.
+meta-paths, and graph-level attention against a global context vector. Each
+level is a segment softmax over the batch's rows followed by a segment sum:
+per target node over its neighbor pairs, per node over its meta-path rows,
+and per subgraph over its nodes. All three attention distributions are
+proper (nonnegative, sum to one), and the whole composition is
+differentiable through the numerics layer.
 """
 
 from __future__ import annotations
@@ -245,21 +248,19 @@ def _node_level(projected, src: nm.RowIndex, dst: nm.RowIndex, att_w, att_a):
 def path_level_fuse(per_path: Sequence[nm.Matrix], path_w, path_b, path_q):
     """Blend per-meta-path node vectors with softmax weights per node.
 
-    Returns (fused, beta) where beta rows sum to one across the paths.
+    Returns (fused, beta). The blocks are stacked path after path, so row
+    j·n + i of the (P·n, 1) column beta is node i's weight on path j; each
+    node's weights sum to one.
     """
     if not per_path:
         raise ValueError("need at least one meta-path vector set")
-    score_cols = [
-        nm.matmul(nm.tanh(nm.add(nm.matmul(h, path_w), path_b)), nm.transpose(path_q))
-        for h in per_path
-    ]
-    scores = score_cols[0]
-    for col in score_cols[1:]:
-        scores = nm.concat_cols(scores, col)
-    beta = nm.softmax_rows(scores)
-    fused = nm.mul(nm.slice_cols(beta, 0, 1), per_path[0])
-    for j in range(1, len(per_path)):
-        fused = nm.add(fused, nm.mul(nm.slice_cols(beta, j, j + 1), per_path[j]))
+    n = per_path[0].rows
+    stacked = nm.concat_rows(per_path)
+    hidden = nm.tanh(nm.add(nm.matmul(stacked, path_w), path_b))
+    scores = nm.matmul(hidden, nm.transpose(path_q))
+    node_of = nm.RowIndex(np.tile(np.arange(n), len(per_path)), n)
+    beta = nm.segment_softmax(scores, node_of, n)
+    fused = nm.segment_sum(nm.mul(beta, stacked), node_of, n)
     return fused, beta
 
 
@@ -315,7 +316,7 @@ def embed_batch(
     )
     h, gamma = graph_level_embed(fused, params["ctx_w"], batch.graph_of)
     if attention is not None:
-        attention.beta = beta.value.copy()
+        attention.beta = beta.value.reshape(len(per_path), -1).T.copy()
         attention.gamma = gamma.value[0].copy()
     return h
 

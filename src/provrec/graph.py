@@ -205,6 +205,8 @@ class ProvenanceGraph:
                 raise GraphError(f"unsupported graph format_version {version!r}")
             nodes = {}
             for n in payload["nodes"]:
+                if n["id"] in nodes:
+                    raise GraphError(f"duplicate node id {n['id']!r}")
                 nodes[n["id"]] = EntityNode(
                     n["id"], EntityType.parse(n["type"]), dict(n.get("attrs") or {})
                 )
@@ -213,6 +215,12 @@ class ProvenanceGraph:
                 eid = int(e["type_id"])
                 if eid not in EDGE_TYPE_NAMES:
                     raise GraphError(f"unknown edge type id {eid}")
+                src, dst = nodes.get(e["src"]), nodes.get(e["dst"])
+                # build_graph's rule; the constructor refuses a missing endpoint
+                if src and dst and edge_type_of(
+                    src.entity_type, EDGE_TYPE_NAMES[eid][1], dst.entity_type
+                ) != eid:
+                    raise GraphError(f"edge type id {eid} does not fit edge {e!r}")
                 edges.append(Edge(e["src"], e["dst"], eid, int(e["ts"])))
         except (KeyError, TypeError, AttributeError) as exc:
             raise GraphError(f"malformed graph: {exc!r}") from None

@@ -121,6 +121,10 @@ class SiameseModel:
         out_b: np.ndarray,
         loss_curve: list[float] | None = None,
     ):
+        if config.han != encoder.config:
+            # embed runs with config.han on weights shaped by encoder.config
+            raise ValueError(f"config.han {config.han} differs from the "
+                             f"encoder's config {encoder.config}")
         self.config = config
         self.encoder = encoder
         # frozen like the encoder's weights, so wrapped once for every embed
@@ -128,10 +132,6 @@ class SiameseModel:
         self.out_w, self.out_b = (m.value for m in self.head)
         self.loss_curve = list(loss_curve) if loss_curve else []
         self._hash: str | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.config.han.dim
 
     def embed(self, tsg: TechniqueSubgraph) -> np.ndarray:
         """Branch output: encoder vector through the projection layer."""

@@ -133,11 +133,6 @@ class Matrix:
     def shape(self) -> tuple[int, int]:
         return self.value.shape
 
-    @property
-    def data(self) -> np.ndarray:
-        """Row-major float64 buffer (C-ordered ndarray view)."""
-        return self.value
-
     def item(self) -> float:
         if self.value.size != 1:
             raise NumericsError(f"item() on non-scalar matrix of shape {self.shape}")
@@ -146,26 +141,6 @@ class Matrix:
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Matrix(shape={self.shape}{tag})"
-
-    # light operator sugar; full op set lives at module level
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
 
 def _wrap(x) -> Matrix:
@@ -361,25 +336,20 @@ def segment_sum(a, segments, num_segments: int) -> Matrix:
     )
 
 
-def concat_cols(a, b) -> Matrix:
-    a, b = _wrap(a), _wrap(b)
-    if a.rows != b.rows:
-        raise NumericsError(f"concat_cols row mismatch: {a.shape} vs {b.shape}")
-    value = np.concatenate([a.value, b.value], axis=1)
-    split = a.cols
-    return Matrix._from_op(value, "concat_cols", (a, lambda g: g[:, :split]),
-                           (b, lambda g: g[:, split:]))
-
-
-def slice_cols(a, start: int, stop: int) -> Matrix:
-    a = _wrap(a)
-
-    def vjp(g):
-        out = np.zeros_like(a.value)
-        out[:, start:stop] = g
-        return out
-
-    return Matrix._from_op(a.value[:, start:stop], "slice_cols", (a, vjp))
+def concat_rows(parts: Sequence) -> Matrix:
+    """Stack matrices of one width top to bottom; each part's gradient is its
+    own row slice of the output gradient."""
+    parts = [_wrap(p) for p in parts]
+    if not parts:
+        raise NumericsError("concat_rows needs at least one part")
+    if len({p.cols for p in parts}) != 1:
+        raise NumericsError(f"concat_rows width mismatch: {[p.shape for p in parts]}")
+    stops = np.cumsum([p.rows for p in parts])
+    value = np.concatenate([p.value for p in parts], axis=0)
+    return Matrix._from_op(value, "concat_rows", *(
+        (p, lambda g, lo=stop - p.rows, hi=stop: g[lo:hi])
+        for p, stop in zip(parts, stops)
+    ))
 
 
 def slice_rows(a, start: int, stop: int) -> Matrix:
@@ -438,22 +408,6 @@ def row_sums(a) -> Matrix:
     c = a.cols
     return Matrix._from_op(a.value.sum(axis=1, keepdims=True), "row_sums",
                            (a, lambda g: np.repeat(g, c, axis=1)))
-
-
-def softmax_rows(a) -> Matrix:
-    """Row-wise softmax, stabilised by max subtraction."""
-    a = _wrap(a)
-    if a.cols == 0:
-        raise NumericsError("softmax of empty rows")
-    shifted = a.value - a.value.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=1, keepdims=True)
-
-    def vjp(g):
-        inner = (g * p).sum(axis=1, keepdims=True)
-        return p * (g - inner)
-
-    return Matrix._from_op(p, "softmax_rows", (a, vjp))
 
 
 def segment_softmax(scores, segments, num_segments: int) -> Matrix:

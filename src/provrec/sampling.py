@@ -212,9 +212,6 @@ class SamplingMetrics:
     tpr_defined: bool = True
     far_defined: bool = True
 
-    def correct(self) -> bool:
-        return self.precision > 0.8 and self.coverage > 0.8
-
 
 def match_subgraphs(
     sampled: Sequence[TechniqueSubgraph], truth: Sequence[TechniqueSubgraph]

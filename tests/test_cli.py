@@ -36,12 +36,14 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
-def test_full_subcommand_chain(workspace):
+@pytest.fixture(scope="module")
+def chain(workspace):
+    """The generate -> ingest -> train-encoder -> detect-noi -> sample ->
+    train-matcher chain, run once per module; the tests that request it read
+    what it leaves in the workspace."""
     root, config = workspace
     ds = root / "ds"
     assert run("--config", config, "generate", "--out", ds) == EXIT_OK
-    assert (ds / "manifest.json").exists()
-    assert (ds / "events" / "e0000.jsonl").exists()
 
     graph = root / "g0.json"
     assert run("ingest", "--events", ds / "events" / "e0000.jsonl",
@@ -62,6 +64,14 @@ def test_full_subcommand_chain(workspace):
     bundle = root / "bundle.json"
     assert run("--config", config, "train-matcher", "--data", ds,
                "--out", bundle) == EXIT_OK
+    return workspace
+
+
+def test_full_subcommand_chain(chain):
+    root, config = chain
+    ds, subs, bundle = root / "ds", root / "subs.json", root / "bundle.json"
+    assert (ds / "manifest.json").exists()
+    assert (ds / "events" / "e0000.jsonl").exists()
 
     rec = root / "rec.json"
     payload = json.loads(subs.read_text())
@@ -77,8 +87,8 @@ def test_full_subcommand_chain(workspace):
     assert set(modes) == {"True_Graph", "Sampled_Graph", "Raw_Graph"}
 
 
-def test_detect_noi_writes_the_library_report(workspace):
-    root, config = workspace
+def test_detect_noi_writes_the_library_report(chain):
+    root, config = chain
     graph = ProvenanceGraph.load(root / "g0.json")
     encoder = load_model(root / "encoder.json", expect_kind="gnn_encoder")
     cfg = PipelineConfig.from_file(config)
@@ -86,8 +96,8 @@ def test_detect_noi_writes_the_library_report(workspace):
     assert json.loads((root / "noi.json").read_text()) == want
 
 
-def test_set_reaches_detect_noi(workspace, tmp_path):
-    root, config = workspace
+def test_set_reaches_detect_noi(chain, tmp_path):
+    root, config = chain
     out = tmp_path / "noi.json"
     assert run("--config", config, "--set", "score_threshold=0.55", "detect-noi",
                "--graph", root / "g0.json", "--encoder", root / "encoder.json",
@@ -98,8 +108,8 @@ def test_set_reaches_detect_noi(workspace, tmp_path):
     assert json.loads(out.read_text()) == detect(graph, encoder, cfg).to_dict()
 
 
-def test_set_reaches_sample(workspace, tmp_path):
-    root, config = workspace
+def test_set_reaches_sample(chain, tmp_path):
+    root, config = chain
     out = tmp_path / "subs.json"
     argv = ("sample", "--graph", root / "g0.json", "--nois", root / "noi.json")
     assert run("--config", config, "--set", "lam=4", *argv, "--out", out) == EXIT_OK
@@ -109,8 +119,8 @@ def test_set_reaches_sample(workspace, tmp_path):
                "--out", tmp_path / "flag.json") == EXIT_USAGE
 
 
-def test_checkpoint_with_another_slope_or_width_exits_three(workspace, tmp_path):
-    root, config = workspace
+def test_checkpoint_with_another_slope_or_width_exits_three(chain, tmp_path):
+    root, config = chain
     encoder = rewritten_checkpoint(root / "encoder.json", tmp_path / "enc.json",
                                    lambda p: p["config"].update(slope=0.2))
     assert run("--config", config, "detect-noi", "--graph", root / "g0.json",
@@ -125,9 +135,22 @@ def test_checkpoint_with_another_slope_or_width_exits_three(workspace, tmp_path)
     assert not (tmp_path / "rec.json").exists()
 
 
+def test_bundle_whose_han_configs_disagree_exits_three(chain, tmp_path):
+    root, config = chain
+    # the matcher would embed with all four meta-paths on MP1-only weights
+    bundle = rewritten_checkpoint(
+        root / "bundle.json", tmp_path / "bundle.json",
+        lambda p: p["matcher"]["encoder"]["config"].update(metapaths=["MP1"]))
+    out = tmp_path / "rec.json"
+    assert run("--config", config, "recognize", "--subgraph",
+               root / "ds" / "truth" / "t0000.json", "--models", bundle,
+               "--out", out) == EXIT_MODEL
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("payload", [5, {"subgraphs": 5}])
-def test_recognize_rejects_wrong_top_level_shape(workspace, tmp_path, payload):
-    root, config = workspace
+def test_recognize_rejects_wrong_top_level_shape(chain, tmp_path, payload):
+    root, config = chain
     query = tmp_path / "query.json"
     query.write_text(json.dumps(payload))
     out = tmp_path / "rec.json"
@@ -136,8 +159,8 @@ def test_recognize_rejects_wrong_top_level_shape(workspace, tmp_path, payload):
     assert not out.exists()
 
 
-def test_ingest_counts_non_object_lines_as_rejected(workspace, tmp_path):
-    root, _ = workspace
+def test_ingest_counts_non_object_lines_as_rejected(chain, tmp_path):
+    root, _ = chain
     events = root / "ds" / "events" / "e0000.jsonl"
     good = events.read_text().splitlines()[0]
     bad_ts = json.dumps({**json.loads(good), "ts": None})
@@ -164,8 +187,8 @@ def test_generate_is_bit_deterministic(workspace):
             assert f1.read_bytes() == f2.read_bytes()
 
 
-def test_outputs_require_force_to_overwrite(workspace):
-    root, config = workspace
+def test_outputs_require_force_to_overwrite(chain):
+    root, config = chain
     target = root / "again.json"
     assert run("ingest", "--events", root / "ds" / "events" / "e0001.jsonl",
                "--out", target) == EXIT_OK
@@ -175,8 +198,8 @@ def test_outputs_require_force_to_overwrite(workspace):
                "--out", target, "--force") == EXIT_OK
 
 
-def test_run_log_requires_force_to_overwrite(workspace):
-    root, config = workspace
+def test_run_log_requires_force_to_overwrite(chain):
+    root, config = chain
     events = root / "ds" / "events" / "e0002.jsonl"
     target = root / "logged.json"
     log = root / "logged.json.log.json"
@@ -190,8 +213,8 @@ def test_run_log_requires_force_to_overwrite(workspace):
     assert json.loads(log.read_text())["command"] == "ingest"
 
 
-def test_run_log_records_arguments_not_handlers(workspace):
-    root, config = workspace
+def test_run_log_records_arguments_not_handlers(chain):
+    root, config = chain
     target = root / "plain.json"
     assert run("ingest", "--events", root / "ds" / "events" / "e0003.jsonl",
                "--out", target) == EXIT_OK
@@ -220,8 +243,8 @@ def test_missing_inputs_exit_two(workspace):
                "--out", root / "z") == EXIT_DATA
 
 
-def test_corrupt_checkpoint_exits_three(workspace):
-    root, config = workspace
+def test_corrupt_checkpoint_exits_three(chain):
+    root, config = chain
     bundle = root / "bundle.json"
     mangled = root / "mangled.json"
     payload = json.loads(bundle.read_text())
@@ -243,8 +266,8 @@ def test_corrupt_checkpoint_exits_three(workspace):
                    not_object, "--out", root / f"r-not-object{i}.json") == EXIT_MODEL
 
 
-def test_wrong_kind_checkpoint_rejected(workspace):
-    root, config = workspace
+def test_wrong_kind_checkpoint_rejected(chain):
+    root, config = chain
     with pytest.raises(ModelFormatError, match="kind"):
         load_model(root / "encoder.json", expect_kind="siamese_matcher")
 
@@ -270,8 +293,8 @@ def test_baseline_subcommand(workspace, tmp_path):
     assert [a["tactic"] for a in alerts] == ["Initial Access", "Execution"]
 
 
-def test_evaluate_reports_are_deterministic(workspace):
-    root, config = workspace
+def test_evaluate_reports_are_deterministic(chain):
+    root, config = chain
     r1, r2 = root / "rep1.json", root / "rep2.json"
     for out in (r1, r2):
         assert run("--config", config, "evaluate", "--data", root / "ds",
@@ -286,6 +309,11 @@ _TRUTH = {"seed": "p", "nodes": _GRAPH["nodes"], "edges": [], "nois": ["p"]}
 _ENTRY = {"technique": "T1", "tactic": "TA1", "graph": "g.json", "truth": "t.json"}
 _MALFORMED = {
     "graph_without_edges": ("graph", {k: v for k, v in _GRAPH.items() if k != "edges"}),
+    "graph_file_launches_process": ("graph", {
+        **_GRAPH,
+        "nodes": [*_GRAPH["nodes"], {"id": "f", "type": "file"}],
+        "edges": [{"src": "f", "dst": "p", "type_id": 1, "ts": 0}],
+    }),
     "report_row_without_score": ("report", {**_REPORT, "nois": [{"node_id": "p"}]}),
     "report_as_list": ("report", [_REPORT]),
     "manifest_without_samples": ("manifest", {"format_version": 1}),
@@ -318,8 +346,8 @@ def test_malformed_json_inputs_exit_two(tmp_path, case):
     assert not (tmp_path / "out.json").exists()
 
 
-def test_ingest_refuses_existing_stats_without_force(workspace, tmp_path):
-    root, config = workspace
+def test_ingest_refuses_existing_stats_without_force(chain, tmp_path):
+    root, config = chain
     events = root / "ds" / "events" / "e0004.jsonl"
     target = tmp_path / "g9.json"
     stats = tmp_path / "g9.stats.json"
@@ -355,9 +383,9 @@ def _existing_out_argv(root, config, command, out):
     ("evaluate", "provrec.cli", "evaluate_end_to_end"),
 ])
 def test_existing_out_is_refused_before_any_work(
-    workspace, tmp_path, monkeypatch, command, module, name
+    chain, tmp_path, monkeypatch, command, module, name
 ):
-    root, config = workspace
+    root, config = chain
     out = tmp_path / "out.json"
     out.write_text("kept")
     monkeypatch.setattr(f"{module}.{name}", _refuse)
@@ -367,8 +395,8 @@ def test_existing_out_is_refused_before_any_work(
 
 
 @pytest.mark.parametrize("threads", ["1", None])
-def test_run_log_records_blas_setup(workspace, tmp_path, monkeypatch, threads):
-    root, _ = workspace
+def test_run_log_records_blas_setup(chain, tmp_path, monkeypatch, threads):
+    root, _ = chain
     if threads is None:
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     else:

@@ -192,6 +192,11 @@ def test_node_level_matches_scalar_oracle():
 # -- path-level fusion ----------------------------------------------------------
 
 
+def _by_node(beta, paths):
+    """The (P·n, 1) path-major beta column as (n, P): one row per node."""
+    return beta.value.reshape(paths, -1).T
+
+
 def test_identical_path_vectors_fuse_uniformly():
     gen = Rng(9)
     h = Matrix(gen.normal(0, 1, size=(4, 6)))
@@ -199,7 +204,7 @@ def test_identical_path_vectors_fuse_uniformly():
     b = gen.normal(0, 1, size=(1, 6))
     q = gen.normal(0, 1, size=(1, 6))
     fused, beta = path_level_fuse([h, h, h, h], w, b, q)
-    assert np.allclose(beta.value, 0.25, atol=1e-12)
+    assert np.allclose(_by_node(beta, 4), 0.25, atol=1e-12)
     assert np.allclose(fused.value, h.value, atol=1e-12)
 
 
@@ -210,7 +215,7 @@ def test_zero_query_vector_gives_uniform_weights():
     b = gen.normal(0, 1, size=(1, 4))
     q = np.zeros((1, 4))
     _, beta = path_level_fuse(hs, w, b, q)
-    assert np.allclose(beta.value, 1.0 / 3, atol=1e-12)
+    assert np.allclose(_by_node(beta, 3), 1.0 / 3, atol=1e-12)
 
 
 def test_path_fusion_matches_scalar_oracle():
@@ -225,9 +230,27 @@ def test_path_fusion_matches_scalar_oracle():
         scores = [float(np.tanh(h[i] @ w + b[0]) @ q[0]) for h in hs]
         e = np.exp(np.array(scores) - max(scores))
         want_beta = e / e.sum()
-        assert np.allclose(beta.value[i], want_beta, atol=1e-12)
+        assert np.allclose(_by_node(beta, 4)[i], want_beta, atol=1e-12)
         want = sum(wb * h[i] for wb, h in zip(want_beta, hs))
         assert np.allclose(fused.value[i], want, atol=1e-12)
+
+
+def test_path_fusion_records_as_many_ops_for_one_path_as_for_four(monkeypatch):
+    gen = Rng(12)
+    n, d = 3, 4
+    w, b, q = (gen.normal(0, 1, size=shape) for shape in ((d, d), (1, d), (1, d)))
+    ops = []
+    from_op = Matrix._from_op.__func__
+    monkeypatch.setattr(Matrix, "_from_op", classmethod(
+        lambda cls, value, op, *operands: ops.append(op) or from_op(
+            cls, value, op, *operands)))
+    counts = []
+    for paths in (1, 4):
+        ops.clear()
+        hs = [Matrix(gen.normal(0, 1, size=(n, d))) for _ in range(paths)]
+        path_level_fuse(hs, w, b, q)
+        counts.append(len(ops))
+    assert counts[0] == counts[1]
 
 
 # -- graph-level aggregation ----------------------------------------------------

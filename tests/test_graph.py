@@ -193,6 +193,25 @@ def test_graph_rejects_wrong_format_version(figure_snippet):
         ProvenanceGraph.from_dict(payload)
 
 
+_UNBUILDABLE = {
+    "duplicate_id_of_another_type":
+        lambda p: p["nodes"].append({"id": "x.pdf", "type": "socket"}),
+    "launch_from_a_file_to_a_socket": lambda p: p["edges"].append(
+        {"src": "x.pdf", "dst": "203.0.113.9:443", "type_id": 1, "ts": 7}),
+    "file_operation_on_a_socket": lambda p: p["edges"].append(
+        {"src": "chrome", "dst": "203.0.113.9:443",
+         "type_id": EDGE_TYPE_IDS[(EntityType.FILE, "write")], "ts": 7}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNBUILDABLE))
+def test_graph_json_that_build_graph_would_refuse_is_refused(figure_snippet, case):
+    payload = figure_snippet.to_dict()
+    _UNBUILDABLE[case](payload)
+    with pytest.raises(GraphError):
+        ProvenanceGraph.from_dict(payload)
+
+
 def test_induced_subgraph_keeps_internal_edges(figure_snippet):
     sub = figure_snippet.induced(["chrome", "x.pdf", "acrobat"])
     assert sub.n_nodes == 3

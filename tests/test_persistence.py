@@ -170,6 +170,8 @@ _MALFORMED = {
     "slope_not_the_constant": lambda p: p["encoder"]["config"].update(slope=0.2),
     "feature_dim_not_the_constant":
         lambda p: p["matcher"]["encoder"]["config"].update(feature_dim=41),
+    "han_configs_disagree":
+        lambda p: p["matcher"]["config"]["han"].update(metapaths=["MP1"]),
 }
 
 
