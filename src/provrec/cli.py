@@ -93,9 +93,11 @@ def _blas_setup() -> dict:
 def _write_log(out: Path, command: str, args: dict, elapsed: float) -> None:
     log = {
         "command": command,
-        "args": {k: str(v) for k, v in args.items() if v is not None and k != "fn"},
+        "args": {k: str(v) for k, v in args.items()
+                 if v is not None and k not in ("fn", "log")},
         "elapsed_seconds": round(elapsed, 3),
         "blas": _blas_setup(),
+        **args["log"],
     }
     _write_json(log, _log_path(out))
 
@@ -184,6 +186,7 @@ def _cmd_train_encoder(args, config: PipelineConfig) -> int:
     )
     out = Path(args.out)
     save_model(encoder, out, force=True)
+    args.log["loss_curves"] = {"encoder": encoder.loss_curve}
     acc = ft.type_accuracy(encoder, union, ft.init_features(union))
     print(
         f"trained encoder on {union.n_nodes} nodes; "
@@ -226,6 +229,8 @@ def _cmd_train_matcher(args, config: PipelineConfig) -> int:
     models = train_pipeline(train, config, config.seed)
     out = Path(args.out)
     save_model(models, out, force=True)
+    args.log["loss_curves"] = {"encoder": models.encoder.loss_curve,
+                               "matcher": models.matcher.loss_curve}
     print(
         f"trained matcher on {len(train)} shots "
         f"({len(models.exemplars)} techniques); bundle saved to {out}"
@@ -410,6 +415,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    args.log = {}  # what a command adds to its run log, e.g. loss curves
     started = time.perf_counter()
     out = Path(args.out) if getattr(args, "out", None) else None
     try:

@@ -5,9 +5,11 @@ attention over meta-path neighbors, path-level attention across the four
 meta-paths, and graph-level attention against a global context vector. Each
 level is a segment softmax over the batch's rows followed by a segment sum:
 per target node over its neighbor pairs, per node over its meta-path rows,
-and per subgraph over its nodes. All three attention distributions are
-proper (nonnegative, sum to one), and the whole composition is
-differentiable through the numerics layer.
+and per subgraph over its nodes. Training runs on node classes instead of
+nodes (:meth:`SubgraphBatch.classes`), with node-level and graph-level
+softmaxes and means weighted by class counts. All three attention
+distributions are proper (nonnegative, sum to one), and the whole
+composition is differentiable through the numerics layer.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from . import features as ft
 from . import numerics as nm
@@ -195,31 +198,88 @@ class AttentionRecord:
 
 
 class SubgraphBatch:
-    """Technique subgraphs stacked into one block of nodes for one forward.
+    """Technique subgraphs stacked into one block of rows for one forward.
 
-    Each subgraph's rows follow its own node order, subgraph after subgraph.
-    ``graph_of`` maps every row to its subgraph; ``pairs[mp]`` holds the
-    meta-path's (source, target) rows offset into the block, still ordered by
-    target. The indices keep their scatter matrices, so a batch built once
-    serves every epoch of a training run.
+    Built from subgraphs, a batch has one row per node: each subgraph's rows
+    follow its own node order, subgraph after subgraph. ``graph_of`` maps
+    every row to its subgraph; ``pairs[mp]`` holds the meta-path's (source,
+    target) rows offset into the block, still ordered by target; ``node_of``
+    maps each row of path level's path-major stack to its row. The indices
+    keep their scatter matrices, so a batch built once serves every epoch of
+    a training run. :meth:`classes` gives the batch whose rows are node
+    classes; on a per-node batch ``pair_weights`` and ``sizes`` are None.
     """
 
     def __init__(self, subgraphs: Sequence[TechniqueSubgraph], config: HanConfig):
         if not subgraphs:
             raise ValueError("cannot embed an empty batch of subgraphs")
         stacked = np.vstack([tsg.features() for tsg in subgraphs])
-        self.features = nm.Matrix(ft.scale_features(stacked, config.log1p_features))
         sizes = [tsg.n_nodes for tsg in subgraphs]
         offsets = np.cumsum([0] + sizes[:-1])
-        n = self.features.rows
-        self.graph_of = nm.RowIndex(np.repeat(np.arange(len(sizes)), sizes), len(sizes))
-        self.pairs: dict[str, tuple[nm.RowIndex, nm.RowIndex]] = {}
+        pairs = {}
         for mp in config.metapaths:
             src, dst = zip(*(metapath_pairs(tsg, mp) for tsg in subgraphs))
-            self.pairs[mp] = (
-                nm.RowIndex(np.concatenate([s + o for s, o in zip(src, offsets)]), n),
-                nm.RowIndex(np.concatenate([d + o for d, o in zip(dst, offsets)]), n),
-            )
+            pairs[mp] = (np.concatenate([s + o for s, o in zip(src, offsets)]),
+                         np.concatenate([d + o for d, o in zip(dst, offsets)]))
+        self._index(ft.scale_features(stacked, config.log1p_features),
+                    np.repeat(np.arange(len(sizes)), sizes), len(sizes), pairs)
+
+    def _index(self, features, graph_of, n_graphs, pairs, pair_weights=None,
+               sizes=None):
+        n = len(graph_of)
+        self.features = nm.Matrix(features)
+        self.graph_of = nm.RowIndex(graph_of, n_graphs)
+        self.pairs: dict[str, tuple[nm.RowIndex, nm.RowIndex]] = {
+            mp: (nm.RowIndex(src, n), nm.RowIndex(dst, n))
+            for mp, (src, dst) in pairs.items()
+        }
+        self.node_of = nm.RowIndex(np.tile(np.arange(n), len(pairs)), n)
+        self.pair_weights: dict[str, np.ndarray] | None = pair_weights
+        self.sizes: np.ndarray | None = sizes
+
+    def classes(self) -> "SubgraphBatch":
+        """This batch with one row per node class; each subgraph embeds the same.
+
+        Nodes share a class when they lie in one subgraph and have one feature
+        row and, under every meta-path, one multiset of neighbour feature
+        rows. Node-level attention reads nothing else, so every stage gives
+        the nodes of a class one output: the 1-WL argument of Xu et al., "How
+        Powerful are Graph Neural Networks?" (ICLR 2019). Each class keeps
+        its first node's feature row and pairs, the pairs mapped to (source
+        class, target class) and collapsed with their counts as
+        ``pair_weights[mp]``; ``sizes`` counts each class's nodes. Attention
+        weighted by these counts gives every softmax and mean the value of
+        the per-node batch.
+        """
+        n = self.features.rows
+
+        def onehot(ids, k):
+            return sparse.csr_matrix((np.ones(n), ids, np.arange(n + 1)), shape=(n, k))
+
+        row_class, row_first = ft._row_classes(sparse.csr_matrix(self.features.value))
+        by_row = onehot(row_class, len(row_first))
+        keys = [onehot(self.graph_of.ids, self.graph_of.size), by_row]
+        for src, dst in self.pairs.values():
+            adjacency = sparse.csr_matrix(
+                (np.ones(len(src)), (dst.ids, src.ids)), shape=(n, n))
+            keys.append(adjacency @ by_row)
+        node_class, first = ft._row_classes(sparse.hstack(keys, format="csr"))
+        k = len(first)
+        is_first = np.zeros(n, dtype=bool)
+        is_first[first] = True
+        pairs, weights = {}, {}
+        for mp, (src, dst) in self.pairs.items():
+            kept = is_first[dst.ids]
+            # key t * k + s of target class t and source class s sorts by target
+            key, count = np.unique(node_class[dst.ids[kept]] * k
+                                   + node_class[src.ids[kept]], return_counts=True)
+            pairs[mp] = (key % k, key // k)
+            weights[mp] = count.astype(np.float64)
+        out = SubgraphBatch.__new__(SubgraphBatch)
+        out._index(self.features.value[first], self.graph_of.ids[first],
+                   self.graph_of.size, pairs, weights,
+                   np.bincount(node_class).astype(np.float64))
+        return out
 
 
 def pair_scores(projected: nm.Matrix, src, dst, att_w, att_a) -> nm.Matrix:
@@ -236,54 +296,63 @@ def pair_scores(projected: nm.Matrix, src, dst, att_w, att_a) -> nm.Matrix:
     return nm.matmul(nm.leaky_relu(z), nm.transpose(att_a))
 
 
-def _node_level(projected, src: nm.RowIndex, dst: nm.RowIndex, att_w, att_a):
+def _node_level(projected, src: nm.RowIndex, dst: nm.RowIndex, att_w, att_a,
+                weights=None):
     n = projected.rows
-    alpha = nm.segment_softmax(pair_scores(projected, src, dst, att_w, att_a), dst, n)
+    alpha = nm.segment_softmax(pair_scores(projected, src, dst, att_w, att_a), dst,
+                               n, weights)
     h = nm.leaky_relu(
         nm.segment_sum(nm.mul(alpha, nm.gather_rows(projected, src)), dst, n)
     )
     return h, alpha
 
 
-def path_level_fuse(per_path: Sequence[nm.Matrix], path_w, path_b, path_q):
+def path_level_fuse(per_path: Sequence[nm.Matrix], path_w, path_b, path_q,
+                    node_of: nm.RowIndex | None = None):
     """Blend per-meta-path node vectors with softmax weights per node.
 
     Returns (fused, beta). The blocks are stacked path after path, so row
     j·n + i of the (P·n, 1) column beta is node i's weight on path j; each
-    node's weights sum to one.
+    node's weights sum to one. ``node_of`` maps each stacked row to its node
+    (a batch keeps one); without it the index is built here.
     """
     if not per_path:
         raise ValueError("need at least one meta-path vector set")
     n = per_path[0].rows
+    if node_of is None:
+        node_of = nm.RowIndex(np.tile(np.arange(n), len(per_path)), n)
     stacked = nm.concat_rows(per_path)
     hidden = nm.tanh(nm.add(nm.matmul(stacked, path_w), path_b))
     scores = nm.matmul(hidden, nm.transpose(path_q))
-    node_of = nm.RowIndex(np.tile(np.arange(n), len(per_path)), n)
     beta = nm.segment_softmax(scores, node_of, n)
     fused = nm.segment_sum(nm.mul(beta, stacked), node_of, n)
     return fused, beta
 
 
 def graph_level_embed(
-    node_vectors: nm.Matrix, ctx_w, graph_of: nm.RowIndex | None = None
+    node_vectors: nm.Matrix, ctx_w, graph_of: nm.RowIndex | None = None,
+    sizes: np.ndarray | None = None,
 ):
     """Context-weighted sum of node vectors into one vector per subgraph.
 
     ``graph_of`` maps each row to its subgraph; without it all rows form one
-    subgraph. Returns (h, gamma): h holds one row per subgraph, and gamma, a
-    (1, n) row, is the softmax within each subgraph of its nodes' inner
-    products with the tanh-transformed mean context of that subgraph.
+    subgraph. ``sizes`` gives the number of nodes each row stands for (a
+    class batch's class sizes); without it each row is one node. Returns
+    (h, gamma): h holds one row per subgraph, and gamma, a (1, n) row, is the
+    softmax within each subgraph of its nodes' inner products with the
+    tanh-transformed mean context of that subgraph.
     """
     if graph_of is None:
         graph_of = nm.RowIndex(np.zeros(node_vectors.rows, dtype=np.intp), 1)
-    counts = np.bincount(graph_of.ids, minlength=graph_of.size)
+    counts = np.bincount(graph_of.ids, sizes, graph_of.size)
     if node_vectors.rows == 0 or not counts.all():
         raise ValueError("cannot embed an empty node set")
     k = graph_of.size
-    mean = nm.div(nm.segment_sum(node_vectors, graph_of, k), counts.reshape(-1, 1))
+    nodes = node_vectors if sizes is None else nm.mul(node_vectors, sizes[:, None])
+    mean = nm.div(nm.segment_sum(nodes, graph_of, k), counts.reshape(-1, 1))
     context = nm.tanh(nm.matmul(mean, ctx_w))
     scores = nm.row_sums(nm.mul(node_vectors, nm.gather_rows(context, graph_of)))
-    gamma = nm.segment_softmax(scores, graph_of, k)
+    gamma = nm.segment_softmax(scores, graph_of, k, sizes)
     h = nm.segment_sum(nm.mul(gamma, node_vectors), graph_of, k)
     return h, nm.transpose(gamma)
 
@@ -301,20 +370,23 @@ def embed_batch(
     arrays; gradients flow through every stage.
     """
     projected = nm.matmul(batch.features, params["proj"])
+    weights = batch.pair_weights or {}
     per_path = []
     for mp in config.metapaths:
         src, dst = batch.pairs[mp]
         h_mp, alpha = _node_level(
-            projected, src, dst, params[f"att_w_{mp}"], params[f"att_a_{mp}"]
+            projected, src, dst, params[f"att_w_{mp}"], params[f"att_a_{mp}"],
+            weights.get(mp),
         )
         per_path.append(h_mp)
         if attention is not None:
             attention.alpha[mp] = (alpha.value[:, 0].copy(), dst.ids.copy())
 
     fused, beta = path_level_fuse(
-        per_path, params["path_w"], params["path_b"], params["path_q"]
+        per_path, params["path_w"], params["path_b"], params["path_q"],
+        batch.node_of,
     )
-    h, gamma = graph_level_embed(fused, params["ctx_w"], batch.graph_of)
+    h, gamma = graph_level_embed(fused, params["ctx_w"], batch.graph_of, batch.sizes)
     if attention is not None:
         attention.beta = beta.value.reshape(len(per_path), -1).T.copy()
         attention.gamma = gamma.value[0].copy()

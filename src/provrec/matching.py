@@ -246,7 +246,10 @@ def train_matcher(
     full-batch descent step on the mean pair loss, so the loss settles
     monotonically near convergence. Gradients reach the shared parameters
     through both branches of every pair. Every subgraph a triplet uses is
-    embedded in one batched forward per epoch.
+    embedded in one batched forward per epoch, run on node classes
+    (:meth:`SubgraphBatch.classes`) rather than nodes: node-level and
+    graph-level attention weight each class by its count, so each subgraph
+    gets the vector its per-node forward gives, from fewer rows.
     """
     if not samples:
         raise ValueError("no training samples")
@@ -268,7 +271,7 @@ def train_matcher(
     out_b = tape.parameter("out_b", np.zeros((1, d)))
 
     used = sorted({i for t in triplets for i in (t.anchor, t.positive, t.negative)})
-    batch = SubgraphBatch([subgraphs[i] for i in used], config.han)
+    batch = SubgraphBatch([subgraphs[i] for i in used], config.han).classes()
     row = {i: r for r, i in enumerate(used)}
     anchor, positive, negative = (
         nm.RowIndex([row[getattr(t, role)] for t in triplets], len(used))

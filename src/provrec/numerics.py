@@ -410,12 +410,25 @@ def row_sums(a) -> Matrix:
                            (a, lambda g: np.repeat(g, c, axis=1)))
 
 
-def segment_softmax(scores, segments, num_segments: int) -> Matrix:
+def _row_weights(weights, n: int) -> np.ndarray:
+    """``weights`` as n finite, non-negative row weights, positive in total."""
+    w = np.asarray(weights, dtype=np.float64).reshape(-1)
+    if w.shape != (n,) or not np.isfinite(w).all() or (w < 0).any() or w.sum() <= 0:
+        raise NumericsError(
+            f"expected {n} finite non-negative row weights with a positive sum"
+        )
+    return w
+
+
+def segment_softmax(scores, segments, num_segments: int, weights=None) -> Matrix:
     """Softmax of an (m, 1) score column within each segment bucket.
 
     ``segments`` is as for :func:`segment_sum`. Scores are shifted by their
     segment's max before exponentiating (softmax is shift-invariant within
-    a segment, so the gradient is unchanged).
+    a segment, so the gradient is unchanged). With ``weights`` (checked as
+    for :func:`softmax_cross_entropy`) row k gets ``w_k e^{s_k} / Σ_j w_j
+    e^{s_j}``, so a row of weight c counts as c equal rows. That is the
+    plain softmax of ``s + log w``, so the gradient is unchanged too.
     """
     scores = _wrap(scores)
     if scores.cols != 1:
@@ -423,6 +436,8 @@ def segment_softmax(scores, segments, num_segments: int) -> Matrix:
     seg = _segments(segments, num_segments, scores.rows)
     shifted = scores.value[:, 0] - seg.segment_max(scores.value[:, 0])[seg.ids]
     e = np.exp(shifted).reshape(-1, 1)
+    if weights is not None:
+        e *= _row_weights(weights, scores.rows).reshape(-1, 1)
     p = e / seg.scatter_add(e)[seg.ids]
 
     def vjp(g):
@@ -455,14 +470,7 @@ def softmax_cross_entropy(logits: Matrix, labels, weights=None) -> Matrix:
     logits = _wrap(logits)
     y = _check_labels(labels, logits.rows, logits.cols)
     n = logits.rows
-    if weights is None:
-        w = np.ones(n)
-    else:
-        w = np.asarray(weights, dtype=np.float64).reshape(-1)
-        if w.shape != (n,) or not np.isfinite(w).all() or (w < 0).any() or w.sum() <= 0:
-            raise NumericsError(
-                f"expected {n} finite non-negative row weights with a positive sum"
-            )
+    w = np.ones(n) if weights is None else _row_weights(weights, n)
     total = w.sum()
     z = logits.value
     m = z.max(axis=1, keepdims=True)

@@ -1,6 +1,7 @@
 """CLI chain, exit codes, overwrite protection, and artifact determinism."""
 
 import json
+import math
 import os
 
 import pytest
@@ -223,6 +224,23 @@ def test_run_log_records_arguments_not_handlers(chain):
     args = json.loads(text)["args"]
     assert "fn" not in args
     assert args["out"] == str(target)
+
+
+def test_training_logs_carry_loss_curves(chain):
+    root, config = chain
+    cfg = PipelineConfig.from_file(config)
+    logged = {
+        name: json.loads((root / f"{name}.json.log.json").read_text())["loss_curves"]
+        for name in ("encoder", "bundle")
+    }
+    assert set(logged["encoder"]) == {"encoder"}
+    assert set(logged["bundle"]) == {"encoder", "matcher"}
+    epochs = {"encoder": cfg.encoder_epochs, "matcher": cfg.matcher_epochs}
+    for curves in logged.values():
+        for model, curve in curves.items():
+            assert len(curve) == epochs[model]
+            assert all(math.isfinite(loss) for loss in curve)
+            assert curve[-1] < curve[0]
 
 
 def test_usage_errors_exit_one():

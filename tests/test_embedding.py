@@ -460,3 +460,115 @@ def test_split_pair_scores_equal_concat_form():
         z = np.concatenate([feats[src], feats[dst]], axis=1) @ w
         want = np.where(z > 0, z, 0.01 * z) @ a.T
         assert np.abs(scores - want).max() <= 1e-12
+
+
+# -- class batch ----------------------------------------------------------------
+
+
+def _classes_embed_as_nodes(tsgs, config=HanConfig(dim=6, seed=11)):
+    """Node batch and class batch of ``tsgs``, checked to embed within 1e-12
+    and to count every node once."""
+    nodes = SubgraphBatch(tsgs, config)
+    classes = nodes.classes()
+    params = init_han_params(config)
+    want = embed_batch(nodes, params, config).value
+    assert np.abs(embed_batch(classes, params, config).value - want).max() <= 1e-12
+    per_graph = np.bincount(classes.graph_of.ids, classes.sizes)
+    assert (per_graph == [t.n_nodes for t in tsgs]).all()
+    for mp, (_, dst) in classes.pairs.items():
+        # a class's pair counts add up to each of its nodes' neighbour count
+        degree = np.bincount(dst.ids, classes.pair_weights[mp], len(classes.sizes))
+        assert degree @ classes.sizes == len(nodes.pairs[mp][1])
+    assert nodes.pair_weights is None and nodes.sizes is None
+    return nodes, classes
+
+
+def test_class_batch_embeds_random_subgraphs_as_node_batch():
+    gen = Rng(93)
+    tsgs = [_random_tsg(gen, int(gen.integers(2, 8)), int(gen.integers(3, 25)))
+            for _ in range(7)]
+    nodes, classes = _classes_embed_as_nodes(tsgs)
+    assert classes.features.rows < nodes.features.rows
+    for mp in META_PATHS:
+        assert len(classes.pairs[mp][0]) < len(nodes.pairs[mp][0])
+
+
+def test_class_batch_counts_repeated_neighbour_classes():
+    # pb and pc form one class: pa's MP2 neighbours are itself once and that
+    # class twice, so its softmax needs the pair counts
+    tsg = _tsg([("pa", "write", "doc", EntityType.FILE),
+                ("pb", "write", "doc", EntityType.FILE),
+                ("pc", "write", "doc", EntityType.FILE),
+                ("pa", "write", "log", EntityType.FILE)])
+    _, classes = _classes_embed_as_nodes([tsg])
+    assert (classes.sizes == [1.0, 1.0, 1.0, 2.0]).all()  # doc, log, pa, {pb, pc}
+    dst = classes.pairs["MP2"][1].ids
+    assert (classes.pair_weights["MP2"][dst == 2] == [1.0, 2.0]).all()  # pa
+
+
+def test_class_batch_with_isolated_nodes():
+    g = make_graph([("pa", "read", "f", EntityType.FILE),
+                    ("py", "read", "g", EntityType.FILE),
+                    ("pz", "write", "h", EntityType.FILE)])
+    sub = TechniqueSubgraph(g.induced(["pa", "f", "py", "pz"]), ["pa"], "pa")
+    _, classes = _classes_embed_as_nodes([sub, _tsg([("pa", "launch", "pb",
+                                                     EntityType.PROCESS)])])
+    # py and pz lost their edges with their objects: one class of two
+    assert 2.0 in classes.sizes[classes.graph_of.ids == 0]
+
+
+def test_class_batch_with_self_loop_launch():
+    tsg = _tsg([("pa", "launch", "pa", EntityType.PROCESS),
+                ("pa", "launch", "pb", EntityType.PROCESS),
+                ("pc", "launch", "pb", EntityType.PROCESS),
+                ("pb", "read", "f", EntityType.FILE)])
+    _classes_embed_as_nodes([tsg])
+
+
+def test_class_batch_of_distinct_nodes_is_the_node_batch():
+    tsgs = [_tsg([("p0", "launch", "p1", EntityType.PROCESS),
+                  ("p1", "launch", "p2", EntityType.PROCESS),
+                  ("p1", "write", "f", EntityType.FILE)])]
+    config = HanConfig(dim=6, seed=12)
+    nodes, classes = _classes_embed_as_nodes(tsgs, config)
+    assert (classes.features.value == nodes.features.value).all()
+    assert (classes.graph_of.ids == nodes.graph_of.ids).all()
+    assert (classes.sizes == 1).all()
+    for mp, (src, dst) in nodes.pairs.items():
+        assert (classes.pairs[mp][0].ids == src.ids).all()
+        assert (classes.pairs[mp][1].ids == dst.ids).all()
+        assert (classes.pair_weights[mp] == 1).all()
+    params = init_han_params(config)
+    assert (embed_batch(classes, params, config).value
+            == embed_batch(nodes, params, config).value).all()
+
+
+def test_class_batch_of_one_class():
+    # a launch cycle: every process launched one and was launched by one
+    cycle = _tsg([("p0", "launch", "p1", EntityType.PROCESS),
+                  ("p1", "launch", "p2", EntityType.PROCESS),
+                  ("p2", "launch", "p0", EntityType.PROCESS)])
+    _, classes = _classes_embed_as_nodes([cycle])
+    assert classes.features.rows == 1 and (classes.sizes == [3.0]).all()
+    assert (classes.pair_weights["MP1"] == [2.0]).all()  # itself and its child
+    for mp in ("MP2", "MP3", "MP4"):
+        assert (classes.pair_weights[mp] == [1.0]).all()
+
+
+def test_grad_check_through_class_batch():
+    gen = Rng(94)
+    tsgs = [_random_tsg(gen, 4, int(gen.integers(5, 12))) for _ in range(3)]
+    config = HanConfig(dim=3, seed=13)
+    batch = SubgraphBatch(tsgs, config).classes()
+    assert batch.features.rows < sum(t.n_nodes for t in tsgs)
+    tape = GradientTape()
+    params = {
+        name: tape.parameter(name, value)
+        for name, value in init_han_params(config).items()
+    }
+    probe = Matrix(gen.normal(0, 1, size=(len(tsgs), 3)))
+
+    def loss():
+        return nm.sum_all(nm.mul(embed_batch(batch, params, config), probe))
+
+    assert nm.grad_check(loss, list(params.values()), eps=1e-5) < 1e-4

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from provrec import numerics as nm
+from provrec.config import PipelineConfig
 from provrec.embedding import (
     HanConfig,
     HanEncoder,
@@ -14,6 +15,7 @@ from provrec.embedding import (
     embed_subgraph,
     init_han_params,
 )
+from provrec.evaluation import split_few_shot
 from provrec.graph import EntityType
 from provrec.matching import (
     DISTANCES,
@@ -33,6 +35,7 @@ from provrec.matching import (
 )
 from provrec.numerics import GradientTape, Matrix, Rng
 from provrec.sampling import TechniqueSubgraph
+from provrec.synthetic import generate_scenario
 
 from conftest import make_graph
 
@@ -537,12 +540,18 @@ def test_batched_epoch_matches_looped_reference(kind):
         tape.backward(loss)
         return loss.item(), {k: p.grad for k, p in params.items()}
 
-    def batched(params):
-        z = project(embed_batch(SubgraphBatch(tsgs, config), params, config),
+    def batched(params, batch=SubgraphBatch(tsgs, config)):
+        z = project(embed_batch(batch, params, config),
                     params["out_w"], params["out_b"])
         rows = [nm.RowIndex([getattr(t, r) for t in triplets], len(tsgs))
                 for r in ("anchor", "positive", "negative")]
         return triplet_loss(z, *rows, 1.0, kind)
+
+    classes = SubgraphBatch(tsgs, config).classes()
+    assert classes.features.rows < sum(t.n_nodes for t in tsgs)
+
+    def classed(params):
+        return batched(params, classes)
 
     def looped(params):
         z = [nm.leaky_relu(nm.add(nm.matmul(embed_subgraph(t, params, config),
@@ -555,12 +564,43 @@ def test_batched_epoch_matches_looped_reference(kind):
                 total = term if total is None else nm.add(total, term)
         return nm.scale(total, 1.0 / (2 * len(triplets)))
 
-    loss_b, grads_b = loss_and_grads(batched)
     loss_l, grads_l = loss_and_grads(looped)
-    assert loss_b > 0
-    assert abs(loss_b - loss_l) <= 1e-12
-    for name in init:
-        assert np.abs(grads_b[name] - grads_l[name]).max() <= 1e-12, name
+    for forward in (batched, classed):
+        loss_b, grads_b = loss_and_grads(forward)
+        assert loss_b > 0
+        assert abs(loss_b - loss_l) <= 1e-12
+        for name in init:
+            assert np.abs(grads_b[name] - grads_l[name]).max() <= 1e-12, name
+
+
+def _train_on_nodes(samples, config, monkeypatch):
+    """``train_matcher`` on the per-node batch: the reference its class batch
+    must reproduce."""
+    with monkeypatch.context() as patch:
+        patch.setattr(SubgraphBatch, "classes", lambda batch: batch)
+        return train_matcher(samples, config)
+
+
+@pytest.mark.parametrize("seed,distance,metapaths", [
+    (0, "euclidean", None), (0, "cosine", None), (3, "euclidean", None),
+    (3, "euclidean", ("MP1", "MP2")),
+], ids=["seed0", "seed0_cosine", "seed3", "seed3_mp1_mp2"])
+def test_class_training_matches_node_training(seed, distance, metapaths,
+                                              monkeypatch):
+    config = PipelineConfig(seed=seed)
+    train, _ = split_few_shot(generate_scenario(config.scenario_spec(), seed=seed),
+                              config.shots, seed)
+    samples = [(s.truth, s.technique) for s in train]
+    matcher = config.matcher_config()
+    matcher = dataclasses.replace(matcher, distance=distance, han=dataclasses.replace(
+        matcher.han, metapaths=metapaths or matcher.han.metapaths))
+    got = train_matcher(samples, matcher)
+    want = _train_on_nodes(samples, matcher, monkeypatch)
+    assert len(got.loss_curve) == matcher.epochs
+    curve = np.array(want.loss_curve)
+    assert (np.abs(np.array(got.loss_curve) - curve) <= 1e-12 * np.abs(curve)).all()
+    for name, value in want.weights().items():
+        assert np.abs(got.weights()[name] - value).max() <= 1e-12, name
 
 
 def test_embed_many_matches_single_embeds(small_model):

@@ -201,6 +201,8 @@ OP_CASES = [
     ("concat_rows", [(2, 3), (4, 3), (1, 3)], lambda a, b, c: nm.concat_rows([a, b, c])),
     ("slice_rows", [(5, 3)], lambda a: nm.slice_rows(a, 1, 4)),
     ("row_sums", [(3, 5)], lambda a: nm.row_sums(a)),
+    ("segment_softmax_weighted", [(6, 1)], lambda a: nm.segment_softmax(
+        a, np.array([0, 0, 0, 1, 1, 2]), 3, np.array([1.0, 3.0, 2.0, 1.0, 4.0, 2.0]))),
 ]
 
 
@@ -247,6 +249,59 @@ def test_segment_softmax_matches_plain_softmax_per_segment():
         return nm.sum_all(nm.mul(nm.segment_softmax(s, seg, 3), probe))
 
     assert nm.grad_check(loss, [s], eps=1e-5) < 1e-4
+
+
+def test_segment_softmax_without_weights_is_the_plain_formula():
+    rng = Rng(84)
+    scores = rng.normal(0, 3, size=(9, 1))
+    seg = np.array([2, 0, 2, 1, 0, 2, 1, 1, 2])
+    shifted = scores[:, 0] - np.array([scores[seg == s, 0].max() for s in range(3)])[seg]
+    e = np.exp(shifted)
+    want = e / np.bincount(seg, e, 3)[seg]
+    tape = GradientTape()
+    s = tape.parameter("s", scores)
+    out = nm.segment_softmax(s, seg, 3, weights=None)
+    assert (out.value[:, 0] == want).all()
+    probe = rng.normal(0, 1, size=9)
+    tape.backward(nm.sum_all(nm.mul(out, probe.reshape(-1, 1))))
+    assert (s.grad[:, 0] == want * (probe - np.bincount(seg, probe * want, 3)[seg])).all()
+
+
+def test_segment_softmax_integer_weights_repeat_rows():
+    rng = Rng(85)
+    scores = rng.normal(0, 2, size=(7, 1))
+    seg = np.array([0, 0, 0, 1, 1, 2, 2])
+    counts = np.array([1, 3, 2, 1, 4, 2, 1])
+    owner = np.repeat(np.arange(7), counts)  # row k copied counts[k] times
+    probe = rng.normal(0, 1, size=(7, 1))
+    tape = GradientTape()
+    s = tape.parameter("s", scores)
+
+    def weighted():
+        return nm.segment_softmax(s, seg, 3, counts)
+
+    def repeated():
+        copies = nm.segment_softmax(nm.gather_rows(s, owner), seg[owner], 3)
+        return nm.segment_sum(copies, owner, 7)  # each row's copies together
+
+    values, grads = [], []
+    for fn in (weighted, repeated):
+        out = fn()
+        tape.backward(nm.sum_all(nm.mul(out, probe)))
+        values.append(out.value.copy())
+        grads.append(s.grad.copy())
+    assert np.abs(values[0] - values[1]).max() <= 1e-15
+    assert np.abs(grads[0] - grads[1]).max() <= 1e-15
+    assert np.allclose(np.bincount(seg, values[0][:, 0]), 1.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("weights", [
+    [1.0, -1.0, 2.0], [1.0, np.nan, 2.0], [1.0, np.inf, 2.0], [1.0, 2.0],
+    [0.0, 0.0, 0.0],
+], ids=["negative", "nan", "inf", "short", "zero_sum"])
+def test_segment_softmax_rejects_bad_weights(weights):
+    with pytest.raises(NumericsError):
+        nm.segment_softmax(Matrix(np.zeros((3, 1))), [0, 0, 1], 2, weights)
 
 
 def test_spmm_gradient_and_value():
