@@ -19,6 +19,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import features as ft
 from .config import ConfigError, PipelineConfig
 from .evaluation import (
@@ -50,6 +52,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_MODEL = 3
+
+# anomaly-score quantiles a detect-noi run log records
+SCORE_QUANTILES = (0, 0.5, 0.9, 0.99, 1)
 
 
 class UsageError(Exception):
@@ -200,6 +205,14 @@ def _cmd_detect_noi(args, config: PipelineConfig) -> int:
     encoder = load_model(args.encoder, expect_kind="gnn_encoder")
     report = detect(graph, encoder, config, config.seed)
     _write_json(report.to_dict(), Path(args.out))
+    scores = np.fromiter(report.scores.values(), dtype=np.float64)
+    args.log["detection"] = {
+        "scored": len(scores),
+        "flagged": len(report.flagged),
+        "score_quantiles": {
+            str(q): float(np.quantile(scores, q)) for q in SCORE_QUANTILES
+        } if len(scores) else None,
+    }
     print(f"flagged {len(report.flagged)} of {len(report.scores)} process nodes")
     return EXIT_OK
 
@@ -219,6 +232,17 @@ def _cmd_sample(args, config: PipelineConfig) -> int:
     }
     _write_json(payload, Path(args.out))
     sizes = [t.n_nodes for t in subgraphs]
+    consumed = sum(len(t.nois) for t in subgraphs)
+    args.log["carving"] = {
+        "lam": config.lam,
+        "min_nois": config.min_nois,
+        "carves": len(subgraphs),
+        "carve_nodes": sizes,
+        "flags_consumed": consumed,
+        # every flag is consumed by some walk; these were in walks that
+        # reached fewer than min_nois flags
+        "flags_dropped": len(set(report.flagged)) - consumed,
+    }
     print(f"sampled {len(subgraphs)} subgraphs (node counts {sizes})")
     return EXIT_OK
 

@@ -65,13 +65,10 @@ def metapath_pairs(tsg: TechniqueSubgraph, mp: str) -> tuple[np.ndarray, np.ndar
 
     Node k neighbors node i when i launched k (MP1) or both act on one
     object (MP2-MP4), and every node neighbors itself. Pairs are ordered by
-    target node then by source node. Cached on the subgraph.
+    target node then by source node.
     """
     if mp not in META_PATHS:
         raise ValueError(f"unknown meta-path {mp!r}")
-    cached = tsg._metapath_cache.get(mp)
-    if cached is not None:
-        return cached
     n = tsg.n_nodes
     src, dst, etype = tsg.graph.edge_arrays()
     on_path = np.isin(etype, list(EDGE_GROUPS[_MP_OBJECT[mp]]))
@@ -87,9 +84,7 @@ def metapath_pairs(tsg: TechniqueSubgraph, mp: str) -> tuple[np.ndarray, np.ndar
         cols = subject[np.repeat(first, size) + step]
     # key i * n + k of target i and source k sorts by target, then by source
     keys = np.unique(np.concatenate([rows * n + cols, np.arange(n) * (n + 1)]))
-    pair = (keys % n, keys // n)
-    tsg._metapath_cache[mp] = pair
-    return pair
+    return keys % n, keys // n
 
 
 @dataclass
@@ -405,8 +400,8 @@ def embed_subgraph(
     arrays or tape-registered matrices, and ``attention`` rows and indices
     are the subgraph's own.
     """
-    # a subgraph never changes, so its one-subgraph batch (indices and their
-    # scatter matrices) is kept beside its cached meta-path pairs
+    # a subgraph never changes, so its one-subgraph batch (meta-path pairs,
+    # indices and their scatter matrices) is kept on it for repeated forwards
     key = ("batch", config.metapaths, config.log1p_features)
     batch = tsg._metapath_cache.get(key)
     if batch is None:

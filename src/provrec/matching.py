@@ -23,7 +23,7 @@ from .embedding import (
     HanEncoder,
     SubgraphBatch,
     embed_batch,
-    embed_subgraph,
+    embed_subgraph,  # noqa: F401 (perfbench's traced run wraps it here)
     init_han_params,
 )
 from .features import init_weight
@@ -134,9 +134,12 @@ class SiameseModel:
         self._hash: str | None = None
 
     def embed(self, tsg: TechniqueSubgraph) -> np.ndarray:
-        """Branch output: encoder vector through the projection layer."""
-        h = embed_subgraph(tsg, self.encoder.matrices, self.config.han)
-        return project(h, *self.head).value[0]
+        """Branch output: encoder vector through the projection layer.
+
+        The one-subgraph batch is built afresh and dropped, so a query keeps
+        no batch on itself.
+        """
+        return self.embed_many([tsg])[0]
 
     def embed_many(self, subgraphs: Sequence[TechniqueSubgraph]) -> np.ndarray:
         """Branch outputs of several subgraphs from one batched forward."""

@@ -106,13 +106,17 @@ def select_seed(nois: Iterable[str], graph: ProvenanceGraph) -> str:
         raise GraphError(f"unknown node {exc.args[0]!r}") from None
 
 
-def _undirected_adjacency(graph: ProvenanceGraph) -> dict[str, list[str]]:
-    adj: dict[str, dict[str, None]] = {nid: {} for nid in graph.nodes}
-    for e in graph.edges:
-        if e.src != e.dst:
-            adj[e.src].setdefault(e.dst, None)
-            adj[e.dst].setdefault(e.src, None)
-    return {nid: list(nbrs) for nid, nbrs in adj.items()}
+def _undirected_rows(graph: ProvenanceGraph) -> list[list[int]]:
+    """Each node row's distinct neighbour rows over both edge directions;
+    self-loops are dropped."""
+    n = graph.n_nodes
+    src, dst, _ = graph.edge_arrays()
+    keep = src != dst
+    keys = np.unique(np.concatenate([src[keep] * n + dst[keep],
+                                     dst[keep] * n + src[keep]]))
+    bounds = np.searchsorted(keys // n, np.arange(n + 1)).tolist()
+    cols = (keys % n).tolist()
+    return [cols[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def lambda_dfs(
@@ -124,48 +128,88 @@ def lambda_dfs(
     simple path of at most ``lam`` hops that ends at another flagged node is
     retained in full (benign intermediates included); paths that find no
     flagged node are abandoned. Newly reached flagged nodes are expanded in
-    turn, each at most once, so the walk terminates on cyclic graphs.
+    turn, each exactly once, so the walk terminates on cyclic graphs.
+
+    The result is a closure: the flags reached from the seed plus every node
+    on a <= ``lam``-hop simple path between two of them with no flagged
+    inner node. It does not depend on the order of the search, so the walk
+    skips every subtree that can retain no new node. Two tables built per
+    call, over unflagged nodes within ``lam - 1`` hops of a flag, decide it:
+    ``dist[x]``, the fewest hops from x to a flag through unflagged nodes,
+    and ``reach[r][x]``, the bitset of nodes on walks of <= r hops from x
+    that end at their first flag. The walk does not step onto an unflagged
+    node x that leaves r hops when
+
+    - ``dist[x] > r``: no path through x reaches a flag in time; or
+    - every node of the current path is retained and ``reach[r][x]`` is too:
+      a path through x retains only the current path and nodes of
+      ``reach[r][x]``, and the flag it ends at, being retained, was queued
+      for its own expansion when it was first retained.
     """
     noi_set = set(nois)
     if seed not in noi_set:
         raise ValueError(f"seed {seed!r} is not in the noi set")
     if lam < 1:
         raise ValueError("lam must be at least 1")
-    adj = _undirected_adjacency(graph)
+    index = graph.node_index()
+    if seed not in index:
+        raise GraphError(f"unknown node {seed!r}")
+    adj = _undirected_rows(graph)
+    flags = [index[nid] for nid in noi_set if nid in index]
 
-    retained: set[str] = {seed}
-    expanded: set[str] = set()
-    frontier: list[str] = [seed]
+    # dist by a BFS from every flag through unflagged nodes; a node farther
+    # than lam - 1 hops keeps lam, which no hop budget on the walk admits
+    dist = [lam] * graph.n_nodes
+    for x in flags:
+        dist[x] = 0
+    near, ring = [], flags
+    for d in range(1, lam):
+        reached = []
+        for x in ring:
+            for y in adj[x]:
+                if dist[y] == lam:
+                    dist[y] = d
+                    reached.append(y)
+        near += reached
+        ring = reached
+    # reach[r][x]: a Python-int bitset over node rows, 0 when dist[x] > r
+    reach = [[0] * graph.n_nodes]
+    for r in range(1, lam):
+        prev, level = reach[-1], [0] * graph.n_nodes
+        for x in near:
+            if dist[x] <= r:
+                bits = 1 << x
+                for y in adj[x]:
+                    bits |= prev[y] if dist[y] else 1 << y
+                level[x] = bits
+        reach.append(level)
+
+    # every flag enters the frontier once, when it is first retained
+    start = index[seed]
+    retained = 1 << start
+    frontier = [start]
+
+    def walk(node: int, path: int, rem: int) -> None:
+        """Extend ``path`` (a bitset ending at ``node``) by up to ``rem`` hops."""
+        nonlocal retained
+        for nb in adj[node]:
+            bit = 1 << nb
+            if path & bit:
+                continue
+            d = dist[nb]
+            if d == 0:  # a flag; the restart from it owns any deeper search
+                if not retained & bit:
+                    frontier.append(nb)
+                retained |= path | bit
+            elif d < rem and (path | reach[rem - 1][nb]) & ~retained:
+                walk(nb, path | bit, rem - 1)
 
     while frontier:
         u = frontier.pop()
-        if u in expanded:
-            continue
-        expanded.add(u)
-        path = [u]
-        on_path = {u}
+        walk(u, 1 << u, lam)
 
-        def walk(node: str, depth: int) -> None:
-            if depth == lam:
-                return
-            for nb in adj[node]:
-                if nb in on_path:
-                    continue
-                if nb in noi_set:
-                    retained.update(path)
-                    retained.add(nb)
-                    if nb not in expanded:
-                        frontier.append(nb)
-                    continue  # the restart from nb owns any deeper search
-                path.append(nb)
-                on_path.add(nb)
-                walk(nb, depth + 1)
-                path.pop()
-                on_path.remove(nb)
-
-        walk(u, 0)
-
-    return retained
+    ids = graph.node_ids()
+    return {ids[x] for x in flags + near if retained >> x & 1}
 
 
 def sample_subgraphs(

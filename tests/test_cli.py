@@ -9,10 +9,10 @@ import pytest
 from provrec.cli import EXIT_DATA, EXIT_MODEL, EXIT_OK, EXIT_USAGE, main
 from provrec.config import PipelineConfig
 from provrec.evaluation import detect
-from provrec.graph import ProvenanceGraph
+from provrec.graph import EntityType, ProvenanceGraph
 from provrec.persistence import ModelFormatError, load_model
 
-from conftest import rewritten_checkpoint
+from conftest import make_graph, rewritten_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +197,55 @@ def test_outputs_require_force_to_overwrite(chain):
                "--out", target) == EXIT_DATA
     assert run("ingest", "--events", root / "ds" / "events" / "e0001.jsonl",
                "--out", target, "--force") == EXIT_OK
+
+
+def test_detect_noi_log_records_flags_and_score_quantiles(chain):
+    root, _ = chain
+    report = json.loads((root / "noi.json").read_text())
+    logged = json.loads((root / "noi.json.log.json").read_text())["detection"]
+    scores = sorted(row["score"] for row in report["nois"])
+    assert logged["scored"] == len(scores)
+    assert logged["flagged"] == sum(row["flagged"] for row in report["nois"])
+    quantiles = logged["score_quantiles"]
+    assert list(quantiles) == ["0", "0.5", "0.9", "0.99", "1"]
+    assert quantiles["0"] == scores[0] and quantiles["1"] == scores[-1]
+    assert list(quantiles.values()) == sorted(quantiles.values())
+
+
+def test_sample_log_records_what_was_carved(chain):
+    root, config = chain
+    cfg = PipelineConfig.from_file(config)
+    payload = json.loads((root / "subs.json").read_text())
+    flagged = [row for row in json.loads((root / "noi.json").read_text())["nois"]
+               if row["flagged"]]
+    logged = json.loads((root / "subs.json.log.json").read_text())["carving"]
+    carves = payload["subgraphs"]
+    assert (logged["lam"], logged["min_nois"]) == (cfg.lam, cfg.min_nois)
+    assert logged["carves"] == len(carves)
+    assert logged["carve_nodes"] == [len(t["nodes"]) for t in carves]
+    assert logged["flags_consumed"] == sum(len(t["nois"]) for t in carves)
+    assert logged["flags_consumed"] + logged["flags_dropped"] == len(flagged)
+
+
+def test_sample_log_counts_flags_dropped_under_min_nois(tmp_path):
+    # three flags around one file, and a fourth four hops away from them
+    make_graph(
+        [(f"m{i}", "write", "shared", EntityType.FILE) for i in range(3)]
+        + [("m0", "launch", "far0", EntityType.PROCESS),
+           ("far0", "launch", "far1", EntityType.PROCESS),
+           ("far1", "launch", "far2", EntityType.PROCESS),
+           ("far2", "launch", "lone", EntityType.PROCESS)]
+    ).save(tmp_path / "g.json")
+    nois = {"threshold": 0.6, "contamination": None, "nois": [
+        {"node_id": nid, "score": 0.7, "flagged": True}
+        for nid in ("m0", "m1", "m2", "lone")]}
+    (tmp_path / "noi.json").write_text(json.dumps(nois))
+    assert run("--set", "min_nois=3", "--set", "lam=2", "sample",
+               "--graph", tmp_path / "g.json", "--nois", tmp_path / "noi.json",
+               "--out", tmp_path / "subs.json") == EXIT_OK
+    logged = json.loads((tmp_path / "subs.json.log.json").read_text())["carving"]
+    assert logged == {"lam": 2, "min_nois": 3, "carves": 1, "carve_nodes": [4],
+                      "flags_consumed": 3, "flags_dropped": 1}
 
 
 def test_run_log_requires_force_to_overwrite(chain):

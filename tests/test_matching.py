@@ -16,6 +16,7 @@ from provrec.embedding import (
     init_han_params,
 )
 from provrec.evaluation import split_few_shot
+from provrec.features import FEATURE_DIM
 from provrec.graph import EntityType
 from provrec.matching import (
     DISTANCES,
@@ -191,10 +192,30 @@ def test_inference_embeds_reuse_the_wrapped_weights(small_model, monkeypatch):
 
     monkeypatch.setattr(Matrix, "__init__", counting_init)
     first, second = model.embed(tsg), model.embed(tsg)
-    # the batch's feature block once and each embed's per-subgraph node count;
-    # no weight is copied
-    assert len(made) <= 3, made
+    # each embed wraps only its own batch's feature block and the subgraph's
+    # node count; no weight is copied
+    assert made == [(tsg.n_nodes, FEATURE_DIM), (1, 1)] * 2, made
     assert (first == want).all() and (second == want).all()
+
+
+def test_embed_equals_the_one_subgraph_forward(small_model):
+    samples, model = small_model
+    han = model.config.han
+    for tsg, _ in samples:
+        want = project(embed_subgraph(tsg, model.encoder.matrices, han), *model.head)
+        assert (model.embed(tsg) == want.value[0]).all()
+
+
+def test_recognize_keeps_no_batch_on_the_query(small_model):
+    samples, model = small_model
+    exemplars = ExemplarSet()
+    for tsg, tech in samples:
+        if tech not in exemplars.techniques():
+            exemplars.add_exemplar(tech, "TA", tsg, model)
+    query = _variant("socks", 6)
+    recognize(query, exemplars, model)
+    assert not [k for k in query._metapath_cache if k[0] == "batch"]
+    assert query._metapath_cache == {}  # nor its meta-path pairs
 
 
 def test_cosine_mode_distance_properties():

@@ -1,9 +1,11 @@
 """Seed selection, hop-limited search, subgraph carving, and overlap metrics."""
 
+import time
+
 import networkx as nx
 import pytest
 
-from provrec.graph import EntityType, GraphError
+from provrec.graph import EntityType, Event, GraphError, build_graph, graph_to_events
 from provrec.numerics import Rng
 from provrec.sampling import (
     TechniqueSubgraph,
@@ -13,6 +15,7 @@ from provrec.sampling import (
     sampling_metrics,
     select_seed,
 )
+from provrec.synthetic import DEFAULT_TEMPLATES, generate_sample
 
 from conftest import make_graph, random_process_graph
 
@@ -41,6 +44,61 @@ def path_closure_oracle(graph, seed, nois, lam):
                     reached.add(w)
                     frontier.append(w)
     return retained
+
+
+def _enumerating_walk(graph, seed, nois, lam):
+    """The walk without skips: from every reached flag, every simple path of
+    at most ``lam`` hops that ends at another flag is retained in full."""
+    adj = {nid: {} for nid in graph.nodes}
+    for e in graph.edges:
+        if e.src != e.dst:
+            adj[e.src].setdefault(e.dst, None)
+            adj[e.dst].setdefault(e.src, None)
+    noi_set = set(nois)
+    retained, expanded, frontier = {seed}, set(), [seed]
+    while frontier:
+        u = frontier.pop()
+        if u in expanded:
+            continue
+        expanded.add(u)
+        path = [u]
+
+        def walk(node, depth):
+            if depth == lam:
+                return
+            for nb in adj[node]:
+                if nb in path:
+                    continue
+                if nb in noi_set:
+                    retained.update(path)
+                    retained.add(nb)
+                    if nb not in expanded:
+                        frontier.append(nb)
+                    continue
+                path.append(nb)
+                walk(nb, depth + 1)
+                path.pop()
+
+        walk(u, 0)
+    return retained
+
+
+def hub_graph(gen, k, h, extra_launches=0):
+    """k processes that each read every one of h shared files, each with its
+    own written file, joined by a random launch tree plus extra launches."""
+    triples = [(f"p{int(gen.integers(i))}", "launch", f"p{i}", EntityType.PROCESS)
+               for i in range(1, k)]
+    for _ in range(extra_launches):
+        a, b = int(gen.integers(k)), int(gen.integers(k))
+        triples.append((f"p{a}", "launch", f"p{b}", EntityType.PROCESS))
+    for i in range(k):
+        triples += [(f"p{i}", "read", f"hub{j}", EntityType.FILE) for j in range(h)]
+        triples.append((f"p{i}", "write", f"own{i}", EntityType.FILE))
+    return make_graph(triples)
+
+
+def random_flags(gen, ids, k):
+    return [ids[i] for i in gen.choice(len(ids), size=min(k, len(ids)), replace=False)]
 
 
 # -- select_seed --------------------------------------------------------------
@@ -156,6 +214,124 @@ def test_matches_path_closure_oracle(lam):
         nois = [ids[i] for i in gen.choice(len(ids), size=min(k, len(ids)), replace=False)]
         seed = nois[0]
         assert lambda_dfs(g, seed, nois, lam) == path_closure_oracle(g, seed, nois, lam)
+    hubs = Rng(4100 + lam)
+    for _ in range(15):
+        g = hub_graph(hubs, int(hubs.integers(3, 9)), int(hubs.integers(1, 4)),
+                      int(hubs.integers(0, 4)))
+        nois = random_flags(hubs, g.node_ids(), int(hubs.integers(2, 6)))
+        seed = nois[0]
+        assert lambda_dfs(g, seed, nois, lam) == path_closure_oracle(g, seed, nois, lam)
+
+
+# -- the skips keep the enumerating walk's result -------------------------------
+
+
+@pytest.mark.parametrize("lam", [1, 2, 3, 4, 5])
+def test_random_graphs_match_the_enumerating_walk(lam):
+    gen = Rng(4200 + lam)
+    for _ in range(40):
+        n = int(gen.integers(4, 26))
+        g = random_process_graph(gen, n, int(gen.integers(n, 3 * n)))
+        ids = g.node_ids()
+        nois = random_flags(gen, ids, int(gen.integers(1, max(2, len(ids) // 2))))
+        for seed in nois[:3]:
+            assert lambda_dfs(g, seed, nois, lam) == _enumerating_walk(g, seed, nois, lam)
+
+
+@pytest.mark.parametrize("lam", [2, 3, 4])
+def test_hub_graphs_match_the_enumerating_walk(lam):
+    gen = Rng(4300 + lam)
+    for _ in range(12):
+        g = hub_graph(gen, int(gen.integers(5, 40)), int(gen.integers(1, 4)),
+                      int(gen.integers(0, 10)))
+        procs = [n for n in g.node_ids() if n.startswith("p")]
+        nois = random_flags(gen, procs, int(gen.integers(2, 10)))
+        seed = select_seed(nois, g)
+        assert lambda_dfs(g, seed, nois, lam) == _enumerating_walk(g, seed, nois, lam)
+
+
+def test_self_loops_and_multi_edges_match_the_enumerating_walk():
+    gen = Rng(4400)
+    for _ in range(30):
+        n = int(gen.integers(4, 16))
+        triples = []
+        for _ in range(int(gen.integers(n, 3 * n))):
+            a, b = f"p{int(gen.integers(n))}", f"p{int(gen.integers(n))}"
+            triples += [(a, "launch", b, EntityType.PROCESS)] * int(gen.integers(1, 4))
+            if gen.integers(3) == 0:
+                triples.append((a, "write", f"f{int(gen.integers(4))}", EntityType.FILE))
+        g = make_graph(triples)
+        ids = g.node_ids()
+        nois = random_flags(gen, ids, int(gen.integers(1, max(2, len(ids) // 2))))
+        for lam in (1, 2, 3, 4):
+            got = lambda_dfs(g, nois[0], nois, lam)
+            assert got == _enumerating_walk(g, nois[0], nois, lam)
+
+
+def test_seed_with_no_flag_within_lambda_returns_itself():
+    g = make_graph(
+        [("s", "launch", "x", EntityType.PROCESS),
+         ("s", "launch", "s", EntityType.PROCESS),
+         ("x", "read", "hub", EntityType.FILE)]
+        + [(f"q{i}", "read", "hub", EntityType.FILE) for i in range(20)]
+        + [("q0", "launch", "y", EntityType.PROCESS),
+           ("y", "launch", "z", EntityType.PROCESS),
+           ("z", "launch", "far", EntityType.PROCESS)]
+    )
+    # the one path to the other flag, s-x-hub-q0-y-z-far, takes 6 hops
+    nois = {"s", "far"}
+    for lam in (1, 2, 3, 4, 5):
+        assert lambda_dfs(g, "s", nois, lam) == _enumerating_walk(g, "s", nois, lam)
+    assert lambda_dfs(g, "s", nois, 5) == {"s"}
+    assert lambda_dfs(g, "s", nois, 6) == {"s", "x", "hub", "q0", "y", "z", "far"}
+
+
+def _with_hubs(graph, h):
+    """``graph`` where every process also reads each of h shared files."""
+    procs = [n for n in graph.node_ids() if graph.entity_type(n) == EntityType.PROCESS]
+    events = graph_to_events(graph)
+    events += [Event(p, EntityType.PROCESS, "read", f"hub_lib{j}", EntityType.FILE, 0)
+               for p in procs for j in range(h)]
+    return build_graph(events), procs
+
+
+def test_generated_hub_host_matches_the_enumerating_walk():
+    gen = Rng(4500)
+    sample = generate_sample(DEFAULT_TEMPLATES[1], gen.split("host"), 200, 0.05)
+    g, procs = _with_hubs(sample.graph, 3)
+    nois = sorted(set(sample.truth.nois) | set(random_flags(gen, procs, 2)))
+    seed = select_seed(nois, g)
+    got = lambda_dfs(g, seed, nois, 4)
+    assert got == _enumerating_walk(g, seed, nois, 4)
+    assert len(got) > 200  # the hubs put most processes on a flag-to-flag path
+
+
+# -- scale ---------------------------------------------------------------------
+
+
+def _timed_carve(graph, nois, lam):
+    started = time.perf_counter()
+    subs = sample_subgraphs(graph, nois, lam=lam, min_nois=5)
+    return subs, time.perf_counter() - started
+
+
+def test_four_hundred_processes_on_three_hubs_carve_in_under_a_second():
+    gen = Rng(4600)
+    g = hub_graph(gen, 400, 3)
+    nois = random_flags(gen, [f"p{i}" for i in range(400)], 10)
+    subs, seconds = _timed_carve(g, nois, 4)
+    assert [set(s.nois) for s in subs] == [set(nois)]
+    assert subs[0].n_nodes > 400  # every process and hub is on a flag-to-flag path
+    assert seconds < 1.0
+
+
+def test_hub_free_host_of_800_nodes_carves_in_under_a_second():
+    gen = Rng(4700)
+    g = generate_sample(DEFAULT_TEMPLATES[0], gen.split("host"), 430, 0.05).graph
+    assert 750 <= g.n_nodes <= 850
+    procs = sorted(n for n in g.node_ids() if g.entity_type(n) == EntityType.PROCESS)
+    subs, seconds = _timed_carve(g, random_flags(gen, procs, 60), 4)
+    assert seconds < 1.0
 
 
 def test_visited_set_monotone_in_lambda():
