@@ -5,11 +5,12 @@ attention over meta-path neighbors, path-level attention across the four
 meta-paths, and graph-level attention against a global context vector. Each
 level is a segment softmax over the batch's rows followed by a segment sum:
 per target node over its neighbor pairs, per node over its meta-path rows,
-and per subgraph over its nodes. Training runs on node classes instead of
-nodes (:meth:`SubgraphBatch.classes`), with node-level and graph-level
-softmaxes and means weighted by class counts. All three attention
-distributions are proper (nonnegative, sum to one), and the whole
-composition is differentiable through the numerics layer.
+and per subgraph over its nodes. Every forward, in training and at
+recognition alike, runs on node classes instead of nodes
+(:class:`SubgraphBatch`), with node-level and graph-level softmaxes and
+means weighted by class counts; attention records are mapped back to nodes.
+All three attention distributions are proper (nonnegative, sum to one), and
+the whole composition is differentiable through the numerics layer.
 """
 
 from __future__ import annotations
@@ -193,88 +194,93 @@ class AttentionRecord:
 
 
 class SubgraphBatch:
-    """Technique subgraphs stacked into one block of rows for one forward.
+    """Technique subgraphs stacked into one block of node-class rows.
 
-    Built from subgraphs, a batch has one row per node: each subgraph's rows
-    follow its own node order, subgraph after subgraph. ``graph_of`` maps
-    every row to its subgraph; ``pairs[mp]`` holds the meta-path's (source,
-    target) rows offset into the block, still ordered by target; ``node_of``
-    maps each row of path level's path-major stack to its row. The indices
+    Nodes share a class when they lie in one subgraph and have one feature
+    row and, under every meta-path, one multiset of neighbour feature rows.
+    Node-level attention reads nothing else, so every stage gives a class's
+    nodes one output: the 1-WL argument of Xu et al., "How Powerful are Graph
+    Neural Networks?" (ICLR 2019). Classes are numbered by first node, taking
+    the subgraphs' nodes in order, and keep that node's feature row.
+    ``graph_of`` maps each class to its subgraph and ``sizes`` counts its
+    nodes. ``pairs[mp]`` holds the meta-path pairs of each class's first node
+    as (source class, target class) rows, collapsed and ordered by target
+    then source, and ``pair_weights[mp]`` their counts; attention weighted by
+    the counts gives every softmax and mean its value over nodes. ``node_of``
+    maps each row of path level's path-major stack to its class. The indices
     keep their scatter matrices, so a batch built once serves every epoch of
-    a training run. :meth:`classes` gives the batch whose rows are node
-    classes; on a per-node batch ``pair_weights`` and ``sizes`` are None.
+    a training run. For :meth:`record_nodes`, ``node_class`` and ``node_row``
+    give every node's class and feature-row class, and ``node_pairs[mp]`` its
+    pairs as :func:`metapath_pairs` lists them, offset into the node block.
     """
 
     def __init__(self, subgraphs: Sequence[TechniqueSubgraph], config: HanConfig):
         if not subgraphs:
             raise ValueError("cannot embed an empty batch of subgraphs")
-        stacked = np.vstack([tsg.features() for tsg in subgraphs])
         sizes = [tsg.n_nodes for tsg in subgraphs]
         offsets = np.cumsum([0] + sizes[:-1])
-        pairs = {}
+        n, n_graphs = sum(sizes), len(sizes)
+        graph_of = np.repeat(np.arange(n_graphs), sizes)
+        x = ft.scale_features(np.vstack([tsg.features() for tsg in subgraphs]),
+                              config.log1p_features)
+        self.node_pairs = {}
         for mp in config.metapaths:
             src, dst = zip(*(metapath_pairs(tsg, mp) for tsg in subgraphs))
-            pairs[mp] = (np.concatenate([s + o for s, o in zip(src, offsets)]),
-                         np.concatenate([d + o for d, o in zip(dst, offsets)]))
-        self._index(ft.scale_features(stacked, config.log1p_features),
-                    np.repeat(np.arange(len(sizes)), sizes), len(sizes), pairs)
-
-    def _index(self, features, graph_of, n_graphs, pairs, pair_weights=None,
-               sizes=None):
-        n = len(graph_of)
-        self.features = nm.Matrix(features)
-        self.graph_of = nm.RowIndex(graph_of, n_graphs)
-        self.pairs: dict[str, tuple[nm.RowIndex, nm.RowIndex]] = {
-            mp: (nm.RowIndex(src, n), nm.RowIndex(dst, n))
-            for mp, (src, dst) in pairs.items()
-        }
-        self.node_of = nm.RowIndex(np.tile(np.arange(n), len(pairs)), n)
-        self.pair_weights: dict[str, np.ndarray] | None = pair_weights
-        self.sizes: np.ndarray | None = sizes
-
-    def classes(self) -> "SubgraphBatch":
-        """This batch with one row per node class; each subgraph embeds the same.
-
-        Nodes share a class when they lie in one subgraph and have one feature
-        row and, under every meta-path, one multiset of neighbour feature
-        rows. Node-level attention reads nothing else, so every stage gives
-        the nodes of a class one output: the 1-WL argument of Xu et al., "How
-        Powerful are Graph Neural Networks?" (ICLR 2019). Each class keeps
-        its first node's feature row and pairs, the pairs mapped to (source
-        class, target class) and collapsed with their counts as
-        ``pair_weights[mp]``; ``sizes`` counts each class's nodes. Attention
-        weighted by these counts gives every softmax and mean the value of
-        the per-node batch.
-        """
-        n = self.features.rows
-
-        def onehot(ids, k):
-            return sparse.csr_matrix((np.ones(n), ids, np.arange(n + 1)), shape=(n, k))
-
-        row_class, row_first = ft._row_classes(sparse.csr_matrix(self.features.value))
-        by_row = onehot(row_class, len(row_first))
-        keys = [onehot(self.graph_of.ids, self.graph_of.size), by_row]
-        for src, dst in self.pairs.values():
-            adjacency = sparse.csr_matrix(
-                (np.ones(len(src)), (dst.ids, src.ids)), shape=(n, n))
-            keys.append(adjacency @ by_row)
-        node_class, first = ft._row_classes(sparse.hstack(keys, format="csr"))
+            self.node_pairs[mp] = (np.concatenate([s + o for s, o in zip(src, offsets)]),
+                                   np.concatenate([d + o for d, o in zip(dst, offsets)]))
+        # nodes whose feature rows are equal byte for byte share a row class
+        rows = x.view(np.dtype((np.void, 8 * x.shape[1])))
+        _, self.node_row = np.unique(rows.ravel(), return_inverse=True)
+        k_row = int(self.node_row.max()) + 1
+        # a node's key: its subgraph, its row class and, per meta-path, how
+        # many of its (unique) neighbours have each row class
+        width = n_graphs + (1 + len(self.node_pairs)) * k_row
+        cells = [np.arange(n) * width + graph_of,
+                 np.arange(n) * width + n_graphs + self.node_row]
+        for j, (src, dst) in enumerate(self.node_pairs.values(), start=1):
+            cells.append(dst * width + n_graphs + j * k_row + self.node_row[src])
+        cell, count = np.unique(np.concatenate(cells), return_counts=True)
+        indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(cell // width, minlength=n), out=indptr[1:])
+        self.node_class, first = ft._row_classes(sparse.csr_matrix(
+            (count.astype(np.float64), cell % width, indptr), shape=(n, width)))
         k = len(first)
         is_first = np.zeros(n, dtype=bool)
         is_first[first] = True
-        pairs, weights = {}, {}
-        for mp, (src, dst) in self.pairs.items():
-            kept = is_first[dst.ids]
+        self.pairs, self.pair_weights = {}, {}
+        for mp, (src, dst) in self.node_pairs.items():
+            kept = is_first[dst]
             # key t * k + s of target class t and source class s sorts by target
-            key, count = np.unique(node_class[dst.ids[kept]] * k
-                                   + node_class[src.ids[kept]], return_counts=True)
-            pairs[mp] = (key % k, key // k)
-            weights[mp] = count.astype(np.float64)
-        out = SubgraphBatch.__new__(SubgraphBatch)
-        out._index(self.features.value[first], self.graph_of.ids[first],
-                   self.graph_of.size, pairs, weights,
-                   np.bincount(node_class).astype(np.float64))
-        return out
+            pair, count = np.unique(self.node_class[dst[kept]] * k
+                                    + self.node_class[src[kept]], return_counts=True)
+            self.pairs[mp] = (nm.RowIndex(pair % k, k), nm.RowIndex(pair // k, k))
+            self.pair_weights[mp] = count.astype(np.float64)
+        self.features = nm.Matrix(x[first])
+        self.graph_of = nm.RowIndex(graph_of[first], n_graphs)
+        self.sizes = np.bincount(self.node_class).astype(np.float64)
+        self.node_of = nm.RowIndex(np.tile(np.arange(k), len(self.pairs)), k)
+
+    def record_nodes(self, attention: "AttentionRecord", alpha: Mapping[str, nm.Matrix],
+                     beta: nm.Matrix, gamma: nm.Matrix) -> None:
+        """Write one forward's class attention into ``attention``, node by node.
+
+        A node's β row is its class's row, and its γ is its class's γ over the
+        class size. A node pair's α is that of a class pair with the same
+        target class and the same source feature row, over that pair's count:
+        such pairs share one logit, and the class softmaxes weight each by its
+        count, so this is the α a forward over nodes gives.
+        """
+        k_row = int(self.node_row.max()) + 1
+        class_row = np.empty(len(self.sizes), dtype=np.intp)
+        class_row[self.node_class] = self.node_row
+        for mp, (src, dst) in self.node_pairs.items():
+            c_src, c_dst = self.pairs[mp]
+            key, at = np.unique(c_dst.ids * k_row + class_row[c_src.ids], return_index=True)
+            at = at[np.searchsorted(key, self.node_class[dst] * k_row + self.node_row[src])]
+            values = alpha[mp].value[:, 0] / self.pair_weights[mp]
+            attention.alpha[mp] = (values[at], dst.copy())
+        attention.beta = beta.value.reshape(len(self.node_pairs), -1).T[self.node_class]
+        attention.gamma = (gamma.value[0] / self.sizes)[self.node_class]
 
 
 def pair_scores(projected: nm.Matrix, src, dst, att_w, att_a) -> nm.Matrix:
@@ -292,7 +298,7 @@ def pair_scores(projected: nm.Matrix, src, dst, att_w, att_a) -> nm.Matrix:
 
 
 def _node_level(projected, src: nm.RowIndex, dst: nm.RowIndex, att_w, att_a,
-                weights=None):
+                weights: np.ndarray):
     n = projected.rows
     alpha = nm.segment_softmax(pair_scores(projected, src, dst, att_w, att_a), dst,
                                n, weights)
@@ -303,19 +309,17 @@ def _node_level(projected, src: nm.RowIndex, dst: nm.RowIndex, att_w, att_a,
 
 
 def path_level_fuse(per_path: Sequence[nm.Matrix], path_w, path_b, path_q,
-                    node_of: nm.RowIndex | None = None):
+                    node_of: nm.RowIndex):
     """Blend per-meta-path node vectors with softmax weights per node.
 
     Returns (fused, beta). The blocks are stacked path after path, so row
     j·n + i of the (P·n, 1) column beta is node i's weight on path j; each
     node's weights sum to one. ``node_of`` maps each stacked row to its node
-    (a batch keeps one); without it the index is built here.
+    (a batch keeps one).
     """
     if not per_path:
         raise ValueError("need at least one meta-path vector set")
     n = per_path[0].rows
-    if node_of is None:
-        node_of = nm.RowIndex(np.tile(np.arange(n), len(per_path)), n)
     stacked = nm.concat_rows(per_path)
     hidden = nm.tanh(nm.add(nm.matmul(stacked, path_w), path_b))
     scores = nm.matmul(hidden, nm.transpose(path_q))
@@ -324,26 +328,21 @@ def path_level_fuse(per_path: Sequence[nm.Matrix], path_w, path_b, path_q,
     return fused, beta
 
 
-def graph_level_embed(
-    node_vectors: nm.Matrix, ctx_w, graph_of: nm.RowIndex | None = None,
-    sizes: np.ndarray | None = None,
-):
+def graph_level_embed(node_vectors: nm.Matrix, ctx_w, graph_of: nm.RowIndex,
+                      sizes: np.ndarray):
     """Context-weighted sum of node vectors into one vector per subgraph.
 
-    ``graph_of`` maps each row to its subgraph; without it all rows form one
-    subgraph. ``sizes`` gives the number of nodes each row stands for (a
-    class batch's class sizes); without it each row is one node. Returns
+    ``graph_of`` maps each row to its subgraph, and ``sizes`` gives the
+    number of nodes each row stands for (a batch's class sizes). Returns
     (h, gamma): h holds one row per subgraph, and gamma, a (1, n) row, is the
     softmax within each subgraph of its nodes' inner products with the
     tanh-transformed mean context of that subgraph.
     """
-    if graph_of is None:
-        graph_of = nm.RowIndex(np.zeros(node_vectors.rows, dtype=np.intp), 1)
     counts = np.bincount(graph_of.ids, sizes, graph_of.size)
     if node_vectors.rows == 0 or not counts.all():
         raise ValueError("cannot embed an empty node set")
     k = graph_of.size
-    nodes = node_vectors if sizes is None else nm.mul(node_vectors, sizes[:, None])
+    nodes = nm.mul(node_vectors, sizes[:, None])
     mean = nm.div(nm.segment_sum(nodes, graph_of, k), counts.reshape(-1, 1))
     context = nm.tanh(nm.matmul(mean, ctx_w))
     scores = nm.row_sums(nm.mul(node_vectors, nm.gather_rows(context, graph_of)))
@@ -362,20 +361,18 @@ def embed_batch(
 
     ``params`` may hold constant matrices (inference, as in
     :attr:`HanEncoder.matrices`), tape-registered matrices (training) or plain
-    arrays; gradients flow through every stage.
+    arrays; gradients flow through every stage. ``attention`` is filled node
+    by node (:meth:`SubgraphBatch.record_nodes`).
     """
     projected = nm.matmul(batch.features, params["proj"])
-    weights = batch.pair_weights or {}
-    per_path = []
+    per_path, alpha = [], {}
     for mp in config.metapaths:
         src, dst = batch.pairs[mp]
-        h_mp, alpha = _node_level(
+        h_mp, alpha[mp] = _node_level(
             projected, src, dst, params[f"att_w_{mp}"], params[f"att_a_{mp}"],
-            weights.get(mp),
+            batch.pair_weights[mp],
         )
         per_path.append(h_mp)
-        if attention is not None:
-            attention.alpha[mp] = (alpha.value[:, 0].copy(), dst.ids.copy())
 
     fused, beta = path_level_fuse(
         per_path, params["path_w"], params["path_b"], params["path_q"],
@@ -383,8 +380,7 @@ def embed_batch(
     )
     h, gamma = graph_level_embed(fused, params["ctx_w"], batch.graph_of, batch.sizes)
     if attention is not None:
-        attention.beta = beta.value.reshape(len(per_path), -1).T.copy()
-        attention.gamma = gamma.value[0].copy()
+        batch.record_nodes(attention, alpha, beta, gamma)
     return h
 
 

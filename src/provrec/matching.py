@@ -1,10 +1,11 @@
 """Few-shot technique recognition with twin encoders and contrastive training.
 
-Both branches share one attention encoder plus a fully connected projection;
-pairs derived from anchor/positive/negative triplets are pushed together or
-apart by the contrastive loss. Inference matches a query subgraph against one
-cached representative per known technique, so new techniques can be added
-without touching the trained weights.
+Both branches share one attention encoder, run on node classes in training
+and recognition alike, plus a fully connected projection; pairs derived from
+anchor/positive/negative triplets are pushed together or apart by the
+contrastive loss. Inference matches a query subgraph against one cached
+representative per known technique, so new techniques can be added without
+touching the trained weights.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ class SiameseModel:
         return self.embed_many([tsg])[0]
 
     def embed_many(self, subgraphs: Sequence[TechniqueSubgraph]) -> np.ndarray:
-        """Branch outputs of several subgraphs from one batched forward."""
+        """Branch outputs of several subgraphs from one batched class forward."""
         h = embed_batch(SubgraphBatch(subgraphs, self.config.han),
                         self.encoder.matrices, self.config.han)
         return project(h, *self.head).value
@@ -249,10 +250,10 @@ def train_matcher(
     full-batch descent step on the mean pair loss, so the loss settles
     monotonically near convergence. Gradients reach the shared parameters
     through both branches of every pair. Every subgraph a triplet uses is
-    embedded in one batched forward per epoch, run on node classes
-    (:meth:`SubgraphBatch.classes`) rather than nodes: node-level and
+    embedded in one batched forward per epoch over node classes
+    (:class:`SubgraphBatch`), the forward inference runs: node-level and
     graph-level attention weight each class by its count, so each subgraph
-    gets the vector its per-node forward gives, from fewer rows.
+    gets the vector a forward over its nodes gives, from fewer rows.
     """
     if not samples:
         raise ValueError("no training samples")
@@ -274,7 +275,7 @@ def train_matcher(
     out_b = tape.parameter("out_b", np.zeros((1, d)))
 
     used = sorted({i for t in triplets for i in (t.anchor, t.positive, t.negative)})
-    batch = SubgraphBatch([subgraphs[i] for i in used], config.han).classes()
+    batch = SubgraphBatch([subgraphs[i] for i in used], config.han)
     row = {i: r for r, i in enumerate(used)}
     anchor, positive, negative = (
         nm.RowIndex([row[getattr(t, role)] for t in triplets], len(used))

@@ -4,10 +4,13 @@ the suite."""
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from provrec import features as ft
+from provrec.embedding import SubgraphBatch, metapath_pairs
 from provrec.graph import EntityType, Event, build_graph
-from provrec.numerics import Rng
+from provrec.numerics import Matrix, RowIndex, Rng
 
 
 def ev(subject, operation, obj, obj_type, ts=0):
@@ -42,6 +45,33 @@ def random_process_graph(rng, n_nodes, n_edges):
             b = (a + 1) % n_nodes
         events.append(ev(f"p{a}", "launch", f"p{b}", EntityType.PROCESS, ts=t))
     return build_graph(events)
+
+
+def node_batch(subgraphs, config):
+    """The reference a class batch must reproduce: a ``SubgraphBatch`` with
+    one row per node, built from :func:`metapath_pairs` alone. Every node is
+    its own class, so every pair weight and size is 1."""
+    sizes = [t.n_nodes for t in subgraphs]
+    offsets = np.cumsum([0] + sizes[:-1])
+    n = sum(sizes)
+    batch = SubgraphBatch.__new__(SubgraphBatch)
+    batch.features = Matrix(ft.scale_features(
+        np.vstack([t.features() for t in subgraphs]), config.log1p_features))
+    batch.graph_of = RowIndex(np.repeat(np.arange(len(sizes)), sizes), len(sizes))
+    batch.node_pairs = {}
+    for mp in config.metapaths:
+        pairs = [metapath_pairs(t, mp) for t in subgraphs]
+        batch.node_pairs[mp] = tuple(
+            np.concatenate([p[side] + o for p, o in zip(pairs, offsets)])
+            for side in (0, 1))
+    batch.pairs = {mp: (RowIndex(src, n), RowIndex(dst, n))
+                   for mp, (src, dst) in batch.node_pairs.items()}
+    batch.pair_weights = {mp: np.ones(len(src))
+                          for mp, (src, _) in batch.node_pairs.items()}
+    batch.sizes = np.ones(n)
+    batch.node_class = batch.node_row = np.arange(n)
+    batch.node_of = RowIndex(np.tile(np.arange(n), len(batch.pairs)), n)
+    return batch
 
 
 def rewritten_checkpoint(path, out, edit):

@@ -25,7 +25,7 @@ from provrec.graph import EntityType
 from provrec.numerics import GradientTape, Matrix, Rng
 from provrec.sampling import TechniqueSubgraph
 
-from conftest import make_graph
+from conftest import make_graph, node_batch
 
 
 def _tsg(triples, nois=None):
@@ -119,7 +119,7 @@ def test_singleton_neighborhood_is_activated_projection():
     proj = Matrix(gen.normal(0, 1, size=(1, 5)))
     w = gen.normal(0, 1, size=(10, 5))
     a = gen.normal(0, 1, size=(1, 5))
-    h, alpha = _node_level(proj, *_pair_rows(sub, "MP1"), w, a)
+    h, alpha = _node_level_of(sub, "MP1", proj, w, a)
     assert np.allclose(alpha.value, [[1.0]])
     z = proj.value
     assert np.allclose(h.value, np.where(z > 0, z, 0.01 * z))
@@ -141,7 +141,7 @@ def test_identical_neighbors_share_attention_equally():
     feats[idx["pc"]] = feats[idx["pb"]]
     w = gen.normal(0, 1, size=(8, 4))
     a = gen.normal(0, 1, size=(1, 4))
-    _, alpha = _node_level(Matrix(feats), *_pair_rows(t, "MP2"), w, a)
+    _, alpha = _node_level_of(t, "MP2", Matrix(feats), w, a)
     rows = alpha.value[:, 0]
     pa_weights = {
         int(s): rows[k]
@@ -151,9 +151,10 @@ def test_identical_neighbors_share_attention_equally():
     assert abs(pa_weights[idx["pb"]] - pa_weights[idx["pc"]]) < 1e-12
 
 
-def _pair_rows(tsg, mp):
-    """One subgraph's (source, target) rows of ``mp`` as node-level indices."""
-    return tuple(nm.RowIndex(rows, tsg.n_nodes) for rows in metapath_pairs(tsg, mp))
+def _node_level_of(tsg, mp, projected, w, a):
+    """Node-level attention over one subgraph's own nodes, every pair weight 1."""
+    src, dst = (nm.RowIndex(rows, tsg.n_nodes) for rows in metapath_pairs(tsg, mp))
+    return _node_level(projected, src, dst, w, a, np.ones(len(src)))
 
 
 def test_node_level_matches_scalar_oracle():
@@ -171,7 +172,7 @@ def test_node_level_matches_scalar_oracle():
     feats = gen.normal(0, 1, size=(t.n_nodes, d))
     w = gen.normal(0, 1, size=(2 * d, d))
     a = gen.normal(0, 1, size=(1, d))
-    h, _ = _node_level(Matrix(feats), *_pair_rows(t, "MP2"), w, a)
+    h, _ = _node_level_of(t, "MP2", Matrix(feats), w, a)
 
     idx = t.graph.node_index()
     for nid in t.node_ids:
@@ -192,6 +193,12 @@ def test_node_level_matches_scalar_oracle():
 # -- path-level fusion ----------------------------------------------------------
 
 
+def _fuse(hs, w, b, q):
+    """Path-level fusion of the per-path blocks ``hs`` of one set of rows."""
+    n = hs[0].rows
+    return path_level_fuse(hs, w, b, q, nm.RowIndex(np.tile(np.arange(n), len(hs)), n))
+
+
 def _by_node(beta, paths):
     """The (P·n, 1) path-major beta column as (n, P): one row per node."""
     return beta.value.reshape(paths, -1).T
@@ -203,7 +210,7 @@ def test_identical_path_vectors_fuse_uniformly():
     w = gen.normal(0, 1, size=(6, 6))
     b = gen.normal(0, 1, size=(1, 6))
     q = gen.normal(0, 1, size=(1, 6))
-    fused, beta = path_level_fuse([h, h, h, h], w, b, q)
+    fused, beta = _fuse([h, h, h, h], w, b, q)
     assert np.allclose(_by_node(beta, 4), 0.25, atol=1e-12)
     assert np.allclose(fused.value, h.value, atol=1e-12)
 
@@ -214,7 +221,7 @@ def test_zero_query_vector_gives_uniform_weights():
     w = gen.normal(0, 1, size=(4, 4))
     b = gen.normal(0, 1, size=(1, 4))
     q = np.zeros((1, 4))
-    _, beta = path_level_fuse(hs, w, b, q)
+    _, beta = _fuse(hs, w, b, q)
     assert np.allclose(_by_node(beta, 3), 1.0 / 3, atol=1e-12)
 
 
@@ -225,7 +232,7 @@ def test_path_fusion_matches_scalar_oracle():
     w = gen.normal(0, 1, size=(d, d))
     b = gen.normal(0, 1, size=(1, d))
     q = gen.normal(0, 1, size=(1, d))
-    fused, beta = path_level_fuse([Matrix(h) for h in hs], w, b, q)
+    fused, beta = _fuse([Matrix(h) for h in hs], w, b, q)
     for i in range(n):
         scores = [float(np.tanh(h[i] @ w + b[0]) @ q[0]) for h in hs]
         e = np.exp(np.array(scores) - max(scores))
@@ -248,7 +255,7 @@ def test_path_fusion_records_as_many_ops_for_one_path_as_for_four(monkeypatch):
     for paths in (1, 4):
         ops.clear()
         hs = [Matrix(gen.normal(0, 1, size=(n, d))) for _ in range(paths)]
-        path_level_fuse(hs, w, b, q)
+        _fuse(hs, w, b, q)
         counts.append(len(ops))
     assert counts[0] == counts[1]
 
@@ -256,11 +263,17 @@ def test_path_fusion_records_as_many_ops_for_one_path_as_for_four(monkeypatch):
 # -- graph-level aggregation ----------------------------------------------------
 
 
+def _one_graph(h, w):
+    """Graph-level attention over rows that form one subgraph, one node each."""
+    n = h.rows
+    return graph_level_embed(h, w, nm.RowIndex(np.zeros(n, dtype=np.intp), 1), np.ones(n))
+
+
 def test_single_node_takes_all_graph_attention():
     gen = Rng(12)
     h = Matrix(gen.normal(0, 1, size=(1, 5)))
     w = gen.normal(0, 1, size=(5, 5))
-    out, gamma = graph_level_embed(h, w)
+    out, gamma = _one_graph(h, w)
     assert np.allclose(gamma.value, [[1.0]])
     assert np.allclose(out.value, h.value)
 
@@ -270,7 +283,7 @@ def test_identical_node_vectors_weighted_uniformly():
     row = gen.normal(0, 1, size=(1, 4))
     h = Matrix(np.repeat(row, 5, axis=0))
     w = gen.normal(0, 1, size=(4, 4))
-    out, gamma = graph_level_embed(h, w)
+    out, gamma = _one_graph(h, w)
     assert np.allclose(gamma.value, 0.2, atol=1e-12)
     assert np.allclose(out.value, row, atol=1e-12)
 
@@ -280,7 +293,7 @@ def test_graph_level_matches_scalar_oracle():
     n, d = 5, 3
     h = gen.normal(0, 1, size=(n, d))
     w = gen.normal(0, 1, size=(d, d))
-    out, gamma = graph_level_embed(Matrix(h), w)
+    out, gamma = _one_graph(Matrix(h), w)
     c = np.tanh(h.mean(axis=0) @ w)
     scores = h @ c
     e = np.exp(scores - scores.max())
@@ -291,7 +304,7 @@ def test_graph_level_matches_scalar_oracle():
 
 def test_empty_node_set_rejected():
     with pytest.raises(ValueError):
-        graph_level_embed(Matrix(np.zeros((0, 3))), np.eye(3))
+        _one_graph(Matrix(np.zeros((0, 3))), np.eye(3))
 
 
 # -- full composition -----------------------------------------------------------
@@ -436,15 +449,17 @@ def test_batch_attention_is_proper_within_each_subgraph():
     tsgs = [_random_tsg(gen, 4, int(gen.integers(5, 15))) for _ in range(5)]
     config = HanConfig(dim=6, seed=5)
     batch = SubgraphBatch(tsgs, config)
+    assert batch.features.rows < sum(t.n_nodes for t in tsgs)
     record = AttentionRecord()
     embed_batch(batch, init_han_params(config), config, attention=record)
     n = sum(t.n_nodes for t in tsgs)
     for mp in config.metapaths:
         values, dst = record.alpha[mp]
         assert np.allclose(np.bincount(dst, weights=values, minlength=n), 1.0)
+    assert record.beta.shape == (n, len(config.metapaths))
     assert np.allclose(record.beta.sum(axis=1), 1.0)
-    per_graph = np.bincount(batch.graph_of.ids, weights=record.gamma)
-    assert np.allclose(per_graph, 1.0)
+    graph_of_node = np.repeat(np.arange(len(tsgs)), [t.n_nodes for t in tsgs])
+    assert np.allclose(np.bincount(graph_of_node, weights=record.gamma), 1.0)
 
 
 def test_split_pair_scores_equal_concat_form():
@@ -466,20 +481,24 @@ def test_split_pair_scores_equal_concat_form():
 
 
 def _classes_embed_as_nodes(tsgs, config=HanConfig(dim=6, seed=11)):
-    """Node batch and class batch of ``tsgs``, checked to embed within 1e-12
-    and to count every node once."""
-    nodes = SubgraphBatch(tsgs, config)
-    classes = nodes.classes()
+    """Node batch and class batch of ``tsgs``, checked to embed and to record
+    node attention within 1e-12 and to count every node once."""
+    nodes, classes = node_batch(tsgs, config), SubgraphBatch(tsgs, config)
     params = init_han_params(config)
-    want = embed_batch(nodes, params, config).value
-    assert np.abs(embed_batch(classes, params, config).value - want).max() <= 1e-12
+    want, got = AttentionRecord(), AttentionRecord()
+    h_want = embed_batch(nodes, params, config, want).value
+    assert np.abs(embed_batch(classes, params, config, got).value - h_want).max() <= 1e-12
+    for mp, (values, dst) in want.alpha.items():
+        assert (got.alpha[mp][1] == dst).all()
+        assert np.abs(got.alpha[mp][0] - values).max() <= 1e-12
+    assert np.abs(got.beta - want.beta).max() <= 1e-12
+    assert np.abs(got.gamma - want.gamma).max() <= 1e-12
     per_graph = np.bincount(classes.graph_of.ids, classes.sizes)
     assert (per_graph == [t.n_nodes for t in tsgs]).all()
     for mp, (_, dst) in classes.pairs.items():
         # a class's pair counts add up to each of its nodes' neighbour count
         degree = np.bincount(dst.ids, classes.pair_weights[mp], len(classes.sizes))
         assert degree @ classes.sizes == len(nodes.pairs[mp][1])
-    assert nodes.pair_weights is None and nodes.sizes is None
     return nodes, classes
 
 
@@ -504,6 +523,55 @@ def test_class_batch_counts_repeated_neighbour_classes():
     assert (classes.sizes == [1.0, 1.0, 1.0, 2.0]).all()  # doc, log, pa, {pb, pc}
     dst = classes.pairs["MP2"][1].ids
     assert (classes.pair_weights["MP2"][dst == 2] == [1.0, 2.0]).all()  # pa
+
+
+def test_class_keys_count_unique_neighbours_not_shared_objects():
+    # x shares f1 and f2 with k1; y shares g1 with k2 and g2 with k3, and the
+    # k's have one feature row. Counting shared objects gives x and y one
+    # key, but y has two such neighbours and x one.
+    tsg = _tsg([("x", "read", "f1", EntityType.FILE),
+                ("x", "read", "f2", EntityType.FILE),
+                ("x", "write", "wx", EntityType.FILE),
+                ("k1", "read", "f1", EntityType.FILE),
+                ("k1", "read", "f2", EntityType.FILE),
+                ("y", "read", "g1", EntityType.FILE),
+                ("y", "read", "g2", EntityType.FILE),
+                ("y", "write", "wy", EntityType.FILE),
+                ("k2", "read", "g1", EntityType.FILE),
+                ("k2", "read", "h2", EntityType.FILE),
+                ("k3", "read", "g2", EntityType.FILE),
+                ("k3", "read", "h3", EntityType.FILE)])
+    _, classes = _classes_embed_as_nodes([tsg])
+    idx = tsg.graph.node_index()
+    assert classes.node_class[idx["x"]] != classes.node_class[idx["y"]]
+
+
+def test_node_attention_of_sources_in_other_classes_of_one_feature_row():
+    # x and y form one class, but their neighbours k1 and k2 share a feature
+    # row and not a class: y's pair with k2 maps through x's pair with k1
+    tsg = _tsg([("x", "read", "fa", EntityType.FILE),
+                ("k1", "read", "fa", EntityType.FILE),
+                ("k1", "read", "fc", EntityType.FILE),
+                ("z", "read", "fc", EntityType.FILE),
+                ("y", "read", "fb", EntityType.FILE),
+                ("k2", "read", "fb", EntityType.FILE),
+                ("k2", "read", "fd", EntityType.FILE)])
+    _, classes = _classes_embed_as_nodes([tsg])
+    idx = tsg.graph.node_index()
+    node_class, node_row = classes.node_class, classes.node_row
+    assert node_class[idx["x"]] == node_class[idx["y"]]
+    assert node_row[idx["k1"]] == node_row[idx["k2"]]
+    assert node_class[idx["k1"]] != node_class[idx["k2"]]
+
+
+def test_class_batch_maps_attention_of_random_batches_to_nodes():
+    gen = Rng(95)
+    for _ in range(6):
+        tsgs = [_random_tsg(gen, int(gen.integers(2, 7)), int(gen.integers(3, 20)))
+                for _ in range(int(gen.integers(2, 6)))]
+        tsgs.append(tsgs[0])  # a repeated subgraph repeats all its classes
+        _, classes = _classes_embed_as_nodes(tsgs)
+        assert (classes.sizes > 1).any()
 
 
 def test_class_batch_with_isolated_nodes():
@@ -559,7 +627,7 @@ def test_grad_check_through_class_batch():
     gen = Rng(94)
     tsgs = [_random_tsg(gen, 4, int(gen.integers(5, 12))) for _ in range(3)]
     config = HanConfig(dim=3, seed=13)
-    batch = SubgraphBatch(tsgs, config).classes()
+    batch = SubgraphBatch(tsgs, config)
     assert batch.features.rows < sum(t.n_nodes for t in tsgs)
     tape = GradientTape()
     params = {

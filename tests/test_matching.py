@@ -1,10 +1,13 @@
 """Contrastive loss, triplet building, twin-branch training, and recognition."""
 
 import dataclasses
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from provrec import matching
 from provrec import numerics as nm
 from provrec.config import PipelineConfig
 from provrec.embedding import (
@@ -17,7 +20,7 @@ from provrec.embedding import (
 )
 from provrec.evaluation import split_few_shot
 from provrec.features import FEATURE_DIM
-from provrec.graph import EntityType
+from provrec.graph import EntityType, Event, build_graph, graph_to_events
 from provrec.matching import (
     DISTANCES,
     UNKNOWN,
@@ -35,10 +38,10 @@ from provrec.matching import (
     triplet_loss,
 )
 from provrec.numerics import GradientTape, Matrix, Rng
-from provrec.sampling import TechniqueSubgraph
-from provrec.synthetic import generate_scenario
+from provrec.sampling import TechniqueSubgraph, sample_subgraphs
+from provrec.synthetic import DEFAULT_TEMPLATES, generate_sample, generate_scenario
 
-from conftest import make_graph
+from conftest import make_graph, node_batch
 
 
 def _tsg(triples):
@@ -190,11 +193,13 @@ def test_inference_embeds_reuse_the_wrapped_weights(small_model, monkeypatch):
         made.append(np.shape(value))
         init(self, value, **kwargs)
 
+    classes = SubgraphBatch([tsg], han).features.rows
+    assert classes < tsg.n_nodes
     monkeypatch.setattr(Matrix, "__init__", counting_init)
     first, second = model.embed(tsg), model.embed(tsg)
-    # each embed wraps only its own batch's feature block and the subgraph's
-    # node count; no weight is copied
-    assert made == [(tsg.n_nodes, FEATURE_DIM), (1, 1)] * 2, made
+    # each embed wraps only its own batch's class feature rows, the class
+    # sizes and the subgraph's node count; no weight is copied
+    assert made == [(classes, FEATURE_DIM), (classes, 1), (1, 1)] * 2, made
     assert (first == want).all() and (second == want).all()
 
 
@@ -561,14 +566,14 @@ def test_batched_epoch_matches_looped_reference(kind):
         tape.backward(loss)
         return loss.item(), {k: p.grad for k, p in params.items()}
 
-    def batched(params, batch=SubgraphBatch(tsgs, config)):
+    def batched(params, batch=node_batch(tsgs, config)):
         z = project(embed_batch(batch, params, config),
                     params["out_w"], params["out_b"])
         rows = [nm.RowIndex([getattr(t, r) for t in triplets], len(tsgs))
                 for r in ("anchor", "positive", "negative")]
         return triplet_loss(z, *rows, 1.0, kind)
 
-    classes = SubgraphBatch(tsgs, config).classes()
+    classes = SubgraphBatch(tsgs, config)
     assert classes.features.rows < sum(t.n_nodes for t in tsgs)
 
     def classed(params):
@@ -598,7 +603,7 @@ def _train_on_nodes(samples, config, monkeypatch):
     """``train_matcher`` on the per-node batch: the reference its class batch
     must reproduce."""
     with monkeypatch.context() as patch:
-        patch.setattr(SubgraphBatch, "classes", lambda batch: batch)
+        patch.setattr(matching, "SubgraphBatch", node_batch)
         return train_matcher(samples, config)
 
 
@@ -630,3 +635,36 @@ def test_embed_many_matches_single_embeds(small_model):
     many = model.embed_many(tsgs)
     for row, tsg in zip(many, tsgs):
         assert np.abs(row - model.embed(tsg)).max() <= 1e-12
+
+
+# -- scale ---------------------------------------------------------------------
+
+
+def test_thousand_node_hub_carve_embeds_in_bounded_memory():
+    # every process of a generated host also reads 3 shared files, so the
+    # carve's MP2 pairs grow with the square of its ≈1,100 processes
+    sample = generate_sample(DEFAULT_TEMPLATES[1], Rng(4800).split("host"), 1000, 0.05)
+    procs = [n for n in sample.graph.node_ids()
+             if sample.graph.entity_type(n) == EntityType.PROCESS]
+    graph = build_graph(graph_to_events(sample.graph) + [
+        Event(p, EntityType.PROCESS, "read", f"hub_lib{j}", EntityType.FILE, 0)
+        for p in procs for j in range(3)])
+    flags = sorted(sample.truth.nois) + procs[::len(procs) // 8]
+    (tsg,) = sample_subgraphs(graph, flags, lam=4, min_nois=5)
+    assert tsg.n_nodes >= 1000
+    config = MatcherConfig()
+    model = SiameseModel(config, HanEncoder.create(config.han),
+                         np.eye(config.han.dim), np.zeros((1, config.han.dim)))
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        out = model.embed(tsg)
+        seconds = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(out).all()
+    # ≈150 MB and ≈1.4 s on a 2-core host, mostly listing >1.2M MP2 pairs;
+    # a forward over nodes took 4.0 GB and 7.9 s on a 1,120-node carve
+    assert peak < 300 * 2**20, peak
+    assert seconds < 6.0
