@@ -23,7 +23,7 @@ from scipy import sparse
 
 from . import features as ft
 from . import numerics as nm
-from .graph import EDGE_GROUPS, EntityType, GraphError
+from .graph import EDGE_GROUPS, NUM_EDGE_TYPES, EntityType, GraphError
 from .sampling import TechniqueSubgraph
 
 # Meta-path vocabulary: process-to-process hops through a launch edge or
@@ -53,12 +53,12 @@ def metapath_neighbors(tsg: TechniqueSubgraph, node_id: str, mp: str) -> set[str
     Always includes the node itself. Non-process nodes have no meta-path
     neighbors beyond themselves.
     """
-    src, dst = metapath_pairs(tsg, mp)
+    a = _metapath_matrix(tsg, mp)
     i = tsg.graph.node_index().get(node_id)
     if i is None:
         raise GraphError(f"unknown node {node_id!r}")
     ids = tsg.node_ids
-    return {ids[k] for k in src[dst == i]}
+    return {ids[k] for k in a.indices[a.indptr[i]:a.indptr[i + 1]]}
 
 
 def metapath_pairs(tsg: TechniqueSubgraph, mp: str) -> tuple[np.ndarray, np.ndarray]:
@@ -66,26 +66,71 @@ def metapath_pairs(tsg: TechniqueSubgraph, mp: str) -> tuple[np.ndarray, np.ndar
 
     Node k neighbors node i when i launched k (MP1) or both act on one
     object (MP2-MP4), and every node neighbors itself. Pairs are ordered by
-    target node then by source node.
+    target node then by source node: the CSR listing of the subgraph's
+    neighbour matrix (:func:`_neighbour_matrix`).
     """
+    ((src, dst, _),) = _row_blocks(_metapath_matrix(tsg, mp), tsg.n_nodes)
+    return src.astype(np.intp), dst
+
+
+def _metapath_matrix(tsg: TechniqueSubgraph, mp: str) -> sparse.csr_matrix:
     if mp not in META_PATHS:
         raise ValueError(f"unknown meta-path {mp!r}")
-    n = tsg.n_nodes
-    src, dst, etype = tsg.graph.edge_arrays()
-    on_path = np.isin(etype, list(EDGE_GROUPS[_MP_OBJECT[mp]]))
-    rows, cols = src[on_path], dst[on_path]
-    if mp != "MP1":  # pair every two subjects of one shared object
-        order = np.argsort(cols)
-        subject, obj = rows[order], cols[order]
-        first = np.searchsorted(obj, obj)  # where each edge's object group starts
-        size = np.searchsorted(obj, obj, side="right") - first
-        # edge j is repeated once per edge of its group, paired with each in turn
-        rows = np.repeat(subject, size)
-        step = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
-        cols = subject[np.repeat(first, size) + step]
-    # key i * n + k of target i and source k sorts by target, then by source
-    keys = np.unique(np.concatenate([rows * n + cols, np.arange(n) * (n + 1)]))
-    return keys % n, keys // n
+    return _neighbour_matrix(*tsg.graph.edge_arrays(), tsg.n_nodes, (mp,))
+
+
+def _neighbour_matrix(src: np.ndarray, dst: np.ndarray, etype: np.ndarray, n: int,
+                      metapaths: Sequence[str]) -> sparse.csr_matrix:
+    """Binary (P·n, n) CSR whose row j·n + i lists the neighbours of node
+    row i under ``metapaths[j]``, i itself included.
+
+    It is one product ``L @ R``. L links row j·n + s to column j·n + o for
+    every edge s -> o on meta-path j, and every row j·n + i to column
+    P·n + i, its own id. R maps column j·n + o to the nodes that reach o:
+    the subjects acting on the object o (MP2-MP4) or the launched process o
+    itself (MP1); and column P·n + i to i. The product counts shared objects
+    and repeated edges, so it is binarised to count each neighbour once.
+    """
+    p = len(metapaths)
+    path_of = np.full(NUM_EDGE_TYPES + 1, -1)
+    for j, mp in enumerate(metapaths):
+        path_of[list(EDGE_GROUPS[_MP_OBJECT[mp]])] = j
+    j = path_of[etype]
+    on = j >= 0
+    j, subject, obj = j[on], src[on], dst[on]
+    launched = np.array([mp == "MP1" for mp in metapaths])[j]
+    own = np.arange(n)
+    left = _csr(np.concatenate([j * n + subject, np.arange(p * n)]),
+                np.concatenate([j * n + obj, np.tile(p * n + own, p)]),
+                (p * n, (p + 1) * n))
+    right = _csr(np.concatenate([j * n + obj, p * n + own]),
+                 np.concatenate([np.where(launched, obj, subject), own]),
+                 ((p + 1) * n, n))
+    a = left @ right
+    a.data[:] = 1.0
+    return a
+
+
+def _csr(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int],
+         values: np.ndarray | None = None) -> sparse.csr_matrix:
+    """CSR with ``values[m]`` (default 1) at every (rows[m], cols[m]);
+    repeated cells add up."""
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(shape[0] + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    values = np.ones(len(rows)) if values is None else values[order]
+    return sparse.csr_matrix((values, cols[order], indptr), shape=shape)
+
+
+def _row_blocks(a: sparse.csr_matrix, n: int) -> list[tuple[np.ndarray, ...]]:
+    """(column, row, value) arrays of the entries of each block of ``n`` rows
+    of ``a``, ordered by row then column (``a`` is sorted in place); rows
+    count from the block's first."""
+    a.sort_indices()
+    row = np.repeat(np.arange(a.shape[0]) % n, np.diff(a.indptr))
+    bounds = a.indptr[::n]
+    return [(a.indices[lo:hi], row[lo:hi], a.data[lo:hi])
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 @dataclass
@@ -208,10 +253,17 @@ class SubgraphBatch:
     then source, and ``pair_weights[mp]`` their counts; attention weighted by
     the counts gives every softmax and mean its value over nodes. ``node_of``
     maps each row of path level's path-major stack to its class. The indices
-    keep their scatter matrices, so a batch built once serves every epoch of
-    a training run. For :meth:`record_nodes`, ``node_class`` and ``node_row``
-    give every node's class and feature-row class, and ``node_pairs[mp]`` its
-    pairs as :func:`metapath_pairs` lists them, offset into the node block.
+    keep their scatter matrices and the weights are checked once, so a batch
+    built once serves every epoch of a training run.
+
+    No pair is listed per node. One sparse product gives the binary
+    neighbour matrix A of every meta-path over the stacked node rows
+    (:func:`_neighbour_matrix`). ``A @ onehot(feature-row class)`` counts each
+    node's neighbours per feature-row class, which keys the classes, and
+    ``A[first nodes] @ onehot(class)`` gives the class pairs and their
+    counts. For :meth:`record_nodes`, ``node_class`` and ``node_row`` give
+    every node's class and feature-row class, and ``edges`` every edge as
+    (source, target, edge type) arrays offset into the node block.
     """
 
     def __init__(self, subgraphs: Sequence[TechniqueSubgraph], config: HanConfig):
@@ -219,46 +271,45 @@ class SubgraphBatch:
             raise ValueError("cannot embed an empty batch of subgraphs")
         sizes = [tsg.n_nodes for tsg in subgraphs]
         offsets = np.cumsum([0] + sizes[:-1])
-        n, n_graphs = sum(sizes), len(sizes)
+        n, n_graphs, p = sum(sizes), len(sizes), len(config.metapaths)
         graph_of = np.repeat(np.arange(n_graphs), sizes)
         x = ft.scale_features(np.vstack([tsg.features() for tsg in subgraphs]),
                               config.log1p_features)
-        self.node_pairs = {}
-        for mp in config.metapaths:
-            src, dst = zip(*(metapath_pairs(tsg, mp) for tsg in subgraphs))
-            self.node_pairs[mp] = (np.concatenate([s + o for s, o in zip(src, offsets)]),
-                                   np.concatenate([d + o for d, o in zip(dst, offsets)]))
+        edges = [tsg.graph.edge_arrays() for tsg in subgraphs]
+        self.edges = (np.concatenate([s + o for (s, _, _), o in zip(edges, offsets)]),
+                      np.concatenate([d + o for (_, d, _), o in zip(edges, offsets)]),
+                      np.concatenate([t for _, _, t in edges]))
+        a = _neighbour_matrix(*self.edges, n, config.metapaths)
         # nodes whose feature rows are equal byte for byte share a row class
         rows = x.view(np.dtype((np.void, 8 * x.shape[1])))
         _, self.node_row = np.unique(rows.ravel(), return_inverse=True)
         k_row = int(self.node_row.max()) + 1
-        # a node's key: its subgraph, its row class and, per meta-path, how
-        # many of its (unique) neighbours have each row class
-        width = n_graphs + (1 + len(self.node_pairs)) * k_row
-        cells = [np.arange(n) * width + graph_of,
-                 np.arange(n) * width + n_graphs + self.node_row]
-        for j, (src, dst) in enumerate(self.node_pairs.values(), start=1):
-            cells.append(dst * width + n_graphs + j * k_row + self.node_row[src])
-        cell, count = np.unique(np.concatenate(cells), return_counts=True)
-        indptr = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(cell // width, minlength=n), out=indptr[1:])
-        self.node_class, first = ft._row_classes(sparse.csr_matrix(
-            (count.astype(np.float64), cell % width, indptr), shape=(n, width)))
+        # a node's key: its subgraph, its row class and, per meta-path j, how
+        # many of its neighbours have each row class (row j·n + i of counts,
+        # moved to columns of its own band j)
+        own = np.arange(n)
+        counts = a @ _csr(own, self.node_row, (n, k_row))
+        per_row = np.diff(counts.indptr)
+        band = np.repeat(n_graphs + k_row * np.arange(1, p + 1), n)
+        self.node_class, first = ft._row_classes(_csr(
+            np.concatenate([own, own, np.repeat(np.tile(own, p), per_row)]),
+            np.concatenate([graph_of, n_graphs + self.node_row,
+                            counts.indices + np.repeat(band, per_row)]),
+            (n, n_graphs + (1 + p) * k_row),
+            np.concatenate([np.ones(2 * n), counts.data])))
         k = len(first)
-        is_first = np.zeros(n, dtype=bool)
-        is_first[first] = True
+        # row j·k + t: how many neighbours class t's first node has in each
+        # class under meta-path j
+        class_pairs = (a[(np.arange(p)[:, None] * n + first).ravel()]
+                       @ _csr(own, self.node_class, (n, k)))
         self.pairs, self.pair_weights = {}, {}
-        for mp, (src, dst) in self.node_pairs.items():
-            kept = is_first[dst]
-            # key t * k + s of target class t and source class s sorts by target
-            pair, count = np.unique(self.node_class[dst[kept]] * k
-                                    + self.node_class[src[kept]], return_counts=True)
-            self.pairs[mp] = (nm.RowIndex(pair % k, k), nm.RowIndex(pair // k, k))
-            self.pair_weights[mp] = count.astype(np.float64)
+        for mp, (src, dst, count) in zip(config.metapaths, _row_blocks(class_pairs, k)):
+            self.pairs[mp] = (nm.RowIndex(src, k), nm.RowIndex(dst, k))
+            self.pair_weights[mp] = nm.RowWeights(count)
         self.features = nm.Matrix(x[first])
         self.graph_of = nm.RowIndex(graph_of[first], n_graphs)
-        self.sizes = np.bincount(self.node_class).astype(np.float64)
-        self.node_of = nm.RowIndex(np.tile(np.arange(k), len(self.pairs)), k)
+        self.sizes = nm.RowWeights(np.bincount(self.node_class).astype(np.float64))
+        self.node_of = nm.RowIndex(np.tile(np.arange(k), p), k)
 
     def record_nodes(self, attention: "AttentionRecord", alpha: Mapping[str, nm.Matrix],
                      beta: nm.Matrix, gamma: nm.Matrix) -> None:
@@ -268,19 +319,20 @@ class SubgraphBatch:
         class size. A node pair's α is that of a class pair with the same
         target class and the same source feature row, over that pair's count:
         such pairs share one logit, and the class softmaxes weight each by its
-        count, so this is the α a forward over nodes gives.
+        count, so this is the α a forward over nodes gives. The node pairs are
+        listed here, as :func:`metapath_pairs` lists them, and nowhere else.
         """
-        k_row = int(self.node_row.max()) + 1
+        n, k_row = len(self.node_class), int(self.node_row.max()) + 1
         class_row = np.empty(len(self.sizes), dtype=np.intp)
         class_row[self.node_class] = self.node_row
-        for mp, (src, dst) in self.node_pairs.items():
-            c_src, c_dst = self.pairs[mp]
+        node_pairs = _row_blocks(_neighbour_matrix(*self.edges, n, tuple(self.pairs)), n)
+        for (mp, (c_src, c_dst)), (src, dst, _) in zip(self.pairs.items(), node_pairs):
             key, at = np.unique(c_dst.ids * k_row + class_row[c_src.ids], return_index=True)
             at = at[np.searchsorted(key, self.node_class[dst] * k_row + self.node_row[src])]
-            values = alpha[mp].value[:, 0] / self.pair_weights[mp]
-            attention.alpha[mp] = (values[at], dst.copy())
-        attention.beta = beta.value.reshape(len(self.node_pairs), -1).T[self.node_class]
-        attention.gamma = (gamma.value[0] / self.sizes)[self.node_class]
+            values = alpha[mp].value[:, 0] / self.pair_weights[mp].values
+            attention.alpha[mp] = (values[at], dst)
+        attention.beta = beta.value.reshape(len(self.pairs), -1).T[self.node_class]
+        attention.gamma = (gamma.value[0] / self.sizes.values)[self.node_class]
 
 
 def pair_scores(projected: nm.Matrix, src, dst, att_w, att_a) -> nm.Matrix:
@@ -329,7 +381,7 @@ def path_level_fuse(per_path: Sequence[nm.Matrix], path_w, path_b, path_q,
 
 
 def graph_level_embed(node_vectors: nm.Matrix, ctx_w, graph_of: nm.RowIndex,
-                      sizes: np.ndarray):
+                      sizes: nm.RowWeights):
     """Context-weighted sum of node vectors into one vector per subgraph.
 
     ``graph_of`` maps each row to its subgraph, and ``sizes`` gives the
@@ -338,11 +390,11 @@ def graph_level_embed(node_vectors: nm.Matrix, ctx_w, graph_of: nm.RowIndex,
     softmax within each subgraph of its nodes' inner products with the
     tanh-transformed mean context of that subgraph.
     """
-    counts = np.bincount(graph_of.ids, sizes, graph_of.size)
+    counts = np.bincount(graph_of.ids, sizes.values, graph_of.size)
     if node_vectors.rows == 0 or not counts.all():
         raise ValueError("cannot embed an empty node set")
     k = graph_of.size
-    nodes = nm.mul(node_vectors, sizes[:, None])
+    nodes = nm.mul(node_vectors, sizes.values[:, None])
     mean = nm.div(nm.segment_sum(nodes, graph_of, k), counts.reshape(-1, 1))
     context = nm.tanh(nm.matmul(mean, ctx_w))
     scores = nm.row_sums(nm.mul(node_vectors, nm.gather_rows(context, graph_of)))

@@ -245,10 +245,10 @@ def build_graph(events: Iterable[Event]) -> ProvenanceGraph:
     nodes: dict[str, EntityNode] = {}
     edges: list[Edge] = []
 
-    def touch(eid: str, etype: EntityType, attrs: Mapping[str, str] | None) -> None:
+    def touch(eid: str, etype: EntityType, attrs: Mapping[str, str] | None) -> str:
         node = nodes.get(eid)
         if node is None:
-            nodes[eid] = EntityNode(eid, etype, dict(attrs) if attrs else {})
+            node = nodes[eid] = EntityNode(eid, etype, dict(attrs) if attrs else {})
         elif node.entity_type != etype:
             raise GraphError(
                 f"entity id {eid!r} seen as both "
@@ -257,6 +257,7 @@ def build_graph(events: Iterable[Event]) -> ProvenanceGraph:
         elif attrs:
             for k, v in attrs.items():
                 node.attrs.setdefault(k, v)
+        return node.id
 
     for ev in events:
         type_id = edge_type_of(ev.subject_type, ev.operation, ev.object_type)
@@ -271,9 +272,10 @@ def build_graph(events: Iterable[Event]) -> ProvenanceGraph:
             obj_attrs = {
                 k: v for k, v in ev.attrs.items() if not k.startswith("subject_")
             }
-        touch(ev.subject_id, EntityType.parse(ev.subject_type), subj_attrs)
-        touch(ev.object_id, EntityType.parse(ev.object_type), obj_attrs)
-        edges.append(Edge(ev.subject_id, ev.object_id, type_id, ev.ts))
+        subject = touch(ev.subject_id, EntityType.parse(ev.subject_type), subj_attrs)
+        obj = touch(ev.object_id, EntityType.parse(ev.object_type), obj_attrs)
+        # edges reuse their nodes' id strings, so a graph keeps one copy of each
+        edges.append(Edge(subject, obj, type_id, ev.ts))
     return ProvenanceGraph(nodes, edges)
 
 

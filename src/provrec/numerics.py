@@ -227,6 +227,26 @@ class RowIndex:
         return out
 
 
+class RowWeights:
+    """Finite, non-negative row weights with a positive sum, checked once.
+
+    Weighted softmaxes and losses take an instance as it is, so weights kept
+    beside a batch (its class sizes and pair counts) are not checked again on
+    every forward. ``values`` is the float64 array.
+    """
+
+    __slots__ = ("values",)
+
+    def __init__(self, weights):
+        w = np.asarray(weights, dtype=np.float64).reshape(-1)
+        if not np.isfinite(w).all() or (w < 0).any() or w.sum() <= 0:
+            raise NumericsError("expected finite non-negative row weights with a positive sum")
+        self.values = w
+
+    def __len__(self) -> int:
+        return self.values.size
+
+
 def _row_index(index, size: int) -> RowIndex:
     if isinstance(index, RowIndex):
         if index.size != size:
@@ -412,12 +432,11 @@ def row_sums(a) -> Matrix:
 
 def _row_weights(weights, n: int) -> np.ndarray:
     """``weights`` as n finite, non-negative row weights, positive in total."""
-    w = np.asarray(weights, dtype=np.float64).reshape(-1)
-    if w.shape != (n,) or not np.isfinite(w).all() or (w < 0).any() or w.sum() <= 0:
-        raise NumericsError(
-            f"expected {n} finite non-negative row weights with a positive sum"
-        )
-    return w
+    if not isinstance(weights, RowWeights):
+        weights = RowWeights(weights)
+    if len(weights) != n:
+        raise NumericsError(f"expected {n} row weights, got {len(weights)}")
+    return weights.values
 
 
 def segment_softmax(scores, segments, num_segments: int, weights=None) -> Matrix:
@@ -425,8 +444,9 @@ def segment_softmax(scores, segments, num_segments: int, weights=None) -> Matrix
 
     ``segments`` is as for :func:`segment_sum`. Scores are shifted by their
     segment's max before exponentiating (softmax is shift-invariant within
-    a segment, so the gradient is unchanged). With ``weights`` (checked as
-    for :func:`softmax_cross_entropy`) row k gets ``w_k e^{s_k} / Σ_j w_j
+    a segment, so the gradient is unchanged). With ``weights`` (an array,
+    checked as for :func:`softmax_cross_entropy`, or a :class:`RowWeights`,
+    checked when made) row k gets ``w_k e^{s_k} / Σ_j w_j
     e^{s_j}``, so a row of weight c counts as c equal rows. That is the
     plain softmax of ``s + log w``, so the gradient is unchanged too.
     """

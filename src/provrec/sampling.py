@@ -9,6 +9,7 @@ every flagged node it reaches. Small clusters are dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -44,7 +45,6 @@ class TechniqueSubgraph:
                 raise GraphError(f"noi {nid!r} not in subgraph")
         if seed not in self.nois:
             raise GraphError(f"seed {seed!r} must be one of the nois")
-        self._features = None
         self._metapath_cache: dict = {}
 
     @property
@@ -59,12 +59,14 @@ class TechniqueSubgraph:
         return frozenset(self.nois)
 
     def features(self):
-        """42-dim count features computed from the subgraph's own edges."""
-        if self._features is None:
-            from .features import init_features
+        """42-dim count features computed from the subgraph's own edges.
 
-            self._features = init_features(self.graph)
-        return self._features
+        Computed on each call and not kept: a carve is embedded once, and a
+        host's triage results keep its carves.
+        """
+        from .features import init_features
+
+        return init_features(self.graph)
 
     def to_dict(self) -> dict:
         graph = self.graph.to_dict()
@@ -106,9 +108,12 @@ def select_seed(nois: Iterable[str], graph: ProvenanceGraph) -> str:
         raise GraphError(f"unknown node {exc.args[0]!r}") from None
 
 
+@lru_cache(maxsize=1)
 def _undirected_rows(graph: ProvenanceGraph) -> list[list[int]]:
     """Each node row's distinct neighbour rows over both edge directions;
-    self-loops are dropped."""
+    self-loops are dropped. A graph never changes once built, so the last
+    graph's rows are kept: the carve rounds of one :func:`sample_subgraphs`
+    call build them once."""
     n = graph.n_nodes
     src, dst, _ = graph.edge_arrays()
     keep = src != dst

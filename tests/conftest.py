@@ -3,14 +3,16 @@ the suite."""
 
 import hashlib
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from provrec import features as ft
-from provrec.embedding import SubgraphBatch, metapath_pairs
-from provrec.graph import EntityType, Event, build_graph
-from provrec.numerics import Matrix, RowIndex, Rng
+from provrec.embedding import _MP_OBJECT, SubgraphBatch, metapath_pairs
+from provrec.graph import EDGE_GROUPS, EntityType, Event, build_graph
+from provrec.numerics import Matrix, RowIndex, RowWeights, Rng
 
 
 def ev(subject, operation, obj, obj_type, ts=0):
@@ -58,20 +60,84 @@ def node_batch(subgraphs, config):
     batch.features = Matrix(ft.scale_features(
         np.vstack([t.features() for t in subgraphs]), config.log1p_features))
     batch.graph_of = RowIndex(np.repeat(np.arange(len(sizes)), sizes), len(sizes))
-    batch.node_pairs = {}
+    edges = [t.graph.edge_arrays() for t in subgraphs]
+    batch.edges = (np.concatenate([s + o for (s, _, _), o in zip(edges, offsets)]),
+                   np.concatenate([d + o for (_, d, _), o in zip(edges, offsets)]),
+                   np.concatenate([t for _, _, t in edges]))
+    batch.pairs, batch.pair_weights = {}, {}
     for mp in config.metapaths:
         pairs = [metapath_pairs(t, mp) for t in subgraphs]
-        batch.node_pairs[mp] = tuple(
-            np.concatenate([p[side] + o for p, o in zip(pairs, offsets)])
+        batch.pairs[mp] = tuple(
+            RowIndex(np.concatenate([p[side] + o for p, o in zip(pairs, offsets)]), n)
             for side in (0, 1))
-    batch.pairs = {mp: (RowIndex(src, n), RowIndex(dst, n))
-                   for mp, (src, dst) in batch.node_pairs.items()}
-    batch.pair_weights = {mp: np.ones(len(src))
-                          for mp, (src, _) in batch.node_pairs.items()}
-    batch.sizes = np.ones(n)
+        batch.pair_weights[mp] = RowWeights(np.ones(len(batch.pairs[mp][0])))
+    batch.sizes = RowWeights(np.ones(n))
     batch.node_class = batch.node_row = np.arange(n)
     batch.node_of = RowIndex(np.tile(np.arange(n), len(batch.pairs)), n)
     return batch
+
+
+def listed_pairs(tsg, mp):
+    """:func:`metapath_pairs` as it was first written: every two subjects of
+    one shared object (MP2-MP4) or each launch (MP1) listed as a pair, then
+    sorted and made unique."""
+    n = tsg.n_nodes
+    src, dst, etype = tsg.graph.edge_arrays()
+    on_path = np.isin(etype, list(EDGE_GROUPS[_MP_OBJECT[mp]]))
+    rows, cols = src[on_path], dst[on_path]
+    if mp != "MP1":
+        order = np.argsort(cols)
+        subject, obj = rows[order], cols[order]
+        first = np.searchsorted(obj, obj)
+        size = np.searchsorted(obj, obj, side="right") - first
+        rows = np.repeat(subject, size)
+        step = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+        cols = subject[np.repeat(first, size) + step]
+    keys = np.unique(np.concatenate([rows * n + cols, np.arange(n) * (n + 1)]))
+    return keys % n, keys // n
+
+
+def listing_class_batch(subgraphs, config):
+    """The class batch built from per-node pair lists (:func:`listed_pairs`),
+    as a plain namespace of arrays: ``node_class``, ``features``, ``sizes``,
+    and per meta-path ``pairs`` (source class, target class) and
+    ``pair_weights``."""
+    sizes = [tsg.n_nodes for tsg in subgraphs]
+    offsets = np.cumsum([0] + sizes[:-1])
+    n, n_graphs = sum(sizes), len(sizes)
+    graph_of = np.repeat(np.arange(n_graphs), sizes)
+    x = ft.scale_features(np.vstack([tsg.features() for tsg in subgraphs]),
+                          config.log1p_features)
+    node_pairs = {}
+    for mp in config.metapaths:
+        src, dst = zip(*(listed_pairs(tsg, mp) for tsg in subgraphs))
+        node_pairs[mp] = (np.concatenate([s + o for s, o in zip(src, offsets)]),
+                          np.concatenate([d + o for d, o in zip(dst, offsets)]))
+    rows = x.view(np.dtype((np.void, 8 * x.shape[1])))
+    _, node_row = np.unique(rows.ravel(), return_inverse=True)
+    k_row = int(node_row.max()) + 1
+    width = n_graphs + (1 + len(node_pairs)) * k_row
+    cells = [np.arange(n) * width + graph_of, np.arange(n) * width + n_graphs + node_row]
+    for j, (src, dst) in enumerate(node_pairs.values(), start=1):
+        cells.append(dst * width + n_graphs + j * k_row + node_row[src])
+    cell, count = np.unique(np.concatenate(cells), return_counts=True)
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(cell // width, minlength=n), out=indptr[1:])
+    node_class, first = ft._row_classes(sparse.csr_matrix(
+        (count.astype(np.float64), cell % width, indptr), shape=(n, width)))
+    k = len(first)
+    is_first = np.zeros(n, dtype=bool)
+    is_first[first] = True
+    pairs, pair_weights = {}, {}
+    for mp, (src, dst) in node_pairs.items():
+        kept = is_first[dst]
+        pair, count = np.unique(node_class[dst[kept]] * k + node_class[src[kept]],
+                                return_counts=True)
+        pairs[mp] = (pair % k, pair // k)
+        pair_weights[mp] = count.astype(np.float64)
+    return SimpleNamespace(node_class=node_class, features=x[first], pairs=pairs,
+                           pair_weights=pair_weights,
+                           sizes=np.bincount(node_class).astype(np.float64))
 
 
 def rewritten_checkpoint(path, out, edit):

@@ -25,7 +25,7 @@ from provrec.graph import EntityType
 from provrec.numerics import GradientTape, Matrix, Rng
 from provrec.sampling import TechniqueSubgraph
 
-from conftest import make_graph, node_batch
+from conftest import listing_class_batch, make_graph, node_batch
 
 
 def _tsg(triples, nois=None):
@@ -266,7 +266,8 @@ def test_path_fusion_records_as_many_ops_for_one_path_as_for_four(monkeypatch):
 def _one_graph(h, w):
     """Graph-level attention over rows that form one subgraph, one node each."""
     n = h.rows
-    return graph_level_embed(h, w, nm.RowIndex(np.zeros(n, dtype=np.intp), 1), np.ones(n))
+    return graph_level_embed(h, w, nm.RowIndex(np.zeros(n, dtype=np.intp), 1),
+                             nm.RowWeights(np.ones(n)))
 
 
 def test_single_node_takes_all_graph_attention():
@@ -415,6 +416,10 @@ def test_encoder_checkpoint_round_trip(shared_file_tsg, tmp_path):
 
 
 def _random_tsg(gen, n_procs, n_events):
+    return _tsg(_random_triples(gen, n_procs, n_events))
+
+
+def _random_triples(gen, n_procs, n_events):
     kinds = [("launch", EntityType.PROCESS), ("read", EntityType.FILE),
              ("write", EntityType.FILE), ("query", EntityType.REGISTRY),
              ("connect", EntityType.SOCKET)]
@@ -427,7 +432,7 @@ def _random_tsg(gen, n_procs, n_events):
         else:
             obj = f"{kind.value}{int(gen.integers(4))}"
         triples.append((subj, op, obj, kind))
-    return _tsg(triples)
+    return triples
 
 
 def test_batch_embeds_each_subgraph_as_alone():
@@ -493,12 +498,12 @@ def _classes_embed_as_nodes(tsgs, config=HanConfig(dim=6, seed=11)):
         assert np.abs(got.alpha[mp][0] - values).max() <= 1e-12
     assert np.abs(got.beta - want.beta).max() <= 1e-12
     assert np.abs(got.gamma - want.gamma).max() <= 1e-12
-    per_graph = np.bincount(classes.graph_of.ids, classes.sizes)
+    per_graph = np.bincount(classes.graph_of.ids, classes.sizes.values)
     assert (per_graph == [t.n_nodes for t in tsgs]).all()
     for mp, (_, dst) in classes.pairs.items():
         # a class's pair counts add up to each of its nodes' neighbour count
-        degree = np.bincount(dst.ids, classes.pair_weights[mp], len(classes.sizes))
-        assert degree @ classes.sizes == len(nodes.pairs[mp][1])
+        degree = np.bincount(dst.ids, classes.pair_weights[mp].values, len(classes.sizes))
+        assert degree @ classes.sizes.values == len(nodes.pairs[mp][1])
     return nodes, classes
 
 
@@ -520,27 +525,30 @@ def test_class_batch_counts_repeated_neighbour_classes():
                 ("pc", "write", "doc", EntityType.FILE),
                 ("pa", "write", "log", EntityType.FILE)])
     _, classes = _classes_embed_as_nodes([tsg])
-    assert (classes.sizes == [1.0, 1.0, 1.0, 2.0]).all()  # doc, log, pa, {pb, pc}
+    assert (classes.sizes.values == [1.0, 1.0, 1.0, 2.0]).all()  # doc, log, pa, {pb, pc}
     dst = classes.pairs["MP2"][1].ids
-    assert (classes.pair_weights["MP2"][dst == 2] == [1.0, 2.0]).all()  # pa
+    assert (classes.pair_weights["MP2"].values[dst == 2] == [1.0, 2.0]).all()  # pa
+
+
+# x shares f1 and f2 with k1; y shares g1 with k2 and g2 with k3, and the k's
+# have one feature row. Counting shared objects gives x and y one key, but y
+# has two such neighbours and x one.
+SHARED_OBJECTS = [("x", "read", "f1", EntityType.FILE),
+                  ("x", "read", "f2", EntityType.FILE),
+                  ("x", "write", "wx", EntityType.FILE),
+                  ("k1", "read", "f1", EntityType.FILE),
+                  ("k1", "read", "f2", EntityType.FILE),
+                  ("y", "read", "g1", EntityType.FILE),
+                  ("y", "read", "g2", EntityType.FILE),
+                  ("y", "write", "wy", EntityType.FILE),
+                  ("k2", "read", "g1", EntityType.FILE),
+                  ("k2", "read", "h2", EntityType.FILE),
+                  ("k3", "read", "g2", EntityType.FILE),
+                  ("k3", "read", "h3", EntityType.FILE)]
 
 
 def test_class_keys_count_unique_neighbours_not_shared_objects():
-    # x shares f1 and f2 with k1; y shares g1 with k2 and g2 with k3, and the
-    # k's have one feature row. Counting shared objects gives x and y one
-    # key, but y has two such neighbours and x one.
-    tsg = _tsg([("x", "read", "f1", EntityType.FILE),
-                ("x", "read", "f2", EntityType.FILE),
-                ("x", "write", "wx", EntityType.FILE),
-                ("k1", "read", "f1", EntityType.FILE),
-                ("k1", "read", "f2", EntityType.FILE),
-                ("y", "read", "g1", EntityType.FILE),
-                ("y", "read", "g2", EntityType.FILE),
-                ("y", "write", "wy", EntityType.FILE),
-                ("k2", "read", "g1", EntityType.FILE),
-                ("k2", "read", "h2", EntityType.FILE),
-                ("k3", "read", "g2", EntityType.FILE),
-                ("k3", "read", "h3", EntityType.FILE)])
+    tsg = _tsg(SHARED_OBJECTS)
     _, classes = _classes_embed_as_nodes([tsg])
     idx = tsg.graph.node_index()
     assert classes.node_class[idx["x"]] != classes.node_class[idx["y"]]
@@ -571,7 +579,7 @@ def test_class_batch_maps_attention_of_random_batches_to_nodes():
                 for _ in range(int(gen.integers(2, 6)))]
         tsgs.append(tsgs[0])  # a repeated subgraph repeats all its classes
         _, classes = _classes_embed_as_nodes(tsgs)
-        assert (classes.sizes > 1).any()
+        assert (classes.sizes.values > 1).any()
 
 
 def test_class_batch_with_isolated_nodes():
@@ -582,7 +590,7 @@ def test_class_batch_with_isolated_nodes():
     _, classes = _classes_embed_as_nodes([sub, _tsg([("pa", "launch", "pb",
                                                      EntityType.PROCESS)])])
     # py and pz lost their edges with their objects: one class of two
-    assert 2.0 in classes.sizes[classes.graph_of.ids == 0]
+    assert 2.0 in classes.sizes.values[classes.graph_of.ids == 0]
 
 
 def test_class_batch_with_self_loop_launch():
@@ -601,11 +609,11 @@ def test_class_batch_of_distinct_nodes_is_the_node_batch():
     nodes, classes = _classes_embed_as_nodes(tsgs, config)
     assert (classes.features.value == nodes.features.value).all()
     assert (classes.graph_of.ids == nodes.graph_of.ids).all()
-    assert (classes.sizes == 1).all()
+    assert (classes.sizes.values == 1).all()
     for mp, (src, dst) in nodes.pairs.items():
         assert (classes.pairs[mp][0].ids == src.ids).all()
         assert (classes.pairs[mp][1].ids == dst.ids).all()
-        assert (classes.pair_weights[mp] == 1).all()
+        assert (classes.pair_weights[mp].values == 1).all()
     params = init_han_params(config)
     assert (embed_batch(classes, params, config).value
             == embed_batch(nodes, params, config).value).all()
@@ -617,10 +625,49 @@ def test_class_batch_of_one_class():
                   ("p1", "launch", "p2", EntityType.PROCESS),
                   ("p2", "launch", "p0", EntityType.PROCESS)])
     _, classes = _classes_embed_as_nodes([cycle])
-    assert classes.features.rows == 1 and (classes.sizes == [3.0]).all()
-    assert (classes.pair_weights["MP1"] == [2.0]).all()  # itself and its child
+    assert classes.features.rows == 1 and (classes.sizes.values == [3.0]).all()
+    assert (classes.pair_weights["MP1"].values == [2.0]).all()  # itself and its child
     for mp in ("MP2", "MP3", "MP4"):
-        assert (classes.pair_weights[mp] == [1.0]).all()
+        assert (classes.pair_weights[mp].values == [1.0]).all()
+
+
+def _same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _hub_tsg(gen, n_procs, n_hubs):
+    """A random subgraph whose processes also all read the same hub files."""
+    return _tsg(_random_triples(gen, n_procs, int(gen.integers(3, 20)))
+                + [(f"p{i}", "read", f"hub{h}", EntityType.FILE)
+                   for i in range(n_procs) for h in range(n_hubs)])
+
+
+def test_class_batch_equals_the_listing_build_byte_for_byte():
+    # the batch built from sparse products against the one built from
+    # per-node pair lists, on random batches of hub subgraphs, the shared
+    # object counterexample and subgraphs without registry or socket objects
+    gen = Rng(96)
+    no_objects = [("p0", "launch", "p1", EntityType.PROCESS),
+                  ("p1", "read", "f", EntityType.FILE),
+                  ("p2", "write", "f", EntityType.FILE)]
+    for metapaths in (META_PATHS, ("MP1", "MP2")):
+        config = HanConfig(dim=4, metapaths=metapaths)
+        for _ in range(8):
+            pool = [_tsg(SHARED_OBJECTS), _tsg(no_objects),
+                    _hub_tsg(gen, int(gen.integers(2, 12)), int(gen.integers(1, 4)))]
+            pool += [_random_tsg(gen, int(gen.integers(2, 8)), int(gen.integers(3, 25)))
+                     for _ in range(3)]
+            tsgs = [pool[i] for i in gen.choice(len(pool), size=int(gen.integers(1, 7)))]
+            got, want = SubgraphBatch(tsgs, config), listing_class_batch(tsgs, config)
+            _same_bytes(got.node_class, want.node_class)
+            _same_bytes(got.features.value, want.features)
+            _same_bytes(got.sizes.values, want.sizes)
+            assert list(got.pairs) == list(metapaths)
+            for mp, (src, dst) in got.pairs.items():
+                _same_bytes(src.ids, want.pairs[mp][0])
+                _same_bytes(dst.ids, want.pairs[mp][1])
+                _same_bytes(got.pair_weights[mp].values, want.pair_weights[mp])
 
 
 def test_grad_check_through_class_batch():

@@ -9,6 +9,7 @@ from provrec.graph import EntityType, Event, GraphError, build_graph, graph_to_e
 from provrec.numerics import Rng
 from provrec.sampling import (
     TechniqueSubgraph,
+    _undirected_rows,
     lambda_dfs,
     match_subgraphs,
     sample_subgraphs,
@@ -332,6 +333,28 @@ def test_hub_free_host_of_800_nodes_carves_in_under_a_second():
     procs = sorted(n for n in g.node_ids() if g.entity_type(n) == EntityType.PROCESS)
     subs, seconds = _timed_carve(g, random_flags(gen, procs, 60), 4)
     assert seconds < 1.0
+
+
+def test_carve_rounds_build_the_adjacency_once():
+    gen = Rng(4701)
+    g = generate_sample(DEFAULT_TEMPLATES[0], gen.split("host"), 430, 0.05).graph
+    procs = sorted(n for n in g.node_ids() if g.entity_type(n) == EntityType.PROCESS)
+    nois = random_flags(gen, procs, 40)
+    # the per-round walk: each round rebuilds the adjacency
+    pool, want = sorted(nois), []
+    while pool:
+        _undirected_rows.cache_clear()
+        seed = select_seed(pool, g)
+        visited = lambda_dfs(g, seed, set(pool), 3)
+        consumed = [nid for nid in pool if nid in visited]
+        pool = [nid for nid in pool if nid not in visited]
+        if len(consumed) >= 2:
+            want.append((seed, tuple(consumed), sorted(visited)))
+    assert len(want) > 2
+    _undirected_rows.cache_clear()
+    got = sample_subgraphs(g, nois, lam=3, min_nois=2)
+    assert _undirected_rows.cache_info().misses == 1
+    assert [(s.seed, s.nois, s.node_ids) for s in got] == want
 
 
 def test_visited_set_monotone_in_lambda():
