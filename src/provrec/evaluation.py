@@ -15,7 +15,7 @@ import numpy as np
 
 from . import features as ft
 from .config import PipelineConfig
-from .graph import EntityType, ProvenanceGraph, disjoint_union
+from .graph import ProvenanceGraph, disjoint_union
 from .matching import (
     ExemplarSet,
     RecognitionResult,
@@ -65,9 +65,7 @@ def split_leave_malicious_out(dataset: LabeledDataset, seed: int = 0) -> LmoSpli
     benign: list[NodeRef] = []
     for si, sample in enumerate(dataset):
         truth_nois = sample.truth.noi_set()
-        for nid, node in sample.graph.nodes.items():
-            if node.entity_type != EntityType.PROCESS:
-                continue
+        for nid in sample.graph.process_ids():
             if nid in truth_nois:
                 malicious.append(NodeRef(si, nid, True))
             else:
@@ -134,12 +132,9 @@ def noi_lmo_protocol(
     seed = config.seed if seed is None else seed
     split = split_leave_malicious_out(dataset, seed)
     benign_graphs = []
-    for si, sample in enumerate(dataset):
-        keep = [
-            nid
-            for nid in sample.graph.nodes
-            if nid not in sample.truth.noi_set()
-        ]
+    for sample in dataset:
+        truth_nois = sample.truth.noi_set()
+        keep = [nid for nid in sample.graph.node_ids() if nid not in truth_nois]
         benign_graphs.append(sample.graph.induced(keep))
     union = disjoint_union(benign_graphs)
     encoder = ft.train_encoder(
@@ -152,7 +147,7 @@ def noi_lmo_protocol(
     for si, g in enumerate(benign_graphs):
         emb = ft.extract_embeddings(encoder, g, ft.init_features(g))
         index = g.node_index()
-        train_rows += [emb[index[nid]] for nid in g.nodes if (si, nid) in train_keys]
+        train_rows += [emb[index[nid]] for nid in index if (si, nid) in train_keys]
     train_rows = np.array(train_rows)
     forest = fit_forest(train_rows, config.num_trees, config.subsample, seed=seed)
     train_scores = anomaly_scores(forest, train_rows)
@@ -265,9 +260,7 @@ def train_pipeline(
 
 def _whole_graph_subgraph(sample: LabeledSample) -> TechniqueSubgraph:
     graph = sample.graph
-    procs = [
-        nid for nid, n in graph.nodes.items() if n.entity_type == EntityType.PROCESS
-    ]
+    procs = graph.process_ids()
     return TechniqueSubgraph(graph, procs, select_seed(procs, graph))
 
 

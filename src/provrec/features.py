@@ -21,17 +21,9 @@ import numpy as np
 from scipy import sparse
 
 from . import numerics as nm
-from .graph import NUM_EDGE_TYPES, EntityType, ProvenanceGraph
+from .graph import ENTITY_TYPES, NUM_EDGE_TYPES, ProvenanceGraph
 
 FEATURE_DIM = 2 * NUM_EDGE_TYPES  # 42
-
-NODE_TYPE_ORDER = (
-    EntityType.PROCESS,
-    EntityType.FILE,
-    EntityType.REGISTRY,
-    EntityType.SOCKET,
-)
-NODE_TYPE_INDEX = {t: i for i, t in enumerate(NODE_TYPE_ORDER)}
 
 
 def init_features(graph: ProvenanceGraph) -> np.ndarray:
@@ -47,9 +39,7 @@ def init_features(graph: ProvenanceGraph) -> np.ndarray:
 
 
 def node_type_labels(graph: ProvenanceGraph) -> np.ndarray:
-    return np.array(
-        [NODE_TYPE_INDEX[n.entity_type] for n in graph.nodes.values()], dtype=np.intp
-    )
+    return graph.type_codes().astype(np.intp)
 
 
 def scale_features(e0: np.ndarray, enabled: bool = True) -> np.ndarray:
@@ -251,7 +241,7 @@ def train_encoder(
     )
     x = nm.Matrix(x_rows)
     # one loss row per (class, node type) pair, weighted by its node count
-    n_types = len(NODE_TYPE_ORDER)
+    n_types = len(ENTITY_TYPES)
     pairs, counts = np.unique(classes * n_types + labels, return_counts=True)
     pair_class, pair_label = np.divmod(pairs, n_types)
     pair_rows = nm.RowIndex(pair_class, operators[-1].shape[0])
@@ -264,7 +254,7 @@ def train_encoder(
         for t in range(config.t_layers)
     ]
     classifier = tape.parameter(
-        "classifier", init_weight(rng, config.hidden, len(NODE_TYPE_ORDER))
+        "classifier", init_weight(rng, config.hidden, len(ENTITY_TYPES))
     )
 
     def loss_fn():

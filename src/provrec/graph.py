@@ -4,14 +4,34 @@ An event is (subject, operation, object) where the subject is always a
 process. Four entity types and 21 operation kinds give the edge vocabulary;
 the edge-type ids fixed here define feature-vector positions downstream, so
 their order never changes.
+
+A graph is stored as columns, filled by :func:`build_graph` in one pass over
+the events: the node ids in insertion order, one type code per node (an
+index into ``ENTITY_TYPES``), attrs for the nodes that have any, and one
+int64 block of four edge columns (source row, target row, edge-type id,
+ts), whose first three rows are :meth:`ProvenanceGraph.edge_arrays`.
+``graph.nodes`` (id -> :class:`EntityNode`) and ``graph.edges``
+(:class:`Edge` in event order) are read-only views, built from the columns
+each time they are read; the pipeline reads the columns.
+
+JSONL ingest parses and checks each line once. A line is refused, with its
+line number and a reason, when it is not one JSON object, lacks a field,
+names an unknown entity type, a non-process subject or (strict mode) an
+operation outside the 21, has attrs that are not a map, has a ``ts`` that
+is a bool, a non-integral number, not an integer at all or outside the
+signed 64-bit range, or has a subject or object id that is neither a
+string nor an integer.
 """
 
 from __future__ import annotations
 
 import json
+import operator
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,12 +48,21 @@ class EntityType(str, Enum):
 
     @classmethod
     def parse(cls, value) -> "EntityType":
-        if isinstance(value, cls):
-            return value
+        try:
+            return _ENTITY_TYPE_OF[value]
+        except (KeyError, TypeError):  # another spelling, or unhashable
+            pass
         try:
             return cls(str(value).lower())
         except ValueError:
             raise GraphError(f"unknown entity type {value!r}") from None
+
+
+# A node's type code is its type's position here.
+ENTITY_TYPES: tuple[EntityType, ...] = tuple(EntityType)
+_TYPE_CODE = {t: code for code, t in enumerate(ENTITY_TYPES)}
+# members hash and compare as their values, so this maps both to the member
+_ENTITY_TYPE_OF = {t.value: t for t in ENTITY_TYPES}
 
 
 # Canonical operation list per (process, object-type) pair. Ids 1..21 are
@@ -82,8 +111,7 @@ def edge_type_of(subject_type, operation: str, object_type) -> int:
     return eid
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """One audited system call: subject process acts on an object entity."""
 
     subject_id: str
@@ -102,66 +130,107 @@ class EntityNode:
     attrs: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     src: str
     dst: str
     edge_type_id: int
     ts: int
 
 
+def _edge_columns(src, dst, type_id, ts) -> np.ndarray:
+    """The (4, E) int64 block of edge columns: source row, target row,
+    edge-type id and ts."""
+    try:
+        return np.array((src, dst, type_id, ts), dtype=np.int64).reshape(4, -1)
+    except OverflowError:
+        raise GraphError("an edge ts is outside the signed 64-bit range") from None
+
+
 class ProvenanceGraph:
     """Directed multigraph of system entities, immutable after build.
 
     Node insertion order is preserved and fixes the row order of every
-    feature matrix computed from the graph.
+    feature matrix computed from the graph. Storage is the columns the
+    module docstring lists; ``nodes`` and ``edges`` are views over them.
     """
 
     FORMAT_VERSION = 1
 
-    def __init__(self, nodes: Mapping[str, EntityNode], edges: Iterable[Edge]):
-        self.nodes: dict[str, EntityNode] = dict(nodes)
-        self.edges: list[Edge] = list(edges)
-        for e in self.edges:
-            if e.src not in self.nodes or e.dst not in self.nodes:
-                raise GraphError(f"edge endpoint missing from node set: {e}")
-        self._index = {nid: i for i, nid in enumerate(self.nodes)}
-        self._arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    def __init__(
+        self,
+        ids: list[str],
+        types: bytes,
+        edges: np.ndarray,
+        attrs: Mapping[int, dict] | None = None,
+        index: dict[str, int] | None = None,
+    ):
+        """Wrap columns as given, unchecked: distinct ``ids`` in row order,
+        one type code per row, the (4, E) int64 ``edges`` block (see
+        :func:`_edge_columns`), non-empty ``attrs`` by row, and ``index``
+        (id -> row), built here when not passed. The graph owns them."""
+        self._ids = ids
+        self._types = types
+        self._edges = edges
+        edges.flags.writeable = False
+        self._arrays = tuple(edges[:3])
+        self._attrs = dict(attrs) if attrs else {}
+        self._index = {nid: i for i, nid in enumerate(ids)} if index is None else index
+
+    @property
+    def nodes(self) -> Mapping[str, EntityNode]:
+        """Read-only id -> :class:`EntityNode` map, built on each read."""
+        return MappingProxyType({
+            nid: EntityNode(nid, ENTITY_TYPES[code], dict(self._attrs.get(row, ())))
+            for row, (nid, code) in enumerate(zip(self._ids, self._types))
+        })
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """Every :class:`Edge` in edge order, built on each read."""
+        ids = self._ids
+        return tuple(Edge(ids[src], ids[dst], type_id, ts)
+                     for src, dst, type_id, ts in zip(*self._edges.tolist()))
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self._ids)
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return self._edges.shape[1]
 
     def node_ids(self) -> list[str]:
-        return list(self.nodes)
+        return list(self._ids)
 
     def node_index(self) -> dict[str, int]:
         return self._index
 
     def has_node(self, node_id: str) -> bool:
-        return node_id in self.nodes
+        return node_id in self._index
 
     def entity_type(self, node_id: str) -> EntityType:
-        try:
-            return self.nodes[node_id].entity_type
-        except KeyError:
-            raise GraphError(f"unknown node {node_id!r}") from None
+        row = self._index.get(node_id)
+        if row is None:
+            raise GraphError(f"unknown node {node_id!r}")
+        return ENTITY_TYPES[self._types[row]]
+
+    def type_codes(self) -> np.ndarray:
+        """Each node's type code (its position in ``ENTITY_TYPES``), read-only."""
+        return np.frombuffer(self._types, dtype=np.uint8)
+
+    def process_rows(self) -> np.ndarray:
+        """Rows of the process nodes, in node order."""
+        return np.flatnonzero(self.type_codes() == _TYPE_CODE[EntityType.PROCESS])
+
+    def process_ids(self) -> list[str]:
+        """Ids of the process nodes, in node order."""
+        return [self._ids[row] for row in self.process_rows().tolist()]
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(source row, target row, edge-type id) of every edge, in edge order.
 
-        Rows index the node order; built once and cached, read-only.
+        Rows index the node order; read-only views of the edge columns.
         """
-        if self._arrays is None:
-            index = self._index
-            rows = [(index[e.src], index[e.dst], e.edge_type_id) for e in self.edges]
-            arrays = np.array(rows, dtype=np.intp).reshape(-1, 3).T.copy()
-            arrays.flags.writeable = False
-            self._arrays = tuple(arrays)
         return self._arrays
 
     def degree(self, node_id: str) -> tuple[int, int]:
@@ -169,62 +238,85 @@ class ProvenanceGraph:
         i = self._index.get(node_id)
         if i is None:
             raise GraphError(f"unknown node {node_id!r}")
-        src, dst, _ = self.edge_arrays()
+        src, dst, _ = self._arrays
         return int(np.count_nonzero(dst == i)), int(np.count_nonzero(src == i))
+
+    def take(self, rows: Sequence[int]) -> "ProvenanceGraph":
+        """Subgraph on the distinct node ``rows``, in that order; the edges
+        between them keep edge order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        new_row = np.full(self.n_nodes, -1, dtype=np.int64)
+        new_row[rows] = np.arange(len(rows))
+        src, dst = new_row[self._edges[0]], new_row[self._edges[1]]
+        kept = (src >= 0) & (dst >= 0)
+        edges = self._edges[:, kept]
+        edges[0], edges[1] = src[kept], dst[kept]
+        rows = rows.tolist()
+        attrs = {new: self._attrs[old] for new, old in enumerate(rows)
+                 if old in self._attrs} if self._attrs else None
+        return ProvenanceGraph([self._ids[r] for r in rows],
+                               bytes(self.type_codes()[rows]), edges, attrs)
 
     def induced(self, node_subset: Iterable[str]) -> "ProvenanceGraph":
         """Subgraph on the given nodes, preserving node and edge order."""
         keep = set(node_subset)
-        unknown = keep - self.nodes.keys()
+        unknown = keep - self._index.keys()
         if unknown:
             raise GraphError(f"unknown nodes in induced set: {sorted(unknown)[:5]}")
-        nodes = {nid: n for nid, n in self.nodes.items() if nid in keep}
-        edges = [e for e in self.edges if e.src in keep and e.dst in keep]
-        return ProvenanceGraph(nodes, edges)
+        return self.take(sorted(self._index[nid] for nid in keep))
 
     # -- persistence --------------------------------------------------------
 
     def to_dict(self) -> dict:
+        ids, attrs = self._ids, self._attrs
         return {
             "format_version": self.FORMAT_VERSION,
             "nodes": [
-                {"id": n.id, "type": n.entity_type.value, "attrs": n.attrs}
-                for n in self.nodes.values()
+                {"id": nid, "type": ENTITY_TYPES[code].value,
+                 "attrs": dict(attrs.get(row, ()))}
+                for row, (nid, code) in enumerate(zip(ids, self._types))
             ],
             "edges": [
-                {"src": e.src, "dst": e.dst, "type_id": e.edge_type_id, "ts": e.ts}
-                for e in self.edges
+                {"src": ids[src], "dst": ids[dst], "type_id": type_id, "ts": ts}
+                for src, dst, type_id, ts in zip(*self._edges.tolist())
             ],
         }
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "ProvenanceGraph":
+        ids: list[str] = []
+        types = bytearray()
+        attrs: dict[int, dict] = {}
+        index: dict[str, int] = {}
+        columns: tuple[list[int], ...] = ([], [], [], [])
         try:
             version = payload.get("format_version")
             if version != cls.FORMAT_VERSION:
                 raise GraphError(f"unsupported graph format_version {version!r}")
-            nodes = {}
             for n in payload["nodes"]:
-                if n["id"] in nodes:
+                if n["id"] in index:
                     raise GraphError(f"duplicate node id {n['id']!r}")
-                nodes[n["id"]] = EntityNode(
-                    n["id"], EntityType.parse(n["type"]), dict(n.get("attrs") or {})
-                )
-            edges = []
+                row = index[n["id"]] = len(ids)
+                ids.append(n["id"])
+                types.append(_TYPE_CODE[EntityType.parse(n["type"])])
+                if n.get("attrs"):
+                    attrs[row] = dict(n["attrs"])
             for e in payload["edges"]:
                 eid = int(e["type_id"])
                 if eid not in EDGE_TYPE_NAMES:
                     raise GraphError(f"unknown edge type id {eid}")
-                src, dst = nodes.get(e["src"]), nodes.get(e["dst"])
-                # build_graph's rule; the constructor refuses a missing endpoint
-                if src and dst and edge_type_of(
-                    src.entity_type, EDGE_TYPE_NAMES[eid][1], dst.entity_type
-                ) != eid:
+                src, dst = index.get(e["src"]), index.get(e["dst"])
+                if src is None or dst is None:
+                    raise GraphError(f"edge endpoint missing from node set: {e!r}")
+                # build_graph's rule
+                if edge_type_of(ENTITY_TYPES[types[src]], EDGE_TYPE_NAMES[eid][1],
+                                ENTITY_TYPES[types[dst]]) != eid:
                     raise GraphError(f"edge type id {eid} does not fit edge {e!r}")
-                edges.append(Edge(e["src"], e["dst"], eid, int(e["ts"])))
+                for column, value in zip(columns, (src, dst, eid, int(e["ts"]))):
+                    column.append(value)
         except (KeyError, TypeError, AttributeError) as exc:
             raise GraphError(f"malformed graph: {exc!r}") from None
-        return cls(nodes, edges)
+        return cls(ids, bytes(types), _edge_columns(*columns), attrs, index)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -240,67 +332,99 @@ def build_graph(events: Iterable[Event]) -> ProvenanceGraph:
     """Merge event triads into one graph: one node per unique entity id.
 
     Every event becomes one edge. An id reappearing with a different entity
-    type is a collision and raises.
+    type is a collision and raises, as does a ``ts`` that is not an int.
+    Events whose types are ``EntityType`` members (as :func:`parse_event`
+    makes them) cost one edge-type lookup; raw type values are checked by
+    :func:`edge_type_of`.
     """
-    nodes: dict[str, EntityNode] = {}
-    edges: list[Edge] = []
+    index: dict[str, int] = {}
+    ids: list[str] = []
+    types = bytearray()
+    attrs: dict[int, dict] = {}
+    src: list[int] = []
+    dst: list[int] = []
+    type_ids: list[int] = []
+    stamps: list[int] = []
 
-    def touch(eid: str, etype: EntityType, attrs: Mapping[str, str] | None) -> str:
-        node = nodes.get(eid)
-        if node is None:
-            node = nodes[eid] = EntityNode(eid, etype, dict(attrs) if attrs else {})
-        elif node.entity_type != etype:
+    def row_of(eid: str, code: int, node_attrs: Mapping[str, str] | None) -> int:
+        row = index.get(eid)
+        if row is None:
+            row = index[eid] = len(ids)
+            ids.append(eid)
+            types.append(code)
+        elif types[row] != code:
             raise GraphError(
                 f"entity id {eid!r} seen as both "
-                f"{node.entity_type.value} and {etype.value}"
+                f"{ENTITY_TYPES[types[row]].value} and {ENTITY_TYPES[code].value}"
             )
-        elif attrs:
-            for k, v in attrs.items():
-                node.attrs.setdefault(k, v)
-        return node.id
+        if node_attrs:
+            kept = attrs.get(row)
+            if kept is None:
+                attrs[row] = dict(node_attrs)
+            else:
+                for k, v in node_attrs.items():
+                    kept.setdefault(k, v)
+        return row
 
-    for ev in events:
-        type_id = edge_type_of(ev.subject_type, ev.operation, ev.object_type)
+    process = EntityType.PROCESS
+    for subject_id, subject_type, operation, object_id, object_type, ts, ev_attrs in events:
+        if subject_type is process and object_type.__class__ is EntityType:
+            type_id = EDGE_TYPE_IDS.get((object_type, operation))
+            if type_id is None:
+                edge_type_of(subject_type, operation, object_type)  # raises
+        else:
+            type_id = edge_type_of(subject_type, operation, object_type)
+            subject_type = EntityType.parse(subject_type)
+            object_type = EntityType.parse(object_type)
         subj_attrs = None
         obj_attrs = None
-        if ev.attrs:
+        if ev_attrs:
             subj_attrs = {
                 k[len("subject_"):]: v
-                for k, v in ev.attrs.items()
+                for k, v in ev_attrs.items()
                 if k.startswith("subject_")
             }
             obj_attrs = {
-                k: v for k, v in ev.attrs.items() if not k.startswith("subject_")
+                k: v for k, v in ev_attrs.items() if not k.startswith("subject_")
             }
-        subject = touch(ev.subject_id, EntityType.parse(ev.subject_type), subj_attrs)
-        obj = touch(ev.object_id, EntityType.parse(ev.object_type), obj_attrs)
-        # edges reuse their nodes' id strings, so a graph keeps one copy of each
-        edges.append(Edge(subject, obj, type_id, ev.ts))
-    return ProvenanceGraph(nodes, edges)
+        src.append(row_of(subject_id, _TYPE_CODE[subject_type], subj_attrs))
+        dst.append(row_of(object_id, _TYPE_CODE[object_type], obj_attrs))
+        type_ids.append(type_id)
+        stamps.append(ts)
+    for ts in stamps:  # the int64 column would truncate a float silently
+        if ts.__class__ is not int:
+            raise GraphError(f"event ts {ts!r} is not an integer")
+    return ProvenanceGraph(
+        ids, bytes(types), _edge_columns(src, dst, type_ids, stamps), attrs, index
+    )
 
 
 def graph_to_events(graph: ProvenanceGraph) -> list[Event]:
     """Reconstruct the event triads of a graph's edges (subjects are processes)."""
+    ids = graph._ids
     events = []
-    for e in graph.edges:
-        obj_type, operation = EDGE_TYPE_NAMES[e.edge_type_id]
+    for src, dst, type_id, ts in zip(*graph._edges.tolist()):
+        obj_type, operation = EDGE_TYPE_NAMES[type_id]
         events.append(
-            Event(e.src, EntityType.PROCESS, operation, e.dst, obj_type, e.ts)
+            Event(ids[src], EntityType.PROCESS, operation, ids[dst], obj_type, ts)
         )
     return events
 
 
 def disjoint_union(graphs: Sequence[ProvenanceGraph]) -> ProvenanceGraph:
     """Combine graphs into one, prefixing node ids with their graph index."""
-    nodes: dict[str, EntityNode] = {}
-    edges: list[Edge] = []
+    ids: list[str] = []
+    attrs: dict[int, dict] = {}
+    blocks = [np.zeros((4, 0), dtype=np.int64)]
     for gi, g in enumerate(graphs):
-        prefix = f"g{gi}/"
-        for n in g.nodes.values():
-            nodes[prefix + n.id] = EntityNode(prefix + n.id, n.entity_type, dict(n.attrs))
-        for e in g.edges:
-            edges.append(Edge(prefix + e.src, prefix + e.dst, e.edge_type_id, e.ts))
-    return ProvenanceGraph(nodes, edges)
+        offset = len(ids)
+        ids += [f"g{gi}/{nid}" for nid in g._ids]
+        attrs.update((offset + row, a) for row, a in g._attrs.items())
+        block = g._edges.copy()
+        block[:2] += offset
+        blocks.append(block)
+    types = b"".join(g._types for g in graphs)
+    return ProvenanceGraph(ids, types, np.concatenate(blocks, axis=1), attrs)
 
 
 @dataclass
@@ -327,6 +451,30 @@ class IngestStats:
 _REQUIRED_EVENT_KEYS = (
     "subject_id", "subject_type", "operation", "object_id", "object_type", "ts",
 )
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _event_ts(value) -> int:
+    """An integer, an integral float or an integer string, within int64."""
+    if value.__class__ is not int:
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise GraphError(f"event ts {value!r} is not an integer")
+        try:
+            value = int(value)
+        except (TypeError, ValueError, OverflowError):
+            raise GraphError(f"event ts {value!r} is not an integer") from None
+    if not _INT64_MIN <= value <= _INT64_MAX:
+        raise GraphError(f"event ts {value!r} is outside the signed 64-bit range")
+    return value
+
+
+def _entity_id(key: str, value) -> str:
+    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
+        return str(value)
+    raise GraphError(f"event {key} {value!r} is neither a string nor an integer")
+
+
+_event_fields = operator.itemgetter(*_REQUIRED_EVENT_KEYS)
 
 
 def parse_event(record: Mapping, strict: bool = True) -> Event:
@@ -334,41 +482,46 @@ def parse_event(record: Mapping, strict: bool = True) -> Event:
 
     Graph building needs strict events; the rule baseline accepts stream
     operations (execute, image_load, registry create) outside that list.
+    Nothing is coerced silently: a bool or fractional ``ts`` and an id that
+    is neither a string nor an integer are refused.
     """
-    if not isinstance(record, Mapping):
+    # dict first: its exact-type check is cheaper than the Mapping ABC's
+    if not isinstance(record, (dict, Mapping)):
         raise GraphError(f"event must be a JSON object, got {type(record).__name__}")
-    missing = [k for k in _REQUIRED_EVENT_KEYS if k not in record]
-    if missing:
-        raise GraphError(f"event missing fields {missing}")
-    st = EntityType.parse(record["subject_type"])
-    ot = EntityType.parse(record["object_type"])
-    op = str(record["operation"]).lower()
+    try:
+        subject_id, subject_type, operation, object_id, object_type, ts = (
+            _event_fields(record)
+        )
+    except KeyError:
+        missing = [k for k in _REQUIRED_EVENT_KEYS if k not in record]
+        raise GraphError(f"event missing fields {missing}") from None
+    st = EntityType.parse(subject_type)
+    ot = EntityType.parse(object_type)
+    op = str(operation).lower()
     if strict:
-        edge_type_of(st, op, ot)  # validates the triple
+        if st is not EntityType.PROCESS or (ot, op) not in EDGE_TYPE_IDS:
+            edge_type_of(st, op, ot)  # raises, naming the triple
     elif st != EntityType.PROCESS:
         raise GraphError("event subjects must be processes")
     attrs = record.get("attrs")
-    if attrs is not None and not isinstance(attrs, Mapping):
+    if attrs is not None and not isinstance(attrs, (dict, Mapping)):
         raise GraphError("attrs must be a string map")
-    try:
-        ts = int(record["ts"])
-    except (TypeError, ValueError, OverflowError):
-        raise GraphError(f"event ts {record['ts']!r} is not an integer") from None
+    ts = _event_ts(ts)
     return Event(
-        subject_id=str(record["subject_id"]),
-        subject_type=st,
-        operation=op,
-        object_id=str(record["object_id"]),
-        object_type=ot,
-        ts=ts,
-        attrs=dict(attrs) if attrs else None,
+        _entity_id("subject_id", subject_id), st, op,
+        _entity_id("object_id", object_id), ot, ts, dict(attrs) if attrs else None,
     )
 
 
 def read_events_jsonl(path, strict: bool = True) -> tuple[list[Event], IngestStats]:
-    """Read one event per line; bad lines are counted and reported, not lost."""
+    """Read one event per line; bad lines are counted and reported, not lost.
+
+    A line is decoded once; one that is not exactly one JSON value is
+    decoded again by ``json.loads`` so that its reason is the usual one.
+    """
     events: list[Event] = []
     stats = IngestStats()
+    decode = json.JSONDecoder().raw_decode
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -376,7 +529,12 @@ def read_events_jsonl(path, strict: bool = True) -> tuple[list[Event], IngestSta
                 continue
             stats.lines += 1
             try:
-                record = json.loads(line)
+                try:
+                    record, end = decode(line)
+                    if end != len(line):
+                        raise ValueError
+                except ValueError:
+                    record = json.loads(line)
                 events.append(parse_event(record, strict=strict))
                 stats.loaded += 1
             except (json.JSONDecodeError, GraphError, ValueError) as exc:

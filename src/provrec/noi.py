@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import EntityType, ProvenanceGraph
+from .graph import ProvenanceGraph
 from .numerics import Rng
 
 _EULER_GAMMA = 0.5772156649015329
@@ -271,13 +271,11 @@ def detect_nois(
     emb = np.asarray(embeddings, dtype=np.float64)
     if emb.shape[0] != graph.n_nodes:
         raise ValueError("embeddings must align with graph nodes")
-    proc_ids = [
-        nid for nid, n in graph.nodes.items() if n.entity_type == EntityType.PROCESS
-    ]
-    if not proc_ids:
+    proc_rows = graph.process_rows()
+    if not len(proc_rows):
         raise ValueError("graph has no process nodes")
-    index = graph.node_index()
-    rows = emb[[index[nid] for nid in proc_ids]]
+    proc_ids = graph.process_ids()
+    rows = emb[proc_rows]
     forest = fit_forest(rows, num_trees, subsample_size, seed)
     scores = dict(zip(proc_ids, anomaly_scores(forest, rows).tolist()))
     if contamination is not None:

@@ -34,8 +34,8 @@ class TechniqueSubgraph:
     ):
         # canonical sorted-id node order makes every downstream reduction
         # independent of how the parent graph happened to order insertions
-        ordered = {nid: graph.nodes[nid] for nid in sorted(graph.nodes)}
-        self.graph = ProvenanceGraph(ordered, graph.edges)
+        ids = graph.node_ids()
+        self.graph = graph.take(sorted(range(len(ids)), key=ids.__getitem__))
         self.nois = tuple(sorted(dict.fromkeys(nois)))
         self.seed = seed
         self.technique = technique
@@ -212,6 +212,9 @@ def lambda_dfs(
     while frontier:
         u = frontier.pop()
         walk(u, 1 << u, lam)
+    # walk refers to itself through its closure cell; dropping the name
+    # breaks that cycle, so the tables go now rather than at the next GC
+    del walk
 
     ids = graph.node_ids()
     return {ids[x] for x in flags + near if retained >> x & 1}

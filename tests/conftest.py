@@ -3,6 +3,7 @@ the suite."""
 
 import hashlib
 import json
+from collections.abc import Mapping
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +12,14 @@ from scipy import sparse
 
 from provrec import features as ft
 from provrec.embedding import _MP_OBJECT, SubgraphBatch, metapath_pairs
-from provrec.graph import EDGE_GROUPS, EntityType, Event, build_graph
+from provrec.graph import (
+    EDGE_GROUPS,
+    EntityType,
+    Event,
+    GraphError,
+    build_graph,
+    edge_type_of,
+)
 from provrec.numerics import Matrix, RowIndex, RowWeights, Rng
 
 
@@ -138,6 +146,85 @@ def listing_class_batch(subgraphs, config):
     return SimpleNamespace(node_class=node_class, features=x[first], pairs=pairs,
                            pair_weights=pair_weights,
                            sizes=np.bincount(node_class).astype(np.float64))
+
+
+_EVENT_KEYS = ("subject_id", "subject_type", "operation", "object_id",
+               "object_type", "ts")
+
+
+def reference_parse_event(record, strict=True):
+    """The event parser as it was first written, one ``json.loads`` per line:
+    the fields of the event as a tuple in :class:`Event` order."""
+    if not isinstance(record, Mapping):
+        raise GraphError(f"event must be a JSON object, got {type(record).__name__}")
+    missing = [k for k in _EVENT_KEYS if k not in record]
+    if missing:
+        raise GraphError(f"event missing fields {missing}")
+    st = EntityType.parse(record["subject_type"])
+    ot = EntityType.parse(record["object_type"])
+    op = str(record["operation"]).lower()
+    if strict:
+        edge_type_of(st, op, ot)
+    elif st != EntityType.PROCESS:
+        raise GraphError("event subjects must be processes")
+    attrs = record.get("attrs")
+    if attrs is not None and not isinstance(attrs, Mapping):
+        raise GraphError("attrs must be a string map")
+    try:
+        ts = int(record["ts"])
+    except (TypeError, ValueError, OverflowError):
+        raise GraphError(f"event ts {record['ts']!r} is not an integer") from None
+    return (str(record["subject_id"]), st, op, str(record["object_id"]), ot, ts,
+            dict(attrs) if attrs else None)
+
+
+def reference_read_events(path, strict=True):
+    """(event field tuples, ``IngestStats.to_dict()``) of the first reader."""
+    events, rejected, lines = [], [], 0
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            lines += 1
+            try:
+                events.append(reference_parse_event(json.loads(line), strict))
+            except (json.JSONDecodeError, GraphError, ValueError) as exc:
+                rejected.append((line_no, str(exc)))
+    stats = {"lines": lines, "loaded": len(events), "rejected_count": len(rejected),
+             "rejected": [{"line": ln, "reason": r} for ln, r in rejected]}
+    return events, stats
+
+
+def reference_graph_dict(events):
+    """``to_dict()`` of the graph the first, per-object ``build_graph`` made
+    from event field tuples."""
+    nodes, edges = {}, []
+
+    def touch(eid, etype, attrs):
+        node = nodes.get(eid)
+        if node is None:
+            node = nodes[eid] = {"id": eid, "type": etype.value,
+                                 "attrs": dict(attrs) if attrs else {}}
+        elif node["type"] != etype.value:
+            raise GraphError(f"entity id {eid!r} seen as both "
+                             f"{node['type']} and {etype.value}")
+        elif attrs:
+            for k, v in attrs.items():
+                node["attrs"].setdefault(k, v)
+        return node["id"]
+
+    for subject_id, subject_type, operation, object_id, object_type, ts, attrs in events:
+        type_id = edge_type_of(subject_type, operation, object_type)
+        subj_attrs = obj_attrs = None
+        if attrs:
+            subj_attrs = {k[len("subject_"):]: v for k, v in attrs.items()
+                          if k.startswith("subject_")}
+            obj_attrs = {k: v for k, v in attrs.items() if not k.startswith("subject_")}
+        src = touch(subject_id, EntityType.parse(subject_type), subj_attrs)
+        dst = touch(object_id, EntityType.parse(object_type), obj_attrs)
+        edges.append({"src": src, "dst": dst, "type_id": type_id, "ts": ts})
+    return {"format_version": 1, "nodes": list(nodes.values()), "edges": edges}
 
 
 def rewritten_checkpoint(path, out, edit):

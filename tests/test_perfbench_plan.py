@@ -3,8 +3,9 @@
 ``perfbench/workloads.py`` lists in ``trace_plan()`` every ``(owner,
 attribute)`` it replaces with a timing wrapper during ``--trace 1`` runs. A
 rename or deletion in ``src/`` would only show up there, as a crash, so this
-checks the plan from the tier-1 suite, and every other provrec name that
-``workloads.py`` and ``checks.py`` reach through an import.
+checks the plan from the tier-1 suite, every other provrec name that
+``workloads.py`` and ``checks.py`` reach through an import, and the graph
+views that ``checks.py`` reads.
 """
 
 import ast
@@ -91,3 +92,31 @@ def test_every_provrec_name_the_benchmark_uses_resolves(name):
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert missing == []
+
+
+def test_the_graph_views_the_benchmark_reads(monkeypatch):
+    """``checks.py`` reads ``graph.nodes.items()`` for ``.entity_type.value``
+    and ``graph.edges`` for ``.src``/``.dst``/``.edge_type_id``/``.ts``, in
+    event order; the graph stores columns and builds these views on read."""
+    from provrec.graph import EntityType, Event, build_graph
+
+    P, F, S = EntityType.PROCESS, EntityType.FILE, EntityType.SOCKET
+    g = build_graph([
+        Event("sh", P, "launch", "curl", P, 30),
+        Event("curl", P, "connect", "203.0.113.9:443", S, 10),
+        Event("curl", P, "write", "x.bin", F, 20, {"subject_name": "curl"}),
+        Event("sh", P, "read", "x.bin", F, 20),
+    ])
+    assert [(nid, n.entity_type.value) for nid, n in g.nodes.items()] == [
+        ("sh", "process"), ("curl", "process"),
+        ("203.0.113.9:443", "socket"), ("x.bin", "file")]
+    assert [(e.src, e.dst, e.edge_type_id, e.ts) for e in g.edges] == [
+        ("sh", "curl", 1, 30), ("curl", "203.0.113.9:443", 18, 10),
+        ("curl", "x.bin", 4, 20), ("sh", "x.bin", 3, 20)]
+    assert all(type(v) is int for e in g.edges for v in (e.edge_type_id, e.ts))
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    checks = importlib.import_module("checks")
+    nodes, edges = checks.graph_signature(g)
+    assert ("x.bin", "file") in nodes and edges[("sh", "x.bin", 3, 20)] == 1
+    assert checks.process_ids(g) == {"sh", "curl"}
+    assert checks.best_connected(["sh", "curl"], g) == "curl"

@@ -1,5 +1,6 @@
 """Seed selection, hop-limited search, subgraph carving, and overlap metrics."""
 
+import gc
 import time
 
 import networkx as nx
@@ -305,6 +306,23 @@ def test_generated_hub_host_matches_the_enumerating_walk():
     got = lambda_dfs(g, seed, nois, 4)
     assert got == _enumerating_walk(g, seed, nois, 4)
     assert len(got) > 200  # the hubs put most processes on a flag-to-flag path
+
+
+def test_lambda_dfs_leaves_no_garbage_for_the_cycle_collector():
+    """A call's tables are freed when it returns, not at the next GC run."""
+    gen = Rng(4550)
+    sample = generate_sample(DEFAULT_TEMPLATES[1], gen.split("host"), 200, 0.05)
+    g, procs = _with_hubs(sample.graph, 3)
+    nois = sorted(set(sample.truth.nois) | set(random_flags(gen, procs, 2)))
+    seed = select_seed(nois, g)
+    lambda_dfs(g, seed, nois, 4)  # builds the shared adjacency outside the check
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(lambda_dfs(g, seed, nois, 4)) > 200
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- scale ---------------------------------------------------------------------
