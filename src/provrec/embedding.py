@@ -211,17 +211,15 @@ class HanEncoder:
     def to_dict(self) -> dict:
         return {
             "config": asdict(self.config),
-            "params": {k: v.reshape(-1).tolist() for k, v in self.params.items()},
+            "params": {k: nm.encode_array(v) for k, v in self.params.items()},
             "shapes": {k: list(v.shape) for k, v in self.params.items()},
         }
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "HanEncoder":
         config = HanConfig.from_dict(payload["config"])
-        params = {
-            k: np.array(flat, dtype=np.float64).reshape(payload["shapes"][k])
-            for k, flat in payload["params"].items()
-        }
+        params = {k: nm.decode_array(flat, payload["shapes"][k])
+                  for k, flat in payload["params"].items()}
         return cls(config, params)
 
 

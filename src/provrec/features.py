@@ -176,22 +176,17 @@ class GnnEncoder:
             "config": asdict(self.config),
             "shapes": [list(w.shape) for w in self.weights]
             + [list(self.classifier.shape)],
-            "weights": [w.reshape(-1).tolist() for w in self.weights],
-            "classifier": self.classifier.reshape(-1).tolist(),
+            "weights": [nm.encode_array(w) for w in self.weights],
+            "classifier": nm.encode_array(self.classifier),
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "GnnEncoder":
         cfg = EncoderConfig(**without_retired(payload["config"], "slope"))
         shapes = payload["shapes"]
-        weights = [
-            np.array(flat, dtype=np.float64).reshape(shape)
-            for flat, shape in zip(payload["weights"], shapes[:-1])
-        ]
-        classifier = np.array(payload["classifier"], dtype=np.float64).reshape(
-            shapes[-1]
-        )
-        return cls(cfg, weights, classifier)
+        weights = [nm.decode_array(flat, shape)
+                   for flat, shape in zip(payload["weights"], shapes[:-1])]
+        return cls(cfg, weights, nm.decode_array(payload["classifier"], shapes[-1]))
 
 
 # What older checkpoints stored for settings that are now fixed: every layer's

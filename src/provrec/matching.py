@@ -167,17 +167,19 @@ class SiameseModel:
         return {
             "config": asdict(self.config),
             "encoder": self.encoder.to_dict(),
-            "out_w": self.out_w.tolist(),
-            "out_b": self.out_b.tolist(),
+            "out_w": nm.encode_array(self.out_w),
+            "out_b": nm.encode_array(self.out_b),
         }
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "SiameseModel":
+        config = MatcherConfig.from_dict(payload["config"])
+        d = config.han.dim  # the head train_matcher builds
         return cls(
-            MatcherConfig.from_dict(payload["config"]),
+            config,
             HanEncoder.from_dict(payload["encoder"]),
-            np.array(payload["out_w"], dtype=np.float64),
-            np.array(payload["out_b"], dtype=np.float64),
+            nm.decode_array(payload["out_w"], (d, d)),
+            nm.decode_array(payload["out_b"], (1, d)),
         )
 
     def content_hash(self) -> str:
@@ -322,7 +324,7 @@ class Exemplar:
             "technique": self.technique,
             "tactic": self.tactic,
             "subgraph": self.subgraph.to_dict(),
-            "embedding": self.embedding.tolist(),
+            "embedding": nm.encode_array(self.embedding),
             "model_hash": self.model_hash,
         }
 
@@ -332,7 +334,7 @@ class Exemplar:
             payload["technique"],
             payload["tactic"],
             TechniqueSubgraph.from_dict(payload["subgraph"]),
-            np.array(payload["embedding"], dtype=np.float64),
+            nm.decode_array(payload["embedding"], None),
             payload["model_hash"],
         )
 

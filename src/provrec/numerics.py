@@ -10,7 +10,10 @@ intermediate raises immediately instead of propagating NaNs.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import hashlib
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -63,6 +66,45 @@ class Rng:
 
     def permutation(self, x):
         return self.generator.permutation(x)
+
+
+# ---------------------------------------------------------------------------
+# checkpoint arrays
+# ---------------------------------------------------------------------------
+
+
+def encode_array(value: np.ndarray) -> str:
+    """Base64 text of ``value``'s little-endian float64 bytes in C order."""
+    raw = np.ascontiguousarray(value, dtype="<f8").tobytes()
+    return base64.b64encode(raw).decode("ascii")
+
+
+def decode_array(value, shape: Sequence[int] | None) -> np.ndarray:
+    """The float64 array of ``shape`` that :func:`encode_array` wrote.
+
+    ``value`` may also be a (nested) list of numbers, as version-1
+    checkpoints stored arrays; their shortest round-trip reprs read back bit
+    for bit. ``shape`` None takes a 1-D array of any length. Text that is not
+    base64, a byte or value count that does not fill ``shape`` and
+    non-finite values raise :class:`NumericsError`.
+    """
+    if isinstance(value, str):
+        try:
+            raw = base64.b64decode(value, validate=True)
+        except binascii.Error as exc:
+            raise NumericsError(f"array text is not base64: {exc}") from None
+        if len(raw) % 8:
+            raise NumericsError(f"{len(raw)} bytes are not whole float64 values")
+        flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    else:
+        flat = np.array(value, dtype=np.float64).reshape(-1)
+    if shape is None:
+        shape = flat.shape
+    elif flat.size != math.prod(shape):
+        raise NumericsError(f"{flat.size} values do not fill shape {tuple(shape)}")
+    if not np.isfinite(flat).all():
+        raise NumericsError("array holds non-finite values")
+    return flat.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,28 @@
 """Versioned JSON checkpoints shared by every model kind.
 
 A checkpoint wraps a model payload with a format version, a kind tag, and a
-content hash; loading verifies all three. JSON float serialisation uses
-shortest round-trip representations, so a save/load cycle reproduces
-weights bit for bit.
+content hash; loading verifies all three. Every float array in a payload is
+the base64 text of its little-endian float64 bytes (``numerics.encode_array``),
+so a save/load cycle reproduces weights bit for bit, and loading refuses
+arrays that are not base64, do not fill their shape or hold non-finite
+values. Version-1 checkpoints, which stored arrays as JSON lists of shortest
+round-trip floats, still load bit for bit; saving always writes version 2.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import threading
 from pathlib import Path
 
 from .evaluation import PipelineModels
 from .features import GnnEncoder
 from .matching import ExemplarSet, SiameseModel
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_READABLE_VERSIONS = (1, FORMAT_VERSION)
 
 _KINDS = {
     "gnn_encoder": GnnEncoder,
@@ -43,7 +49,11 @@ def _payload_hash(payload: dict) -> str:
 
 
 def save_model(model, path, *, force: bool = False) -> dict:
-    """Write a checkpoint; refuses to overwrite unless ``force`` is set."""
+    """Write a checkpoint; refuses to overwrite unless ``force`` is set.
+
+    The file is written beside ``path`` and renamed over it, so a save that
+    fails part way leaves any earlier checkpoint there as it was.
+    """
     path = Path(path)
     if path.exists() and not force:
         raise FileExistsError(f"{path} exists; pass force=True to overwrite")
@@ -54,9 +64,17 @@ def save_model(model, path, *, force: bool = False) -> dict:
         "content_hash": _payload_hash(payload),
         "payload": payload,
     }
+    text = json.dumps(envelope)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(envelope, fh)
+    # unique per process and thread; open() gives it the umask's permissions
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return envelope
 
 
@@ -72,10 +90,10 @@ def load_model(path, expect_kind: str | None = None):
     for key in ("format_version", "kind", "content_hash", "payload"):
         if key not in envelope:
             raise ModelFormatError(f"{path}: missing checkpoint field {key!r}")
-    if envelope["format_version"] != FORMAT_VERSION:
+    if envelope["format_version"] not in _READABLE_VERSIONS:
         raise ModelFormatError(
             f"{path}: format_version {envelope['format_version']!r} "
-            f"is not {FORMAT_VERSION}"
+            f"is not one of {_READABLE_VERSIONS}"
         )
     kind = envelope["kind"]
     if expect_kind is not None and kind != expect_kind:

@@ -9,7 +9,6 @@ every flagged node it reaches. Small clusters are dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -108,12 +107,9 @@ def select_seed(nois: Iterable[str], graph: ProvenanceGraph) -> str:
         raise GraphError(f"unknown node {exc.args[0]!r}") from None
 
 
-@lru_cache(maxsize=1)
 def _undirected_rows(graph: ProvenanceGraph) -> list[list[int]]:
     """Each node row's distinct neighbour rows over both edge directions;
-    self-loops are dropped. A graph never changes once built, so the last
-    graph's rows are kept: the carve rounds of one :func:`sample_subgraphs`
-    call build them once."""
+    self-loops are dropped."""
     n = graph.n_nodes
     src, dst, _ = graph.edge_arrays()
     keep = src != dst
@@ -125,7 +121,8 @@ def _undirected_rows(graph: ProvenanceGraph) -> list[list[int]]:
 
 
 def lambda_dfs(
-    graph: ProvenanceGraph, seed: str, nois: Iterable[str], lam: int
+    graph: ProvenanceGraph, seed: str, nois: Iterable[str], lam: int,
+    *, adjacency: list[list[int]] | None = None,
 ) -> set[str]:
     """All nodes on hop-limited paths linking flagged nodes, plus the seed.
 
@@ -150,6 +147,9 @@ def lambda_dfs(
       a path through x retains only the current path and nodes of
       ``reach[r][x]``, and the flag it ends at, being retained, was queued
       for its own expansion when it was first retained.
+
+    ``adjacency`` is the graph's :func:`_undirected_rows`, built here when not
+    passed; :func:`sample_subgraphs` builds it once for all its rounds.
     """
     noi_set = set(nois)
     if seed not in noi_set:
@@ -159,7 +159,7 @@ def lambda_dfs(
     index = graph.node_index()
     if seed not in index:
         raise GraphError(f"unknown node {seed!r}")
-    adj = _undirected_rows(graph)
+    adj = _undirected_rows(graph) if adjacency is None else adjacency
     flags = [index[nid] for nid in noi_set if nid in index]
 
     # dist by a BFS from every flag through unflagged nodes; a node farther
@@ -231,13 +231,15 @@ def sample_subgraphs(
 
     Each round seeds from the best-connected remaining flagged node, walks
     with :func:`lambda_dfs`, induces the visited nodes, and emits the result
-    only when it consumed at least ``min_nois`` flagged nodes.
+    only when it consumed at least ``min_nois`` flagged nodes. The rounds
+    share one adjacency build, which goes when the call returns.
     """
     pool = sorted(set(nois))
     out: list[TechniqueSubgraph] = []
+    adjacency = _undirected_rows(graph) if pool else None
     while pool:
         seed = select_seed(pool, graph)
-        visited = lambda_dfs(graph, seed, set(pool), lam)
+        visited = lambda_dfs(graph, seed, set(pool), lam, adjacency=adjacency)
         consumed = [nid for nid in pool if nid in visited]
         pool = [nid for nid in pool if nid not in visited]
         if len(consumed) >= min_nois:

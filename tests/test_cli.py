@@ -10,6 +10,7 @@ from provrec.cli import EXIT_DATA, EXIT_MODEL, EXIT_OK, EXIT_USAGE, main
 from provrec.config import PipelineConfig
 from provrec.evaluation import detect
 from provrec.graph import EntityType, ProvenanceGraph
+from provrec.numerics import decode_array, encode_array
 from provrec.persistence import ModelFormatError, load_model
 
 from conftest import make_graph, rewritten_checkpoint
@@ -142,6 +143,23 @@ def test_bundle_whose_han_configs_disagree_exits_three(chain, tmp_path):
     bundle = rewritten_checkpoint(
         root / "bundle.json", tmp_path / "bundle.json",
         lambda p: p["matcher"]["encoder"]["config"].update(metapaths=["MP1"]))
+    out = tmp_path / "rec.json"
+    assert run("--config", config, "recognize", "--subgraph",
+               root / "ds" / "truth" / "t0000.json", "--models", bundle,
+               "--out", out) == EXIT_MODEL
+    assert not out.exists()
+
+
+def test_bundle_with_a_non_finite_weight_exits_three(chain, tmp_path):
+    root, config = chain
+
+    def nan_weight(payload):
+        weights = decode_array(payload["encoder"]["weights"][0], None)
+        weights[0] = math.nan
+        payload["encoder"]["weights"][0] = encode_array(weights)
+
+    bundle = rewritten_checkpoint(root / "bundle.json", tmp_path / "bundle.json",
+                                  nan_weight)
     out = tmp_path / "rec.json"
     assert run("--config", config, "recognize", "--subgraph",
                root / "ds" / "truth" / "t0000.json", "--models", bundle,

@@ -1,15 +1,21 @@
-"""The checkpoint format: envelope, payload nesting and key order, byte-stable
-re-saves."""
+"""The checkpoint format: envelope, payload nesting and key order, encoded
+arrays, byte-stable re-saves, version-1 files and atomic saves."""
 
+import base64
+import errno
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from provrec import persistence
 from provrec.config import PipelineConfig
-from provrec.embedding import META_PATHS
-from provrec.evaluation import split_few_shot, train_pipeline
-from provrec.matching import recognize
+from provrec.embedding import META_PATHS, HanConfig, HanEncoder
+from provrec.evaluation import PipelineModels, split_few_shot, train_pipeline
+from provrec.features import EncoderConfig, GnnEncoder
+from provrec.matching import ExemplarSet, MatcherConfig, SiameseModel, recognize
+from provrec.numerics import Rng, decode_array, encode_array
 from provrec.persistence import ModelFormatError, load_model, save_model
 from provrec.synthetic import generate_scenario
 
@@ -30,15 +36,16 @@ def bundle_file(tmp_path_factory):
     return config, models, path
 
 
-def _flat(shape):
-    return shape[0] * shape[1]
+def _size(text):
+    """Number of float64 values an encoded array holds."""
+    return decode_array(text, None).size
 
 
 def test_bundle_payload_layout(bundle_file):
     config, models, path = bundle_file
     envelope = json.loads(path.read_text())
     assert list(envelope) == ["format_version", "kind", "content_hash", "payload"]
-    assert envelope["format_version"] == 1 and envelope["kind"] == "bundle"
+    assert envelope["format_version"] == 2 and envelope["kind"] == "bundle"
     payload = envelope["payload"]
     assert list(payload) == ["encoder", "matcher", "exemplars"]
 
@@ -51,8 +58,8 @@ def test_bundle_payload_layout(bundle_file):
     assert list(encoder["config"]) == [
         "t_layers", "hidden", "epochs", "lr", "seed", "log1p"]
     assert encoder["shapes"] == [[42, 8], [8, 8], [8, 4]]
-    assert [len(w) for w in encoder["weights"]] == [42 * 8, 8 * 8]
-    assert len(encoder["classifier"]) == 8 * 4
+    assert [_size(w) for w in encoder["weights"]] == [42 * 8, 8 * 8]
+    assert _size(encoder["classifier"]) == 8 * 4
 
     matcher = payload["matcher"]
     assert list(matcher) == ["config", "encoder", "out_w", "out_b"]
@@ -72,9 +79,10 @@ def test_bundle_payload_layout(bundle_file):
     assert list(han["params"]) == names and list(han["shapes"]) == names
     assert han["shapes"]["proj"] == [42, 8] and han["shapes"]["att_w_MP1"] == [16, 8]
     for name in names:
-        assert len(han["params"][name]) == _flat(han["shapes"][name])
-    assert len(matcher["out_w"]) == 8 and len(matcher["out_w"][0]) == 8
-    assert len(matcher["out_b"]) == 1 and len(matcher["out_b"][0]) == 8
+        rows, cols = han["shapes"][name]
+        assert _size(han["params"][name]) == rows * cols
+    assert _size(matcher["out_w"]) == 8 * 8
+    assert _size(matcher["out_b"]) == 8
 
     exemplars = payload["exemplars"]
     assert list(exemplars) == ["exemplars"]
@@ -82,7 +90,7 @@ def test_bundle_payload_layout(bundle_file):
     for entry in exemplars["exemplars"]:
         assert list(entry) == ["technique", "tactic", "subgraph", "embedding",
                                "model_hash"]
-        assert len(entry["embedding"]) == 8
+        assert _size(entry["embedding"]) == 8
         assert entry["model_hash"] == models.matcher.content_hash()
 
 
@@ -180,3 +188,240 @@ def test_malformed_payload_is_a_model_format_error(bundle_file, tmp_path, case):
     _, _, path = bundle_file
     with pytest.raises(ModelFormatError, match="malformed bundle payload"):
         load_model(rewritten_checkpoint(path, tmp_path / "bad.json", _MALFORMED[case]))
+
+
+# -- arrays as float64 bytes ---------------------------------------------------
+
+KINDS = ("gnn_encoder", "siamese_matcher", "exemplar_set", "bundle")
+
+
+def _of_kind(models, kind):
+    return {"gnn_encoder": models.encoder, "siamese_matcher": models.matcher,
+            "exemplar_set": models.exemplars, "bundle": models}[kind]
+
+
+def _arrays(model):
+    """Every float array a checkpointed model holds, by name."""
+    if isinstance(model, PipelineModels):
+        return {f"{part}.{name}": value
+                for part in ("encoder", "matcher", "exemplars")
+                for name, value in _arrays(getattr(model, part)).items()}
+    if isinstance(model, GnnEncoder):
+        return {**{f"weights{i}": w for i, w in enumerate(model.weights)},
+                "classifier": model.classifier}
+    if isinstance(model, SiameseModel):
+        return model.weights()
+    return {t: model.get(t).embedding for t in model.techniques()}
+
+
+def _assert_bit_identical(got, want):
+    got, want = _arrays(got), _arrays(want)
+    assert list(got) == list(want)
+    for name, value in want.items():
+        assert got[name].dtype == np.float64 and got[name].shape == value.shape, name
+        assert got[name].tobytes() == value.tobytes(), name
+
+
+def _rankings(models, queries):
+    return [[(t, ta, d.hex()) for t, ta, d in
+             recognize(q, models.exemplars, models.matcher).ranking] for q in queries]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_round_trip_is_bit_exact_for_every_kind(bundle_file, tmp_path, kind):
+    _, models, _ = bundle_file
+    model = _of_kind(models, kind)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]  # no temp file
+    loaded = load_model(path, expect_kind=kind)
+    _assert_bit_identical(loaded, model)
+    if kind in ("siamese_matcher", "bundle"):
+        matcher = loaded if kind == "siamese_matcher" else loaded.matcher
+        assert matcher.content_hash() == models.matcher.content_hash()
+    again = tmp_path / "again.json"
+    save_model(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def _as_version_1(envelope):
+    """``envelope`` as version 1 wrote it: every array a JSON list of floats
+    (``out_w`` and ``out_b`` nested by row), with the hash taken again."""
+    payload = envelope["payload"]
+    encoder = payload["encoder"]
+    encoder["weights"] = [decode_array(w, None).tolist() for w in encoder["weights"]]
+    encoder["classifier"] = decode_array(encoder["classifier"], None).tolist()
+    matcher = payload["matcher"]
+    han = matcher["encoder"]
+    han["params"] = {k: decode_array(v, None).tolist() for k, v in han["params"].items()}
+    d = matcher["config"]["han"]["dim"]
+    matcher["out_w"] = decode_array(matcher["out_w"], (d, d)).tolist()
+    matcher["out_b"] = decode_array(matcher["out_b"], (1, d)).tolist()
+    for entry in payload["exemplars"]["exemplars"]:
+        entry["embedding"] = decode_array(entry["embedding"], None).tolist()
+    blob = json.dumps(payload, sort_keys=True).encode("utf-8")
+    envelope.update(format_version=1, content_hash=hashlib.sha256(blob).hexdigest())
+    return envelope
+
+
+def test_version_1_bundle_loads_bit_exact_and_saves_as_version_2(bundle_file, tmp_path):
+    _, models, path = bundle_file
+    old = tmp_path / "v1.json"
+    old.write_text(json.dumps(_as_version_1(json.loads(path.read_text()))))
+    assert len(json.loads(old.read_text())["payload"]["matcher"]["out_w"]) == 8
+    loaded = load_model(old, expect_kind="bundle")
+    _assert_bit_identical(loaded, models)
+    assert loaded.matcher.content_hash() == models.matcher.content_hash()
+    queries = [models.exemplars.get(t).subgraph for t in models.exemplars.techniques()]
+    assert _rankings(loaded, queries) == _rankings(models, queries)
+    again = tmp_path / "again.json"
+    save_model(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def _respelled(locate, spell):
+    """Payload edit: the array at ``locate(payload)`` (a container and a key)
+    becomes ``spell`` of its decoded values."""
+    def edit(payload):
+        container, key = locate(payload)
+        container[key] = spell(decode_array(container[key], None))
+    return edit
+
+
+def _with(value):
+    def spell(values):
+        values[3] = value
+        return encode_array(values)
+    return spell
+
+
+def _base64(raw):
+    return base64.b64encode(raw).decode("ascii")
+
+
+def _encoder_weights(payload):
+    return payload["encoder"]["weights"], 0
+
+
+def _embedding(payload):
+    return payload["exemplars"]["exemplars"][0], "embedding"
+
+
+def _path_w(payload):
+    return payload["matcher"]["encoder"]["params"], "path_w"
+
+
+_BAD_ARRAYS = {
+    "nan_in_encoder_weights": (_respelled(_encoder_weights, _with(np.nan)), "non-finite"),
+    "inf_in_exemplar_embedding": (_respelled(_embedding, _with(np.inf)), "non-finite"),
+    "inf_in_a_version_1_list":
+        (_respelled(_path_w, lambda v: [*v[:-1].tolist(), float("inf")]), "non-finite"),
+    "not_base64": (_respelled(_path_w, lambda v: "!" + encode_array(v)[1:]), "not base64"),
+    "one_value_short_of_the_shape":
+        (_respelled(_path_w, lambda v: encode_array(v[:-1])), "do not fill shape"),
+    "bytes_not_whole_values": (_respelled(
+        _path_w, lambda v: _base64(v.tobytes()[:-4])), "not whole float64 values"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_ARRAYS))
+def test_bad_arrays_are_refused_at_load(bundle_file, tmp_path, case):
+    _, _, path = bundle_file
+    edit, reason = _BAD_ARRAYS[case]
+    bad = rewritten_checkpoint(path, tmp_path / "bad.json", edit)
+    with pytest.raises(ModelFormatError, match=f"malformed bundle payload.*{reason}"):
+        load_model(bad)
+
+
+class _TornFile:
+    """Takes half of what is written, then fails as a full disk would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _refuse_replace(src, dst):
+    raise OSError(errno.EIO, "interrupted")
+
+
+@pytest.mark.parametrize("step", ["write", "replace"])
+def test_a_failed_save_leaves_the_old_checkpoint(bundle_file, tmp_path, monkeypatch, step):
+    _, models, _ = bundle_file
+    target = tmp_path / "bundle.json"
+    save_model(models.encoder, target)
+    before = target.read_bytes()
+    if step == "write":
+        monkeypatch.setattr(persistence, "open",
+                            lambda *a, **k: _TornFile(open(*a, **k)), raising=False)
+    else:
+        monkeypatch.setattr(persistence.os, "replace", _refuse_replace)
+    with pytest.raises(OSError):
+        save_model(models, target, force=True)
+    assert target.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["bundle.json"]
+
+
+def _payload_lists(node, where="payload"):
+    """(place, count) of every JSON list and the numbers it holds, nested
+    lists included."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _payload_lists(value, f"{where}.{key}")
+    elif isinstance(node, list):
+        yield where, sum(_numbers(node))
+        for i, value in enumerate(node):
+            yield from _payload_lists(value, f"{where}[{i}]")
+
+
+def _numbers(node):
+    if isinstance(node, list):
+        for value in node:
+            yield from _numbers(value)
+    else:
+        yield isinstance(node, (int, float)) and not isinstance(node, bool)
+
+
+@pytest.fixture(scope="module")
+def wide_models(bundle_file):
+    """Untrained models of every kind whose arrays all hold more than 64
+    values, so an array written as a list would show."""
+    _, models, _ = bundle_file
+    rng = Rng(5).generator
+    han = HanConfig(dim=65)
+    matcher = SiameseModel(MatcherConfig(han=han), HanEncoder.create(han),
+                           rng.normal(size=(65, 65)), rng.normal(size=(1, 65)))
+    encoder = GnnEncoder(EncoderConfig(hidden=65),
+                         [rng.normal(size=(42, 65)), rng.normal(size=(65, 65))],
+                         rng.normal(size=(65, 4)))
+    exemplars = ExemplarSet()
+    for tech in models.exemplars.techniques():
+        entry = models.exemplars.get(tech)
+        exemplars.add_exemplar(tech, entry.tactic, entry.subgraph, matcher)
+    return PipelineModels(encoder, matcher, exemplars)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_no_payload_stores_an_array_as_a_list_of_numbers(wide_models, kind):
+    model = _of_kind(wide_models, kind)
+    assert min(a.size for a in _arrays(model).values()) > 64
+    lists = [(where, n) for where, n in _payload_lists(model.to_dict()) if n > 64]
+    assert lists == []
+
+
+def test_default_config_bundle_size(tmp_path):
+    config = PipelineConfig()
+    dataset = generate_scenario(config.scenario_spec(), seed=0)
+    train, _ = split_few_shot(dataset, config.shots, 0)
+    path = tmp_path / "bundle.json"
+    save_model(train_pipeline(train, config, 0), path)
+    assert path.stat().st_size <= 2_500_000  # 4.27 MB with arrays as float text

@@ -2,10 +2,12 @@
 
 import gc
 import time
+import weakref
 
 import networkx as nx
 import pytest
 
+from provrec import sampling
 from provrec.graph import EntityType, Event, GraphError, build_graph, graph_to_events
 from provrec.numerics import Rng
 from provrec.sampling import (
@@ -353,15 +355,14 @@ def test_hub_free_host_of_800_nodes_carves_in_under_a_second():
     assert seconds < 1.0
 
 
-def test_carve_rounds_build_the_adjacency_once():
+def test_carve_rounds_build_the_adjacency_once(monkeypatch):
     gen = Rng(4701)
     g = generate_sample(DEFAULT_TEMPLATES[0], gen.split("host"), 430, 0.05).graph
     procs = sorted(n for n in g.node_ids() if g.entity_type(n) == EntityType.PROCESS)
     nois = random_flags(gen, procs, 40)
-    # the per-round walk: each round rebuilds the adjacency
+    # the per-round walk: each round builds its own adjacency
     pool, want = sorted(nois), []
     while pool:
-        _undirected_rows.cache_clear()
         seed = select_seed(pool, g)
         visited = lambda_dfs(g, seed, set(pool), 3)
         consumed = [nid for nid in pool if nid in visited]
@@ -369,10 +370,29 @@ def test_carve_rounds_build_the_adjacency_once():
         if len(consumed) >= 2:
             want.append((seed, tuple(consumed), sorted(visited)))
     assert len(want) > 2
-    _undirected_rows.cache_clear()
-    got = sample_subgraphs(g, nois, lam=3, min_nois=2)
-    assert _undirected_rows.cache_info().misses == 1
-    assert [(s.seed, s.nois, s.node_ids) for s in got] == want
+    builds = []
+
+    def counted(graph):
+        builds.append(graph)
+        return _undirected_rows(graph)
+
+    monkeypatch.setattr(sampling, "_undirected_rows", counted)
+    for _ in range(2):
+        got = sample_subgraphs(g, nois, lam=3, min_nois=2)
+        assert [(s.seed, s.nois, s.node_ids) for s in got] == want
+    assert builds == [g, g]  # one build per call
+    assert sample_subgraphs(g, [], lam=3) == [] and len(builds) == 2
+
+
+def test_a_carved_host_graph_is_freed_with_its_last_reference():
+    gen = Rng(4702)
+    g = generate_sample(DEFAULT_TEMPLATES[0], gen.split("host"), 430, 0.05).graph
+    procs = sorted(n for n in g.node_ids() if g.entity_type(n) == EntityType.PROCESS)
+    subs = sample_subgraphs(g, random_flags(gen, procs, 40), lam=3, min_nois=2)
+    assert subs
+    host = weakref.ref(g)
+    del g
+    assert host() is None  # freed by reference counting: nothing keeps it
 
 
 def test_visited_set_monotone_in_lambda():
