@@ -29,7 +29,6 @@ class PipelineConfig:
     hidden: int = 64
     encoder_epochs: int = 300
     encoder_lr: float = 0.5
-    log1p_features: bool = True
     # anomalous-node detection
     num_trees: int = 100
     subsample: int = 256
@@ -43,7 +42,6 @@ class PipelineConfig:
     margin: float = 1.0
     matcher_epochs: int = 60
     matcher_lr: float = 0.05
-    distance: str = "euclidean"
     unknown_threshold: float | None = None
     metapaths: tuple[str, ...] = META_PATHS
     # synthetic scenario and splits
@@ -69,7 +67,7 @@ class PipelineConfig:
             raise ConfigError("contamination must be in (0, 1]")
         self.metapaths = tuple(self.metapaths)
         try:
-            # the stage configs check distance, margin and meta-paths
+            # the stage configs check margin and meta-paths
             self.matcher_config()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
@@ -83,14 +81,12 @@ class PipelineConfig:
             epochs=self.encoder_epochs,
             lr=self.encoder_lr,
             seed=self.seed if seed is None else seed,
-            log1p=self.log1p_features,
         )
 
     def han_config(self, seed: int | None = None) -> HanConfig:
         return HanConfig(
             dim=self.d,
             metapaths=self.metapaths,
-            log1p_features=self.log1p_features,
             seed=self.seed if seed is None else seed,
         )
 
@@ -100,7 +96,6 @@ class PipelineConfig:
             margin=self.margin,
             epochs=self.matcher_epochs,
             lr=self.matcher_lr,
-            distance=self.distance,
             seed=self.seed if seed is None else seed,
         )
 

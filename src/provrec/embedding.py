@@ -139,7 +139,6 @@ class HanConfig:
 
     dim: int = 128  # hidden and output width
     metapaths: tuple[str, ...] = META_PATHS
-    log1p_features: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -151,7 +150,7 @@ class HanConfig:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "HanConfig":
-        data = ft.without_retired(payload, "slope", "feature_dim")
+        data = ft.without_retired(payload, "slope", "feature_dim", "log1p_features")
         data["metapaths"] = tuple(data.get("metapaths", META_PATHS))
         return cls(**data)
 
@@ -271,8 +270,7 @@ class SubgraphBatch:
         offsets = np.cumsum([0] + sizes[:-1])
         n, n_graphs, p = sum(sizes), len(sizes), len(config.metapaths)
         graph_of = np.repeat(np.arange(n_graphs), sizes)
-        x = ft.scale_features(np.vstack([tsg.features() for tsg in subgraphs]),
-                              config.log1p_features)
+        x = ft.scale_features(np.vstack([tsg.features() for tsg in subgraphs]))
         edges = [tsg.graph.edge_arrays() for tsg in subgraphs]
         self.edges = (np.concatenate([s + o for (s, _, _), o in zip(edges, offsets)]),
                       np.concatenate([d + o for (_, d, _), o in zip(edges, offsets)]),
@@ -448,7 +446,7 @@ def embed_subgraph(
     """
     # a subgraph never changes, so its one-subgraph batch (meta-path pairs,
     # indices and their scatter matrices) is kept on it for repeated forwards
-    key = ("batch", config.metapaths, config.log1p_features)
+    key = ("batch", config.metapaths)
     batch = tsg._metapath_cache.get(key)
     if batch is None:
         batch = tsg._metapath_cache[key] = SubgraphBatch([tsg], config)

@@ -219,11 +219,15 @@ class PipelineModels:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "PipelineModels":
-        return cls(
-            ft.GnnEncoder.from_dict(payload["encoder"]),
-            SiameseModel.from_dict(payload["matcher"]),
-            ExemplarSet.from_dict(payload["exemplars"]),
-        )
+        matcher = SiameseModel.from_dict(payload["matcher"])
+        exemplars = ExemplarSet.from_dict(payload["exemplars"])
+        width = matcher.config.han.dim
+        for technique in exemplars.techniques():
+            shape = exemplars.get(technique).embedding.shape
+            if shape != (width,):
+                raise ValueError(f"exemplar {technique!r} has an embedding of shape "
+                                 f"{shape}, not the matcher's ({width},)")
+        return cls(ft.GnnEncoder.from_dict(payload["encoder"]), matcher, exemplars)
 
 
 def train_pipeline(

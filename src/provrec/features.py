@@ -42,9 +42,10 @@ def node_type_labels(graph: ProvenanceGraph) -> np.ndarray:
     return graph.type_codes().astype(np.intp)
 
 
-def scale_features(e0: np.ndarray, enabled: bool = True) -> np.ndarray:
-    """Optional log1p squashing of raw counts before the first layer."""
-    return np.log1p(e0) if enabled else np.asarray(e0, dtype=np.float64)
+def scale_features(e0: np.ndarray) -> np.ndarray:
+    """log1p squashing of raw counts before the first layer; every encoder
+    input goes through here."""
+    return np.log1p(e0)
 
 
 def aggregation_matrix(graph: ProvenanceGraph) -> sparse.csr_matrix:
@@ -145,7 +146,6 @@ class EncoderConfig:
     epochs: int = 300
     lr: float = 0.5  # full-batch descent; smaller steps stall at desk scale
     seed: int = 0
-    log1p: bool = True
 
 
 class GnnEncoder:
@@ -182,16 +182,23 @@ class GnnEncoder:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "GnnEncoder":
-        cfg = EncoderConfig(**without_retired(payload["config"], "slope"))
+        cfg = EncoderConfig(**without_retired(payload["config"], "slope", "log1p"))
         shapes = payload["shapes"]
+        if not len(payload["weights"]) == len(shapes) - 1 == cfg.t_layers:
+            raise ValueError(
+                f"{len(payload['weights'])} weight arrays and {len(shapes)} shapes "
+                f"do not fit t_layers={cfg.t_layers} plus the classifier"
+            )
         weights = [nm.decode_array(flat, shape)
                    for flat, shape in zip(payload["weights"], shapes[:-1])]
         return cls(cfg, weights, nm.decode_array(payload["classifier"], shapes[-1]))
 
 
 # What older checkpoints stored for settings that are now fixed: every layer's
-# leaky ReLU slope (numerics' default) and the feature width.
-_RETIRED = {"slope": 0.01, "feature_dim": FEATURE_DIM}
+# leaky ReLU slope (numerics' default), the feature width, log1p scaling of
+# the counts (once ``log1p`` and ``log1p_features``) and the matcher distance.
+_RETIRED = {"slope": 0.01, "feature_dim": FEATURE_DIM, "log1p": True,
+            "log1p_features": True, "distance": "euclidean"}
 
 
 def without_retired(config: Mapping, *keys: str) -> dict:
@@ -232,7 +239,7 @@ def train_encoder(
         raise ValueError("feature rows must align with graph nodes")
 
     x_rows, operators, classes = class_operators(
-        aggregation_matrix(graph), scale_features(e0, config.log1p), config.t_layers
+        aggregation_matrix(graph), scale_features(e0), config.t_layers
     )
     x = nm.Matrix(x_rows)
     # one loss row per (class, node type) pair, weighted by its node count
@@ -278,7 +285,7 @@ def extract_embeddings(
             f"features of shape {e0.shape} do not fit encoder input "
             f"({graph.n_nodes}, {encoder.input_dim})"
         )
-    h = nm.Matrix(scale_features(e0, encoder.config.log1p))
+    h = nm.Matrix(scale_features(e0))
     operators = [aggregation_matrix(graph)] * len(encoder.weights)
     return _layer_stack(operators, h, encoder.weights).value
 

@@ -27,12 +27,10 @@ from .embedding import (
     embed_subgraph,  # noqa: F401 (perfbench's traced run wraps it here)
     init_han_params,
 )
-from .features import init_weight
+from .features import init_weight, without_retired
 from .sampling import TechniqueSubgraph
 
 UNKNOWN = "UNKNOWN"
-
-DISTANCES = ("euclidean", "cosine")
 
 
 def contrastive_loss(distance: float, same_class: bool, margin: float = 1.0) -> float:
@@ -95,24 +93,22 @@ class MatcherConfig:
     margin: float = 1.0
     epochs: int = 60
     lr: float = 0.05
-    distance: str = "euclidean"
     seed: int = 0
 
     def __post_init__(self):
-        if self.distance not in DISTANCES:
-            raise ValueError(f"distance must be one of {DISTANCES}")
         if self.margin <= 0:
             raise ValueError("margin must be positive")
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "MatcherConfig":
-        data = dict(payload)
+        data = without_retired(payload, "distance")
         data["han"] = HanConfig.from_dict(data["han"])
         return cls(**data)
 
 
 class SiameseModel:
-    """Shared attention encoder plus a projection head and a distance tag."""
+    """Shared attention encoder plus a projection head; twin outputs are
+    compared by Euclidean distance."""
 
     def __init__(
         self,
@@ -149,13 +145,7 @@ class SiameseModel:
         return project(h, *self.head).value
 
     def distance_of(self, ea: np.ndarray, eb: np.ndarray) -> float:
-        if self.config.distance == "euclidean":
-            return float(np.sqrt(((ea - eb) ** 2).sum()))
-        na = float(np.sqrt((ea * ea).sum()))
-        nb = float(np.sqrt((eb * eb).sum()))
-        if na == 0.0 or nb == 0.0:
-            raise ValueError("cosine distance undefined for zero vectors")
-        return float(1.0 - (ea @ eb) / (na * nb))
+        return float(np.sqrt(((ea - eb) ** 2).sum()))
 
     def weights(self) -> dict[str, np.ndarray]:
         out = dict(self.encoder.params)
@@ -202,27 +192,19 @@ def project(h, out_w, out_b) -> nm.Matrix:
 
 
 def pair_loss(
-    ea: nm.Matrix, eb: nm.Matrix, same_class: bool, margin: float, kind: str
+    ea: nm.Matrix, eb: nm.Matrix, same_class: bool, margin: float
 ) -> nm.Matrix:
-    """Differentiable contrastive loss of each row pair of branch outputs.
+    """Differentiable contrastive loss of each row pair of branch outputs,
+    on their Euclidean distance.
 
     ``ea`` and ``eb`` hold one branch output per row; returns an (m, 1)
     column, 1x1 for a single pair.
     """
-    if kind == "euclidean":
-        diff = nm.sub(ea, eb)
-        sq = nm.row_sums(nm.mul(diff, diff))
-        if same_class:
-            return sq  # no sqrt: its gradient is undefined at distance zero
-        d = nm.sqrt(sq)
-    else:
-        dot = nm.row_sums(nm.mul(ea, eb))
-        na = nm.sqrt(nm.row_sums(nm.mul(ea, ea)))
-        nb = nm.sqrt(nm.row_sums(nm.mul(eb, eb)))
-        d = nm.sub(nm.Matrix(1.0), nm.div(dot, nm.mul(na, nb)))
-        if same_class:
-            return nm.mul(d, d)
-    return nm.relu(nm.sub(nm.Matrix(margin), d))
+    diff = nm.sub(ea, eb)
+    sq = nm.row_sums(nm.mul(diff, diff))
+    if same_class:
+        return sq  # no sqrt: its gradient is undefined at distance zero
+    return nm.relu(nm.sub(nm.Matrix(margin), nm.sqrt(sq)))
 
 
 def triplet_loss(
@@ -231,14 +213,13 @@ def triplet_loss(
     positive: nm.RowIndex,
     negative: nm.RowIndex,
     margin: float,
-    kind: str,
 ) -> nm.Matrix:
     """Mean pair loss over every triplet's anchor-positive and anchor-negative
     pairs; the triplets are given as rows of the branch outputs ``z``."""
     ea = nm.gather_rows(z, anchor)
     total = nm.add(
-        nm.sum_all(pair_loss(ea, nm.gather_rows(z, positive), True, margin, kind)),
-        nm.sum_all(pair_loss(ea, nm.gather_rows(z, negative), False, margin, kind)),
+        nm.sum_all(pair_loss(ea, nm.gather_rows(z, positive), True, margin)),
+        nm.sum_all(pair_loss(ea, nm.gather_rows(z, negative), False, margin)),
     )
     return nm.scale(total, 1.0 / (2 * len(anchor)))
 
@@ -286,8 +267,7 @@ def train_matcher(
 
     def loss_fn():
         z = project(embed_batch(batch, han_params, config.han), out_w, out_b)
-        return triplet_loss(z, anchor, positive, negative, config.margin,
-                            config.distance)
+        return triplet_loss(z, anchor, positive, negative, config.margin)
 
     losses = nm.descend(tape, loss_fn, config.epochs, config.lr)
 

@@ -20,7 +20,7 @@ from provrec.graph import (
     build_graph,
     edge_type_of,
 )
-from provrec.numerics import Matrix, RowIndex, RowWeights, Rng
+from provrec.numerics import Matrix, RowIndex, RowWeights, Rng, decode_array, encode_array
 
 
 def ev(subject, operation, obj, obj_type, ts=0):
@@ -66,7 +66,7 @@ def node_batch(subgraphs, config):
     n = sum(sizes)
     batch = SubgraphBatch.__new__(SubgraphBatch)
     batch.features = Matrix(ft.scale_features(
-        np.vstack([t.features() for t in subgraphs]), config.log1p_features))
+        np.vstack([t.features() for t in subgraphs])))
     batch.graph_of = RowIndex(np.repeat(np.arange(len(sizes)), sizes), len(sizes))
     edges = [t.graph.edge_arrays() for t in subgraphs]
     batch.edges = (np.concatenate([s + o for (s, _, _), o in zip(edges, offsets)]),
@@ -114,8 +114,7 @@ def listing_class_batch(subgraphs, config):
     offsets = np.cumsum([0] + sizes[:-1])
     n, n_graphs = sum(sizes), len(sizes)
     graph_of = np.repeat(np.arange(n_graphs), sizes)
-    x = ft.scale_features(np.vstack([tsg.features() for tsg in subgraphs]),
-                          config.log1p_features)
+    x = ft.scale_features(np.vstack([tsg.features() for tsg in subgraphs]))
     node_pairs = {}
     for mp in config.metapaths:
         src, dst = zip(*(listed_pairs(tsg, mp) for tsg in subgraphs))
@@ -236,6 +235,20 @@ def rewritten_checkpoint(path, out, edit):
     envelope["content_hash"] = hashlib.sha256(blob).hexdigest()
     out.write_text(json.dumps(envelope))
     return out
+
+
+def in_both_han_configs(payload, **settings):
+    """Bundle payload edit: ``settings`` in the matcher's attention config and
+    in its encoder's, so the two still agree."""
+    matcher = payload["matcher"]
+    for han in (matcher["config"]["han"], matcher["encoder"]["config"]):
+        han.update(settings)
+
+
+def cut_first_exemplar(payload, size):
+    """Bundle payload edit: the first exemplar's embedding cut to ``size`` values."""
+    entry = payload["exemplars"]["exemplars"][0]
+    entry["embedding"] = encode_array(decode_array(entry["embedding"], None)[:size])
 
 
 @pytest.fixture

@@ -184,8 +184,8 @@ def test_criterion_1_gradient_fidelity():
                 0.01,
             )
             return nm.add(
-                pair_loss(ea, eb, True, 1.0, "euclidean"),
-                pair_loss(ea, eb, False, 1.0, "euclidean"),
+                pair_loss(ea, eb, True, 1.0),
+                pair_loss(ea, eb, False, 1.0),
             )
 
         worst["siamese"] = max(worst["siamese"], nm.grad_check(loss, tape, eps=1e-5))

@@ -13,7 +13,12 @@ from provrec.graph import EntityType, ProvenanceGraph
 from provrec.numerics import decode_array, encode_array
 from provrec.persistence import ModelFormatError, load_model
 
-from conftest import make_graph, rewritten_checkpoint
+from conftest import (
+    cut_first_exemplar,
+    in_both_han_configs,
+    make_graph,
+    rewritten_checkpoint,
+)
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +140,38 @@ def test_checkpoint_with_another_slope_or_width_exits_three(chain, tmp_path):
                "--out", tmp_path / "rec.json") == EXIT_MODEL
     assert not (tmp_path / "noi.json").exists()
     assert not (tmp_path / "rec.json").exists()
+
+
+# (checkpoint, payload edit): encoders are read by detect-noi, bundles by recognize
+_REFUSED = {
+    "encoder_extra_weight":
+        ("encoder", lambda p: p["weights"].append(p["weights"][-1])),
+    "encoder_log1p_off": ("encoder", lambda p: p["config"].update(log1p=False)),
+    "bundle_extra_encoder_weight": (
+        "bundle", lambda p: p["encoder"]["weights"].append(p["encoder"]["weights"][-1])),
+    "bundle_log1p_off":
+        ("bundle", lambda p: p["encoder"]["config"].update(log1p=False)),
+    "bundle_log1p_features_off":
+        ("bundle", lambda p: in_both_han_configs(p, log1p_features=False)),
+    "bundle_distance_cosine":
+        ("bundle", lambda p: p["matcher"]["config"].update(distance="cosine")),
+    "bundle_exemplar_cut_short": ("bundle", lambda p: cut_first_exemplar(p, 10)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED))
+def test_refused_checkpoint_exits_three_and_writes_nothing(chain, tmp_path, case):
+    root, config = chain
+    kind, edit = _REFUSED[case]
+    model = rewritten_checkpoint(root / f"{kind}.json", tmp_path / f"{kind}.json", edit)
+    out = tmp_path / "out.json"
+    if kind == "encoder":
+        argv = ("detect-noi", "--graph", root / "g0.json", "--encoder", model)
+    else:
+        argv = ("recognize", "--subgraph", root / "ds" / "truth" / "t0000.json",
+                "--models", model)
+    assert run("--config", config, *argv, "--out", out) == EXIT_MODEL
+    assert not out.exists()
 
 
 def test_bundle_whose_han_configs_disagree_exits_three(chain, tmp_path):

@@ -1,15 +1,20 @@
 """Pipeline config validation: bad values fail when the config is built."""
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 import provrec.features as ft
 from provrec.cli import EXIT_DATA, main
 from provrec.config import ConfigError, PipelineConfig
+from provrec.embedding import HanConfig
+from provrec.features import EncoderConfig, GnnEncoder
+from provrec.matching import MatcherConfig
 
 BAD_VALUES = [
-    ("distance", "manhattan"),
+    ("t_layers", 0),
     ("contamination", 1.5),
     ("contamination", 0.0),
     ("metapaths", ["MP9"]),
@@ -50,7 +55,17 @@ def dataset_dir(tmp_path_factory):
     return root, out
 
 
-@pytest.mark.parametrize("key, value", BAD_VALUES[:4] + BAD_VALUES[5:6])
+# settings that now have one value: refused as unknown keys, like any typo
+RETIRED_KEYS = [
+    ("distance", "manhattan"),
+    ("distance", "cosine"),
+    ("log1p_features", False),
+]
+
+
+@pytest.mark.parametrize(
+    "key, value", RETIRED_KEYS[:1] + BAD_VALUES[1:4] + BAD_VALUES[5:6] + RETIRED_KEYS[1:]
+)
 def test_cli_exits_two_before_training(key, value, dataset_dir, monkeypatch, capsys):
     root, ds = dataset_dir
 
@@ -65,3 +80,43 @@ def test_cli_exits_two_before_training(key, value, dataset_dir, monkeypatch, cap
     assert code == EXIT_DATA
     assert "data error" in capsys.readouterr().err
     assert not out.exists()
+
+
+# -- retired settings -----------------------------------------------------------
+
+CONFIG_CLASSES = (EncoderConfig, HanConfig, MatcherConfig, PipelineConfig)
+
+
+def _encoder_reader(config):
+    encoder = GnnEncoder(EncoderConfig(t_layers=1, hidden=2),
+                         [np.ones((ft.FEATURE_DIM, 2))], np.ones((2, 4)))
+    return GnnEncoder.from_dict({**encoder.to_dict(), "config": config}).config
+
+
+# every reader of a stored config, with the dict it reads
+READERS = {
+    "encoder": (_encoder_reader, {"t_layers": 1, "hidden": 2}),
+    "han": (HanConfig.from_dict, {"dim": 4}),
+    "matcher": (MatcherConfig.from_dict, {"han": {"dim": 4}, "margin": 0.5}),
+    "pipeline": (PipelineConfig.from_dict, {"d": 4}),
+}
+
+
+@pytest.mark.parametrize("cls", CONFIG_CLASSES, ids=lambda c: c.__name__)
+def test_no_retired_key_is_a_config_field(cls):
+    assert not {f.name for f in dataclasses.fields(cls)} & set(ft._RETIRED)
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("key", sorted(ft._RETIRED))
+def test_readers_take_a_retired_key_only_at_its_value(reader, key):
+    # a reader that strips the key reads the config it would without it; one
+    # that does not refuses it as an unknown key
+    read, stored = READERS[reader]
+    try:
+        got = read({**stored, key: ft._RETIRED[key]})
+    except (TypeError, ValueError):
+        got = None
+    assert got in (None, read(stored))
+    with pytest.raises((TypeError, ValueError)):
+        read({**stored, key: f"not {ft._RETIRED[key]!r}"})

@@ -208,7 +208,7 @@ def _full_graph_training(graph, e0, config):
     """Reference: the training loop on the full graph, every layer aggregating
     over all nodes and the loss the plain mean over nodes."""
     labels = ft.node_type_labels(graph)
-    x = Matrix(ft.scale_features(e0, config.log1p))
+    x = Matrix(ft.scale_features(e0))
     agg = ft.aggregation_matrix(graph)
     rng = Rng(config.seed).split("encoder-init")
     widths = [x.cols] + [config.hidden] * config.t_layers + [4]
@@ -377,7 +377,7 @@ def test_long_chain_builds_operators_fast_in_exactly_t_rounds(monkeypatch):
 def test_extraction_equals_stacked_forward_passes(trained_setup):
     union, e0, enc = trained_setup
     agg = ft.aggregation_matrix(union)
-    h = Matrix(ft.scale_features(e0, enc.config.log1p))
+    h = Matrix(ft.scale_features(e0))
     for w in enc.weights:
         h = ft.gnn_layer_forward(agg, h, w)
     assert np.allclose(ft.extract_embeddings(enc, union, e0), h.value, atol=1e-12)
@@ -387,7 +387,7 @@ def test_extraction_equals_numpy_layer_loop_bit_for_bit(trained_setup):
     # reference: the trained layer stack in plain numpy
     union, e0, enc = trained_setup
     agg = ft.aggregation_matrix(union)
-    h = ft.scale_features(e0, enc.config.log1p)
+    h = ft.scale_features(e0)
     for w in enc.weights:
         z = agg @ (h @ w)
         h = np.where(z > 0, z, 0.01 * z)
@@ -402,7 +402,7 @@ def test_edgeless_rows_depend_only_on_own_features():
     g = base.induced(["a", "f"])  # two isolated nodes
     e0 = ft.init_features(g)
     enc = GnnEncoder(
-        EncoderConfig(t_layers=1, hidden=4, log1p=False),
+        EncoderConfig(t_layers=1, hidden=4),
         [np.ones((42, 4))], np.ones((4, 4)),
     )
     before = ft.extract_embeddings(enc, g, e0)
@@ -438,7 +438,7 @@ def test_receptive_field_bounded_by_depth():
     t_layers = 2
     gen = Rng(2)
     enc = GnnEncoder(
-        EncoderConfig(t_layers=t_layers, hidden=6, log1p=False),
+        EncoderConfig(t_layers=t_layers, hidden=6),
         [gen.normal(0, 1, size=(42, 6)), gen.normal(0, 1, size=(6, 6))],
         gen.normal(0, 1, size=(6, 4)),
     )

@@ -22,7 +22,6 @@ from provrec.evaluation import split_few_shot
 from provrec.features import FEATURE_DIM
 from provrec.graph import EntityType, Event, build_graph, graph_to_events
 from provrec.matching import (
-    DISTANCES,
     UNKNOWN,
     ExemplarSet,
     MatcherConfig,
@@ -223,19 +222,6 @@ def test_recognize_keeps_no_batch_on_the_query(small_model):
     assert query._metapath_cache == {}  # nor its meta-path pairs
 
 
-def test_cosine_mode_distance_properties():
-    samples = [(_variant("files", s), "file-tech") for s in range(2)]
-    samples += [(_variant("socks", s), "sock-tech") for s in range(2)]
-    config = MatcherConfig(
-        han=HanConfig(dim=8, seed=3), epochs=10, lr=0.01, distance="cosine", seed=3
-    )
-    model = train_matcher(samples, config)
-    ea, eb = model.embed(samples[0][0]), model.embed(samples[2][0])
-    d = model.distance_of(ea, eb)
-    assert 0.0 <= d <= 2.0
-    assert model.distance_of(ea, ea) < 1e-12
-
-
 # -- gradients through the pair loss ----------------------------------------------
 
 
@@ -252,8 +238,8 @@ def test_pair_loss_grad_check():
         ea = embed_subgraph(a, params, config)
         eb = embed_subgraph(b, params, config)
         return nm.add(
-            pair_loss(ea, eb, False, 1.0, "euclidean"),
-            pair_loss(ea, ea, True, 1.0, "euclidean"),
+            pair_loss(ea, eb, False, 1.0),
+            pair_loss(ea, ea, True, 1.0),
         )
 
     assert nm.grad_check(loss, list(params.values()), eps=1e-5) < 1e-4
@@ -548,9 +534,8 @@ def test_content_hash_sees_one_ulp_in_any_weight(small_model):
 # -- batched training epoch ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind", DISTANCES)
-def test_batched_epoch_matches_looped_reference(kind):
-    tsgs = [_variant(kind_, s) for kind_ in ("files", "socks") for s in range(3)]
+def test_batched_epoch_matches_looped_reference():
+    tsgs = [_variant(kind, s) for kind in ("files", "socks") for s in range(3)]
     labels = ["f"] * 3 + ["s"] * 3
     triplets = build_triplets(labels, Rng(5))
     config = HanConfig(dim=6, seed=8)
@@ -571,7 +556,7 @@ def test_batched_epoch_matches_looped_reference(kind):
                     params["out_w"], params["out_b"])
         rows = [nm.RowIndex([getattr(t, r) for t in triplets], len(tsgs))
                 for r in ("anchor", "positive", "negative")]
-        return triplet_loss(z, *rows, 1.0, kind)
+        return triplet_loss(z, *rows, 1.0)
 
     classes = SubgraphBatch(tsgs, config)
     assert classes.features.rows < sum(t.n_nodes for t in tsgs)
@@ -586,7 +571,7 @@ def test_batched_epoch_matches_looped_reference(kind):
         total = None
         for t in triplets:
             for other, same in ((t.positive, True), (t.negative, False)):
-                term = pair_loss(z[t.anchor], z[other], same, 1.0, kind)
+                term = pair_loss(z[t.anchor], z[other], same, 1.0)
                 total = term if total is None else nm.add(total, term)
         return nm.scale(total, 1.0 / (2 * len(triplets)))
 
@@ -607,18 +592,16 @@ def _train_on_nodes(samples, config, monkeypatch):
         return train_matcher(samples, config)
 
 
-@pytest.mark.parametrize("seed,distance,metapaths", [
-    (0, "euclidean", None), (0, "cosine", None), (3, "euclidean", None),
-    (3, "euclidean", ("MP1", "MP2")),
-], ids=["seed0", "seed0_cosine", "seed3", "seed3_mp1_mp2"])
-def test_class_training_matches_node_training(seed, distance, metapaths,
-                                              monkeypatch):
+@pytest.mark.parametrize("seed,metapaths", [
+    (0, None), (3, None), (3, ("MP1", "MP2")),
+], ids=["seed0", "seed3", "seed3_mp1_mp2"])
+def test_class_training_matches_node_training(seed, metapaths, monkeypatch):
     config = PipelineConfig(seed=seed)
     train, _ = split_few_shot(generate_scenario(config.scenario_spec(), seed=seed),
                               config.shots, seed)
     samples = [(s.truth, s.technique) for s in train]
     matcher = config.matcher_config()
-    matcher = dataclasses.replace(matcher, distance=distance, han=dataclasses.replace(
+    matcher = dataclasses.replace(matcher, han=dataclasses.replace(
         matcher.han, metapaths=metapaths or matcher.han.metapaths))
     got = train_matcher(samples, matcher)
     want = _train_on_nodes(samples, matcher, monkeypatch)

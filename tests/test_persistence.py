@@ -19,7 +19,7 @@ from provrec.numerics import Rng, decode_array, encode_array
 from provrec.persistence import ModelFormatError, load_model, save_model
 from provrec.synthetic import generate_scenario
 
-from conftest import rewritten_checkpoint
+from conftest import cut_first_exemplar, in_both_han_configs, rewritten_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -53,24 +53,20 @@ def test_bundle_payload_layout(bundle_file):
     assert list(encoder) == ["config", "shapes", "weights", "classifier"]
     assert encoder["config"] == {
         "t_layers": 2, "hidden": 8, "epochs": 20, "lr": 0.5, "seed": 21,
-        "log1p": True,
     }
-    assert list(encoder["config"]) == [
-        "t_layers", "hidden", "epochs", "lr", "seed", "log1p"]
+    assert list(encoder["config"]) == ["t_layers", "hidden", "epochs", "lr", "seed"]
     assert encoder["shapes"] == [[42, 8], [8, 8], [8, 4]]
     assert [_size(w) for w in encoder["weights"]] == [42 * 8, 8 * 8]
     assert _size(encoder["classifier"]) == 8 * 4
 
     matcher = payload["matcher"]
     assert list(matcher) == ["config", "encoder", "out_w", "out_b"]
-    assert list(matcher["config"]) == [
-        "han", "margin", "epochs", "lr", "distance", "seed"]
+    assert list(matcher["config"]) == ["han", "margin", "epochs", "lr", "seed"]
     assert matcher["config"]["han"] == {
-        "dim": 8, "metapaths": list(META_PATHS), "log1p_features": True, "seed": 21,
+        "dim": 8, "metapaths": list(META_PATHS), "seed": 21,
     }
-    assert list(matcher["config"]["han"]) == [
-        "dim", "metapaths", "log1p_features", "seed"]
-    assert matcher["config"]["epochs"] == 5 and matcher["config"]["distance"] == "euclidean"
+    assert list(matcher["config"]["han"]) == ["dim", "metapaths", "seed"]
+    assert matcher["config"]["epochs"] == 5
     han = matcher["encoder"]
     assert list(han) == ["config", "params", "shapes"]
     assert han["config"] == matcher["config"]["han"]
@@ -138,18 +134,18 @@ def test_retired_kinds_are_unknown(bundle_file, tmp_path, kind):
         load_model(retagged)
 
 
-def test_bundle_in_the_older_layout_ranks_alike(bundle_file, tmp_path):
-    # earlier releases stored the fixed slope and feature width in every
-    # config, and their exemplars carry a model hash taken over those configs
-    _, models, path = bundle_file
+def _in_older_layout(path, out, models, encoder=(), han=(), matcher=()):
+    """The bundle at ``path`` rewritten to ``out`` as a release that stored
+    the now-fixed settings ``encoder``, ``han`` and ``matcher`` in those
+    configs wrote it. Its exemplars carry the model hash taken over the longer
+    configs. Returns the file and that hash."""
     stale = []
 
     def older(payload):
-        payload["encoder"]["config"]["slope"] = 0.01
-        matcher = payload["matcher"]
-        for han in (matcher["config"]["han"], matcher["encoder"]["config"]):
-            han.update(feature_dim=42, slope=0.01)
-        configs = [matcher["config"], matcher["encoder"]["config"]]
+        payload["encoder"]["config"].update(encoder)
+        payload["matcher"]["config"].update(matcher)
+        in_both_han_configs(payload, **dict(han))
+        configs = [payload["matcher"]["config"], payload["matcher"]["encoder"]["config"]]
         digest = hashlib.sha256(json.dumps(configs, sort_keys=True).encode("utf-8"))
         for name, value in sorted(models.matcher.weights().items()):
             digest.update(f"{name} {value.shape} {value.dtype}\n".encode("utf-8"))
@@ -158,9 +154,17 @@ def test_bundle_in_the_older_layout_ranks_alike(bundle_file, tmp_path):
         for entry in payload["exemplars"]["exemplars"]:
             entry["model_hash"] = stale[0]
 
-    older_file = rewritten_checkpoint(path, tmp_path / "older.json", older)
+    return rewritten_checkpoint(path, out, older), stale[0]
+
+
+def test_bundle_in_the_older_layout_ranks_alike(bundle_file, tmp_path):
+    # earlier releases stored the fixed slope and feature width in every config
+    _, models, path = bundle_file
+    older_file, stale = _in_older_layout(
+        path, tmp_path / "older.json", models, encoder={"slope": 0.01},
+        han={"feature_dim": 42, "slope": 0.01})
     loaded = load_model(older_file, expect_kind="bundle")
-    assert stale[0] != models.matcher.content_hash()
+    assert stale != models.matcher.content_hash()
     assert loaded.matcher.content_hash() == models.matcher.content_hash()
     for tech in models.exemplars.techniques():
         query = models.exemplars.get(tech).subgraph
@@ -172,6 +176,38 @@ def test_bundle_in_the_older_layout_ranks_alike(bundle_file, tmp_path):
         assert loaded.exemplars.get(tech).model_hash == models.matcher.content_hash()
 
 
+def test_bundle_in_the_parent_layout_re_embeds_once(bundle_file, tmp_path):
+    # the release before stored log1p scaling and the distance, both now fixed
+    _, models, path = bundle_file
+    older_file, stale = _in_older_layout(
+        path, tmp_path / "older.json", models, encoder={"log1p": True},
+        han={"log1p_features": True}, matcher={"distance": "euclidean"})
+    loaded = load_model(older_file, expect_kind="bundle")
+    assert stale != loaded.matcher.content_hash() == models.matcher.content_hash()
+    embedded = []
+    embed = loaded.matcher.embed
+
+    def counted(tsg):
+        embedded.append(tsg)
+        return embed(tsg)
+
+    loaded.matcher.embed = counted
+    queries = [models.exemplars.get(t).subgraph for t in models.exemplars.techniques()]
+    for _ in range(2):
+        assert _rankings(loaded, queries) == _rankings(models, queries)
+    # every exemplar once, every query once per pass
+    assert len(embedded) == len(loaded.exemplars) + 2 * len(queries)
+    again = tmp_path / "again.json"
+    save_model(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def _three_layers(encoder):
+    """A third hidden layer's weight and shape, under a config of two."""
+    encoder["weights"].append(encoder["weights"][-1])
+    encoder["shapes"].insert(-1, encoder["shapes"][-2])
+
+
 _MALFORMED = {
     "missing_classifier": lambda p: p["encoder"].pop("classifier"),
     "unknown_config_key": lambda p: p["matcher"]["config"].update(momentum=0.9),
@@ -180,6 +216,14 @@ _MALFORMED = {
         lambda p: p["matcher"]["encoder"]["config"].update(feature_dim=41),
     "han_configs_disagree":
         lambda p: p["matcher"]["config"]["han"].update(metapaths=["MP1"]),
+    "log1p_off": lambda p: p["encoder"]["config"].update(log1p=False),
+    "log1p_features_off": lambda p: in_both_han_configs(p, log1p_features=False),
+    "distance_cosine": lambda p: p["matcher"]["config"].update(distance="cosine"),
+    "extra_encoder_weight":
+        lambda p: p["encoder"]["weights"].append(p["encoder"]["weights"][-1]),
+    "missing_encoder_weight": lambda p: p["encoder"]["weights"].pop(),
+    "three_layers_under_t_layers_2": lambda p: _three_layers(p["encoder"]),
+    "exemplar_cut_short": lambda p: cut_first_exemplar(p, 5),
 }
 
 
