@@ -6,9 +6,12 @@ meta-paths, and graph-level attention against a global context vector. Each
 level is a segment softmax over the batch's rows followed by a segment sum:
 per target node over its neighbor pairs, per node over its meta-path rows,
 and per subgraph over its nodes. Every forward, in training and at
-recognition alike, runs on node classes instead of nodes
-(:class:`SubgraphBatch`), with node-level and graph-level softmaxes and
-means weighted by class counts; attention records are mapped back to nodes.
+recognition alike, runs each level on the fewest rows that decide it
+(:class:`SubgraphBatch`): the projection and the pair logits on distinct
+feature rows, node level and path level on classes shared across
+subgraphs, and graph level on those classes within each subgraph, with
+softmaxes and means weighted by counts; attention records are mapped back
+to nodes.
 All three attention distributions are proper (nonnegative, sum to one), and
 the whole composition is differentiable through the numerics layer.
 """
@@ -147,6 +150,10 @@ class HanConfig:
             raise ValueError(f"unknown meta-paths {unknown}")
         if not self.metapaths:
             raise ValueError("at least one meta-path is required")
+        if len(set(self.metapaths)) < len(self.metapaths):
+            # each meta-path is one band of the neighbour matrix and one
+            # block of path level, keyed by name
+            raise ValueError(f"repeated meta-paths in {list(self.metapaths)}")
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "HanConfig":
@@ -236,31 +243,46 @@ class AttentionRecord:
 
 
 class SubgraphBatch:
-    """Technique subgraphs stacked into one block of node-class rows.
+    """Technique subgraphs stacked into three sets of rows, one per attention
+    level, each the smallest that still decides its level.
 
-    Nodes share a class when they lie in one subgraph and have one feature
-    row and, under every meta-path, one multiset of neighbour feature rows.
-    Node-level attention reads nothing else, so every stage gives a class's
-    nodes one output: the 1-WL argument of Xu et al., "How Powerful are Graph
-    Neural Networks?" (ICLR 2019). Classes are numbered by first node, taking
-    the subgraphs' nodes in order, and keep that node's feature row.
-    ``graph_of`` maps each class to its subgraph and ``sizes`` counts its
-    nodes. ``pairs[mp]`` holds the meta-path pairs of each class's first node
-    as (source class, target class) rows, collapsed and ordered by target
-    then source, and ``pair_weights[mp]`` their counts; attention weighted by
-    the counts gives every softmax and mean its value over nodes. ``node_of``
-    maps each row of path level's path-major stack to its class. The indices
-    keep their scatter matrices and the weights are checked once, so a batch
-    built once serves every epoch of a training run.
+    A node's output at node level and path level depends only on its own
+    feature row and, under every meta-path, on the multiset of its
+    neighbours' feature rows: the 1-WL argument of Xu et al., "How Powerful
+    are Graph Neural Networks?" (ICLR 2019). So:
+
+    - ``features`` holds the batch's distinct feature rows, and the
+      projection and both halves of each ``att_w_<mp>`` run on them.
+    - Shared classes group nodes with one feature row and, per meta-path,
+      one count of neighbours per feature row, whatever their subgraph.
+      Node level and path level run on them. ``pairs[mp]`` lists, per shared
+      class, its first node's meta-path neighbours as (source feature row,
+      target feature row, target shared class) rows, collapsed and ordered
+      by target then source, and ``pair_weights[mp]`` counts the neighbours
+      each row stands for; attention weighted by the counts gives every
+      softmax its value over nodes. ``node_of`` maps each row of path
+      level's path-major stack to its shared class.
+    - Classes are (subgraph, shared class) pairs, and graph level runs on
+      them: ``shared_of`` maps each to its shared class, ``graph_of`` to its
+      subgraph, and ``sizes`` counts its nodes, which weight graph level's
+      mean and softmax.
+
+    Shared classes and classes are numbered by first node, taking the
+    subgraphs' nodes in order; feature rows by their bytes. At seed 0 the
+    default training batch has 410 nodes, 48 feature rows, 104 shared
+    classes and 184 classes. The indices keep their scatter matrices and the
+    weights are checked once, so a batch built once serves every epoch of a
+    training run.
 
     No pair is listed per node. One sparse product gives the binary
     neighbour matrix A of every meta-path over the stacked node rows
-    (:func:`_neighbour_matrix`). ``A @ onehot(feature-row class)`` counts each
-    node's neighbours per feature-row class, which keys the classes, and
-    ``A[first nodes] @ onehot(class)`` gives the class pairs and their
-    counts. For :meth:`record_nodes`, ``node_class`` and ``node_row`` give
-    every node's class and feature-row class, and ``edges`` every edge as
-    (source, target, edge type) arrays offset into the node block.
+    (:func:`_neighbour_matrix`), and ``A @ onehot(feature row)`` counts each
+    node's neighbours per feature row: those counts key the shared classes,
+    and their rows at the shared classes' first nodes are the pairs. For
+    :meth:`record_nodes`, ``node_row``, ``node_shared`` and ``node_class``
+    give every node's feature row, shared class and class, and ``edges``
+    every edge as (source, target, edge type) arrays offset into the node
+    block.
     """
 
     def __init__(self, subgraphs: Sequence[TechniqueSubgraph], config: HanConfig):
@@ -269,65 +291,71 @@ class SubgraphBatch:
         sizes = [tsg.n_nodes for tsg in subgraphs]
         offsets = np.cumsum([0] + sizes[:-1])
         n, n_graphs, p = sum(sizes), len(sizes), len(config.metapaths)
-        graph_of = np.repeat(np.arange(n_graphs), sizes)
         x = ft.scale_features(np.vstack([tsg.features() for tsg in subgraphs]))
         edges = [tsg.graph.edge_arrays() for tsg in subgraphs]
         self.edges = (np.concatenate([s + o for (s, _, _), o in zip(edges, offsets)]),
                       np.concatenate([d + o for (_, d, _), o in zip(edges, offsets)]),
                       np.concatenate([t for _, _, t in edges]))
         a = _neighbour_matrix(*self.edges, n, config.metapaths)
-        # nodes whose feature rows are equal byte for byte share a row class
+        # nodes whose feature rows are equal byte for byte share a feature row
         rows = x.view(np.dtype((np.void, 8 * x.shape[1])))
-        _, self.node_row = np.unique(rows.ravel(), return_inverse=True)
-        k_row = int(self.node_row.max()) + 1
-        # a node's key: its subgraph, its row class and, per meta-path j, how
-        # many of its neighbours have each row class (row j·n + i of counts,
+        _, first_row, self.node_row = np.unique(rows.ravel(), return_index=True,
+                                                return_inverse=True)
+        k_row = len(first_row)
+        # a node's shared key: its feature row and, per meta-path j, how many
+        # of its neighbours have each feature row (row j·n + i of counts,
         # moved to columns of its own band j)
         own = np.arange(n)
         counts = a @ _csr(own, self.node_row, (n, k_row))
         per_row = np.diff(counts.indptr)
-        band = np.repeat(n_graphs + k_row * np.arange(1, p + 1), n)
-        self.node_class, first = ft._row_classes(_csr(
-            np.concatenate([own, own, np.repeat(np.tile(own, p), per_row)]),
-            np.concatenate([graph_of, n_graphs + self.node_row,
-                            counts.indices + np.repeat(band, per_row)]),
-            (n, n_graphs + (1 + p) * k_row),
-            np.concatenate([np.ones(2 * n), counts.data])))
-        k = len(first)
-        # row j·k + t: how many neighbours class t's first node has in each
-        # class under meta-path j
-        class_pairs = (a[(np.arange(p)[:, None] * n + first).ravel()]
-                       @ _csr(own, self.node_class, (n, k)))
+        band = np.repeat(k_row * np.arange(1, p + 1), n)
+        self.node_shared, first = ft._row_classes(_csr(
+            np.concatenate([own, np.repeat(np.tile(own, p), per_row)]),
+            np.concatenate([self.node_row, counts.indices + np.repeat(band, per_row)]),
+            (n, (1 + p) * k_row),
+            np.concatenate([np.ones(n), counts.data])))
+        s = len(first)
+        shared_row = self.node_row[first]
         self.pairs, self.pair_weights = {}, {}
-        for mp, (src, dst, count) in zip(config.metapaths, _row_blocks(class_pairs, k)):
-            self.pairs[mp] = (nm.RowIndex(src, k), nm.RowIndex(dst, k))
+        # row j·s + t: how many neighbours shared class t's first node has
+        # with each feature row under meta-path j
+        firsts = counts[(np.arange(p)[:, None] * n + first).ravel()]
+        for mp, (src, dst, count) in zip(config.metapaths, _row_blocks(firsts, s)):
+            self.pairs[mp] = (nm.RowIndex(src, k_row), nm.RowIndex(shared_row[dst], k_row),
+                              nm.RowIndex(dst, s))
             self.pair_weights[mp] = nm.RowWeights(count)
-        self.features = nm.Matrix(x[first])
+        self.node_of = nm.RowIndex(np.tile(np.arange(s), p), s)
+        # a class: a shared class within one subgraph
+        graph_of = np.repeat(np.arange(n_graphs), sizes)
+        self.node_class, first = ft._row_classes(_csr(
+            np.concatenate([own, own]), np.concatenate([graph_of, n_graphs + self.node_shared]),
+            (n, n_graphs + s)))
+        self.features = nm.Matrix(x[first_row])
+        self.shared_of = nm.RowIndex(self.node_shared[first], s)
         self.graph_of = nm.RowIndex(graph_of[first], n_graphs)
         self.sizes = nm.RowWeights(np.bincount(self.node_class).astype(np.float64))
-        self.node_of = nm.RowIndex(np.tile(np.arange(k), p), k)
 
     def record_nodes(self, attention: "AttentionRecord", alpha: Mapping[str, nm.Matrix],
                      beta: nm.Matrix, gamma: nm.Matrix) -> None:
-        """Write one forward's class attention into ``attention``, node by node.
+        """Write one forward's attention into ``attention``, node by node.
 
-        A node's β row is its class's row, and its γ is its class's γ over the
-        class size. A node pair's α is that of a class pair with the same
-        target class and the same source feature row, over that pair's count:
-        such pairs share one logit, and the class softmaxes weight each by its
-        count, so this is the α a forward over nodes gives. The node pairs are
-        listed here, as :func:`metapath_pairs` lists them, and nowhere else.
+        A node pair's α is the α of the pair row (source's feature row,
+        target's shared class), over that row's count: the nodes the row
+        stands for share its logit, and the softmax weights it by its count,
+        so this is the α a forward over nodes gives. A node's β row is its
+        shared class's row, and its γ is its class's γ over the class size.
+        The node pairs are listed here, as :func:`metapath_pairs` lists them,
+        and nowhere else.
         """
-        n, k_row = len(self.node_class), int(self.node_row.max()) + 1
-        class_row = np.empty(len(self.sizes), dtype=np.intp)
-        class_row[self.node_class] = self.node_row
+        n, k_row, s = len(self.node_row), self.features.rows, self.shared_of.size
         node_pairs = _row_blocks(_neighbour_matrix(*self.edges, n, tuple(self.pairs)), n)
-        for (mp, (c_src, c_dst)), (src, dst, _) in zip(self.pairs.items(), node_pairs):
-            key, at = np.unique(c_dst.ids * k_row + class_row[c_src.ids], return_index=True)
-            at = at[np.searchsorted(key, self.node_class[dst] * k_row + self.node_row[src])]
+        for (mp, (src_row, _, dst)), (src, node_dst, _) in zip(self.pairs.items(),
+                                                              node_pairs):
             values = alpha[mp].value[:, 0] / self.pair_weights[mp].values
-            attention.alpha[mp] = (values[at], dst)
-        attention.beta = beta.value.reshape(len(self.pairs), -1).T[self.node_class]
+            table = _csr(dst.ids, src_row.ids, (s, k_row), values)
+            at = table[self.node_shared[node_dst], self.node_row[src]]
+            attention.alpha[mp] = (np.asarray(at).ravel(), node_dst)
+        attention.beta = beta.value.reshape(len(self.pairs), -1).T[self.node_shared]
         attention.gamma = (gamma.value[0] / self.sizes.values)[self.node_class]
 
 
@@ -335,8 +363,8 @@ def pair_scores(projected: nm.Matrix, src, dst, att_w, att_a) -> nm.Matrix:
     """Node-level attention logit of every (source, target) row pair, (m, 1).
 
     Equals ``leaky(concat(e_src, e_dst) @ att_w) @ att_aᵀ`` but multiplies
-    the node rows by the top and bottom halves of ``att_w`` before gathering,
-    so the matmuls run over nodes rather than pairs.
+    the rows by the top and bottom halves of ``att_w`` before gathering, so
+    the matmuls run over rows rather than pairs.
     """
     d = projected.cols
     top = nm.matmul(projected, nm.slice_rows(att_w, 0, d))
@@ -345,13 +373,15 @@ def pair_scores(projected: nm.Matrix, src, dst, att_w, att_a) -> nm.Matrix:
     return nm.matmul(nm.leaky_relu(z), nm.transpose(att_a))
 
 
-def _node_level(projected, src: nm.RowIndex, dst: nm.RowIndex, att_w, att_a,
-                weights: np.ndarray):
-    n = projected.rows
-    alpha = nm.segment_softmax(pair_scores(projected, src, dst, att_w, att_a), dst,
-                               n, weights)
+def _node_level(projected, pairs: tuple[nm.RowIndex, ...], att_w, att_a, weights):
+    """Node-level attention over ``pairs`` (source row, target row, target):
+    a softmax per target over its pairs' logits and a sum of their source
+    rows, one output row per target."""
+    src, dst_row, dst = pairs
+    alpha = nm.segment_softmax(pair_scores(projected, src, dst_row, att_w, att_a), dst,
+                               dst.size, weights)
     h = nm.leaky_relu(
-        nm.segment_sum(nm.mul(alpha, nm.gather_rows(projected, src)), dst, n)
+        nm.segment_sum(nm.mul(alpha, nm.gather_rows(projected, src)), dst, dst.size)
     )
     return h, alpha
 
@@ -415,9 +445,8 @@ def embed_batch(
     projected = nm.matmul(batch.features, params["proj"])
     per_path, alpha = [], {}
     for mp in config.metapaths:
-        src, dst = batch.pairs[mp]
         h_mp, alpha[mp] = _node_level(
-            projected, src, dst, params[f"att_w_{mp}"], params[f"att_a_{mp}"],
+            projected, batch.pairs[mp], params[f"att_w_{mp}"], params[f"att_a_{mp}"],
             batch.pair_weights[mp],
         )
         per_path.append(h_mp)
@@ -426,7 +455,8 @@ def embed_batch(
         per_path, params["path_w"], params["path_b"], params["path_q"],
         batch.node_of,
     )
-    h, gamma = graph_level_embed(fused, params["ctx_w"], batch.graph_of, batch.sizes)
+    h, gamma = graph_level_embed(nm.gather_rows(fused, batch.shared_of), params["ctx_w"],
+                                 batch.graph_of, batch.sizes)
     if attention is not None:
         batch.record_nodes(attention, alpha, beta, gamma)
     return h

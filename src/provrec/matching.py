@@ -233,10 +233,10 @@ def train_matcher(
     full-batch descent step on the mean pair loss, so the loss settles
     monotonically near convergence. Gradients reach the shared parameters
     through both branches of every pair. Every subgraph a triplet uses is
-    embedded in one batched forward per epoch over node classes
-    (:class:`SubgraphBatch`), the forward inference runs: node-level and
-    graph-level attention weight each class by its count, so each subgraph
-    gets the vector a forward over its nodes gives, from fewer rows.
+    embedded in one batched forward per epoch over the batch's feature rows
+    and node classes (:class:`SubgraphBatch`), the forward inference runs:
+    attention weighted by pair counts and class sizes gives each subgraph
+    the vector a forward over its nodes gives, from fewer rows.
     """
     if not samples:
         raise ValueError("no training samples")

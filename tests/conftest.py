@@ -58,9 +58,9 @@ def random_process_graph(rng, n_nodes, n_edges):
 
 
 def node_batch(subgraphs, config):
-    """The reference a class batch must reproduce: a ``SubgraphBatch`` with
-    one row per node, built from :func:`metapath_pairs` alone. Every node is
-    its own class, so every pair weight and size is 1."""
+    """The reference a batch must reproduce: a ``SubgraphBatch`` with one row
+    per node, built from :func:`metapath_pairs` alone. Every node is its own
+    feature row, shared class and class, so every pair weight and size is 1."""
     sizes = [t.n_nodes for t in subgraphs]
     offsets = np.cumsum([0] + sizes[:-1])
     n = sum(sizes)
@@ -75,12 +75,13 @@ def node_batch(subgraphs, config):
     batch.pairs, batch.pair_weights = {}, {}
     for mp in config.metapaths:
         pairs = [metapath_pairs(t, mp) for t in subgraphs]
-        batch.pairs[mp] = tuple(
-            RowIndex(np.concatenate([p[side] + o for p, o in zip(pairs, offsets)]), n)
-            for side in (0, 1))
-        batch.pair_weights[mp] = RowWeights(np.ones(len(batch.pairs[mp][0])))
+        src, dst = (RowIndex(np.concatenate([p[side] + o for p, o in zip(pairs, offsets)]), n)
+                    for side in (0, 1))
+        batch.pairs[mp] = (src, dst, dst)
+        batch.pair_weights[mp] = RowWeights(np.ones(len(src)))
     batch.sizes = RowWeights(np.ones(n))
-    batch.node_class = batch.node_row = np.arange(n)
+    batch.node_class = batch.node_row = batch.node_shared = np.arange(n)
+    batch.shared_of = RowIndex(np.arange(n), n)
     batch.node_of = RowIndex(np.tile(np.arange(n), len(batch.pairs)), n)
     return batch
 
@@ -106,10 +107,12 @@ def listed_pairs(tsg, mp):
 
 
 def listing_class_batch(subgraphs, config):
-    """The class batch built from per-node pair lists (:func:`listed_pairs`),
-    as a plain namespace of arrays: ``node_class``, ``features``, ``sizes``,
-    and per meta-path ``pairs`` (source class, target class) and
-    ``pair_weights``."""
+    """The batch built from per-node pair lists (:func:`listed_pairs`), as a
+    plain namespace of arrays: ``features`` (the distinct feature rows),
+    ``node_shared`` and ``node_class``, per meta-path ``pairs`` (source
+    feature row, target feature row, target shared class) and
+    ``pair_weights``, and per class ``shared_of``, ``graph_of`` and
+    ``sizes``."""
     sizes = [tsg.n_nodes for tsg in subgraphs]
     offsets = np.cumsum([0] + sizes[:-1])
     n, n_graphs = sum(sizes), len(sizes)
@@ -121,29 +124,37 @@ def listing_class_batch(subgraphs, config):
         node_pairs[mp] = (np.concatenate([s + o for s, o in zip(src, offsets)]),
                           np.concatenate([d + o for d, o in zip(dst, offsets)]))
     rows = x.view(np.dtype((np.void, 8 * x.shape[1])))
-    _, node_row = np.unique(rows.ravel(), return_inverse=True)
-    k_row = int(node_row.max()) + 1
-    width = n_graphs + (1 + len(node_pairs)) * k_row
-    cells = [np.arange(n) * width + graph_of, np.arange(n) * width + n_graphs + node_row]
+    _, first_row, node_row = np.unique(rows.ravel(), return_index=True,
+                                       return_inverse=True)
+    k_row = len(first_row)
+    width = (1 + len(node_pairs)) * k_row
+    cells = [np.arange(n) * width + node_row]
     for j, (src, dst) in enumerate(node_pairs.values(), start=1):
-        cells.append(dst * width + n_graphs + j * k_row + node_row[src])
+        cells.append(dst * width + j * k_row + node_row[src])
     cell, count = np.unique(np.concatenate(cells), return_counts=True)
     indptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(cell // width, minlength=n), out=indptr[1:])
-    node_class, first = ft._row_classes(sparse.csr_matrix(
+    node_shared, first_shared = ft._row_classes(sparse.csr_matrix(
         (count.astype(np.float64), cell % width, indptr), shape=(n, width)))
-    k = len(first)
+    s = len(first_shared)
     is_first = np.zeros(n, dtype=bool)
-    is_first[first] = True
+    is_first[first_shared] = True
     pairs, pair_weights = {}, {}
     for mp, (src, dst) in node_pairs.items():
         kept = is_first[dst]
-        pair, count = np.unique(node_class[dst[kept]] * k + node_class[src[kept]],
+        pair, count = np.unique(node_shared[dst[kept]] * k_row + node_row[src[kept]],
                                 return_counts=True)
-        pairs[mp] = (pair % k, pair // k)
+        pairs[mp] = (pair % k_row, node_row[first_shared][pair // k_row], pair // k_row)
         pair_weights[mp] = count.astype(np.float64)
-    return SimpleNamespace(node_class=node_class, features=x[first], pairs=pairs,
-                           pair_weights=pair_weights,
+    # classes: (subgraph, shared class) keys, numbered by first node
+    _, first, inverse = np.unique(graph_of * s + node_shared, return_index=True,
+                                  return_inverse=True)
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(len(first))
+    node_class, first = rank[inverse], np.sort(first)
+    return SimpleNamespace(features=x[first_row], node_shared=node_shared,
+                           node_class=node_class, pairs=pairs, pair_weights=pair_weights,
+                           shared_of=node_shared[first], graph_of=graph_of[first],
                            sizes=np.bincount(node_class).astype(np.float64))
 
 

@@ -156,6 +156,8 @@ _REFUSED = {
     "bundle_distance_cosine":
         ("bundle", lambda p: p["matcher"]["config"].update(distance="cosine")),
     "bundle_exemplar_cut_short": ("bundle", lambda p: cut_first_exemplar(p, 10)),
+    "bundle_repeated_metapath":
+        ("bundle", lambda p: in_both_han_configs(p, metapaths=["MP2", "MP1", "MP2"])),
 }
 
 

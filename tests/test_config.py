@@ -21,6 +21,7 @@ BAD_VALUES = [
     ("metapaths", []),
     ("shots", 0),
     ("margin", 0.0),
+    ("metapaths", ["MP1", "MP1"]),
 ]
 
 
@@ -64,7 +65,8 @@ RETIRED_KEYS = [
 
 
 @pytest.mark.parametrize(
-    "key, value", RETIRED_KEYS[:1] + BAD_VALUES[1:4] + BAD_VALUES[5:6] + RETIRED_KEYS[1:]
+    "key, value",
+    RETIRED_KEYS[:1] + BAD_VALUES[1:4] + BAD_VALUES[5:6] + RETIRED_KEYS[1:] + BAD_VALUES[7:],
 )
 def test_cli_exits_two_before_training(key, value, dataset_dir, monkeypatch, capsys):
     root, ds = dataset_dir

@@ -109,6 +109,13 @@ def test_unknown_metapath_rejected(shared_file_tsg):
         metapath_neighbors(shared_file_tsg, "pa", "MP9")
 
 
+@pytest.mark.parametrize("metapaths", [("MP1", "MP1"), ("MP2", "MP1", "MP2")])
+def test_repeated_metapath_rejected(metapaths):
+    # one name would stand for two bands of the neighbour matrix
+    with pytest.raises(ValueError, match="repeated meta-paths"):
+        HanConfig(metapaths=metapaths)
+
+
 # -- node-level attention -------------------------------------------------------
 
 
@@ -154,7 +161,7 @@ def test_identical_neighbors_share_attention_equally():
 def _node_level_of(tsg, mp, projected, w, a):
     """Node-level attention over one subgraph's own nodes, every pair weight 1."""
     src, dst = (nm.RowIndex(rows, tsg.n_nodes) for rows in metapath_pairs(tsg, mp))
-    return _node_level(projected, src, dst, w, a, np.ones(len(src)))
+    return _node_level(projected, (src, dst, dst), w, a, np.ones(len(src)))
 
 
 def test_node_level_matches_scalar_oracle():
@@ -500,10 +507,11 @@ def _classes_embed_as_nodes(tsgs, config=HanConfig(dim=6, seed=11)):
     assert np.abs(got.gamma - want.gamma).max() <= 1e-12
     per_graph = np.bincount(classes.graph_of.ids, classes.sizes.values)
     assert (per_graph == [t.n_nodes for t in tsgs]).all()
-    for mp, (_, dst) in classes.pairs.items():
-        # a class's pair counts add up to each of its nodes' neighbour count
-        degree = np.bincount(dst.ids, classes.pair_weights[mp].values, len(classes.sizes))
-        assert degree @ classes.sizes.values == len(nodes.pairs[mp][1])
+    shared_sizes = np.bincount(classes.shared_of.ids, classes.sizes.values)
+    for mp, (_, _, dst) in classes.pairs.items():
+        # a shared class's pair counts add up to each of its nodes' neighbour count
+        degree = np.bincount(dst.ids, classes.pair_weights[mp].values, dst.size)
+        assert degree @ shared_sizes == len(nodes.pairs[mp][1])
     return nodes, classes
 
 
@@ -526,7 +534,7 @@ def test_class_batch_counts_repeated_neighbour_classes():
                 ("pa", "write", "log", EntityType.FILE)])
     _, classes = _classes_embed_as_nodes([tsg])
     assert (classes.sizes.values == [1.0, 1.0, 1.0, 2.0]).all()  # doc, log, pa, {pb, pc}
-    dst = classes.pairs["MP2"][1].ids
+    dst = classes.pairs["MP2"][2].ids
     assert (classes.pair_weights["MP2"].values[dst == 2] == [1.0, 2.0]).all()  # pa
 
 
@@ -607,12 +615,18 @@ def test_class_batch_of_distinct_nodes_is_the_node_batch():
                   ("p1", "write", "f", EntityType.FILE)])]
     config = HanConfig(dim=6, seed=12)
     nodes, classes = _classes_embed_as_nodes(tsgs, config)
-    assert (classes.features.value == nodes.features.value).all()
+    row = classes.node_row
+    assert (classes.features.value[row] == nodes.features.value).all()
+    assert (classes.node_shared == nodes.node_shared).all()
+    assert (classes.shared_of.ids == nodes.shared_of.ids).all()
     assert (classes.graph_of.ids == nodes.graph_of.ids).all()
     assert (classes.sizes.values == 1).all()
-    for mp, (src, dst) in nodes.pairs.items():
-        assert (classes.pairs[mp][0].ids == src.ids).all()
-        assert (classes.pairs[mp][1].ids == dst.ids).all()
+    for mp, (src, _, dst) in nodes.pairs.items():
+        got_src, got_dst_row, got_dst = classes.pairs[mp]
+        # pairs run by target, then by source feature row, not source node
+        assert (sorted(zip(got_dst.ids, got_src.ids))
+                == sorted(zip(dst.ids, row[src.ids])))
+        assert (got_dst_row.ids == row[got_dst.ids]).all()
         assert (classes.pair_weights[mp].values == 1).all()
     params = init_han_params(config)
     assert (embed_batch(classes, params, config).value
@@ -660,14 +674,33 @@ def test_class_batch_equals_the_listing_build_byte_for_byte():
                      for _ in range(3)]
             tsgs = [pool[i] for i in gen.choice(len(pool), size=int(gen.integers(1, 7)))]
             got, want = SubgraphBatch(tsgs, config), listing_class_batch(tsgs, config)
+            _same_bytes(got.node_shared, want.node_shared)
             _same_bytes(got.node_class, want.node_class)
             _same_bytes(got.features.value, want.features)
+            _same_bytes(got.shared_of.ids, want.shared_of)
+            _same_bytes(got.graph_of.ids, want.graph_of)
             _same_bytes(got.sizes.values, want.sizes)
             assert list(got.pairs) == list(metapaths)
-            for mp, (src, dst) in got.pairs.items():
-                _same_bytes(src.ids, want.pairs[mp][0])
-                _same_bytes(dst.ids, want.pairs[mp][1])
+            for mp, pairs in got.pairs.items():
+                for index, ids in zip(pairs, want.pairs[mp]):
+                    _same_bytes(index.ids, ids)
                 _same_bytes(got.pair_weights[mp].values, want.pair_weights[mp])
+
+
+def test_renamed_copy_joins_every_shared_class():
+    # a node-renamed copy has the same feature rows and neighbour counts, so
+    # its nodes join the original's shared classes and its row is the same
+    gen = Rng(97)
+    triples = _random_triples(gen, 6, 20)
+    tsg = _tsg(triples)
+    copy = _tsg([(f"copy-{s}", op, f"copy-{o}", kind) for s, op, o, kind in triples])
+    config = HanConfig(dim=6, seed=14)
+    batch, alone = SubgraphBatch([tsg, copy], config), SubgraphBatch([tsg], config)
+    assert batch.features.rows == alone.features.rows
+    assert batch.shared_of.size == alone.shared_of.size
+    assert len(batch.sizes) == 2 * len(alone.sizes)
+    h = embed_batch(batch, init_han_params(config), config).value
+    assert h[0].tobytes() == h[1].tobytes()
 
 
 def test_grad_check_through_class_batch():

@@ -192,13 +192,14 @@ def test_inference_embeds_reuse_the_wrapped_weights(small_model, monkeypatch):
         made.append(np.shape(value))
         init(self, value, **kwargs)
 
-    classes = SubgraphBatch([tsg], han).features.rows
-    assert classes < tsg.n_nodes
+    batch = SubgraphBatch([tsg], han)
+    rows, classes = batch.features.rows, len(batch.sizes)
+    assert rows < classes < tsg.n_nodes
     monkeypatch.setattr(Matrix, "__init__", counting_init)
     first, second = model.embed(tsg), model.embed(tsg)
-    # each embed wraps only its own batch's class feature rows, the class
-    # sizes and the subgraph's node count; no weight is copied
-    assert made == [(classes, FEATURE_DIM), (classes, 1), (1, 1)] * 2, made
+    # each embed wraps only its own batch's feature rows, the class sizes and
+    # the subgraph's node count; no weight is copied
+    assert made == [(rows, FEATURE_DIM), (classes, 1), (1, 1)] * 2, made
     assert (first == want).all() and (second == want).all()
 
 
@@ -610,6 +611,23 @@ def test_class_training_matches_node_training(seed, metapaths, monkeypatch):
     assert (np.abs(np.array(got.loss_curve) - curve) <= 1e-12 * np.abs(curve)).all()
     for name, value in want.weights().items():
         assert np.abs(got.weights()[name] - value).max() <= 1e-12, name
+
+
+@pytest.mark.parametrize("seed, counts", [
+    (0, (410, 48, 104, 184)), (5, (410, 45, 97, 182)),
+])
+def test_each_attention_level_runs_on_fewer_rows(seed, counts):
+    # nodes, then feature rows (node level), shared classes (path level) and
+    # classes (graph level) of the default training batch
+    config = PipelineConfig(seed=seed)
+    train, _ = split_few_shot(generate_scenario(config.scenario_spec(), seed=seed),
+                              config.shots, seed)
+    tsgs = [s.truth for s in train]
+    batch = SubgraphBatch(tsgs, config.han_config())
+    n, rows, shared, classes = got = (sum(t.n_nodes for t in tsgs), batch.features.rows,
+                                      batch.shared_of.size, len(batch.sizes))
+    assert rows < shared < classes < n
+    assert got == counts
 
 
 def test_embed_many_matches_single_embeds(small_model):

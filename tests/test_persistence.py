@@ -224,6 +224,7 @@ _MALFORMED = {
     "missing_encoder_weight": lambda p: p["encoder"]["weights"].pop(),
     "three_layers_under_t_layers_2": lambda p: _three_layers(p["encoder"]),
     "exemplar_cut_short": lambda p: cut_first_exemplar(p, 5),
+    "repeated_metapath": lambda p: in_both_han_configs(p, metapaths=["MP1", "MP1"]),
 }
 
 
