@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, fields
 
 from .embedding import META_PATHS, HanConfig
@@ -20,6 +21,18 @@ from .synthetic import DEFAULT_TEMPLATES, ScenarioSpec
 
 class ConfigError(ValueError):
     """Unknown keys or out-of-range values in a pipeline config."""
+
+
+# every integer field, with its least value
+_INT_MIN = {
+    "t_layers": 1, "hidden": 1, "encoder_epochs": 0, "num_trees": 1, "subsample": 2,
+    "lam": 1, "min_nois": 1, "d": 1, "matcher_epochs": 0, "samples_per_class": 1,
+    "shots": 1, "background": 0, "seed": 0,
+}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -53,23 +66,34 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.t_layers < 1:
-            raise ConfigError("t_layers must be at least 1")
-        if self.lam < 1:
-            raise ConfigError("lam must be at least 1")
-        if self.min_nois < 1:
-            raise ConfigError("min_nois must be at least 1")
-        if self.shots < 1:
-            raise ConfigError("shots must be at least 1")
-        if not 0 < self.score_threshold <= 1:
+        for name, low in _INT_MIN.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, not {value!r}")
+            if value < low:
+                raise ConfigError(f"{name} must be at least {low}")
+        for name in ("encoder_lr", "matcher_lr"):
+            value = getattr(self, name)
+            if not (_is_number(value) and 0 < value < math.inf):
+                raise ConfigError(f"{name} must be a finite number above 0")
+        if not (_is_number(self.score_threshold) and 0 < self.score_threshold <= 1):
             raise ConfigError("score_threshold must be in (0, 1]")
-        if self.contamination is not None and not 0 < self.contamination <= 1:
+        if self.contamination is not None and not (
+                _is_number(self.contamination) and 0 < self.contamination <= 1):
             raise ConfigError("contamination must be in (0, 1]")
+        if self.unknown_threshold is not None and not (
+                _is_number(self.unknown_threshold) and self.unknown_threshold >= 0):
+            raise ConfigError("unknown_threshold must be null or at least 0")
+        if not (_is_number(self.noise_rate) and 0 <= self.noise_rate <= 1):
+            raise ConfigError("noise_rate must be in [0, 1]")
+        if not (isinstance(self.metapaths, (list, tuple))
+                and all(isinstance(mp, str) for mp in self.metapaths)):
+            raise ConfigError("metapaths must be a list of strings")
         self.metapaths = tuple(self.metapaths)
         try:
             # the stage configs check margin and meta-paths
             self.matcher_config()
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
 
     # -- per-stage views -----------------------------------------------------
@@ -121,11 +145,8 @@ class PipelineConfig:
         unknown = sorted(set(payload) - known)
         if unknown:
             raise ConfigError(f"unknown config keys: {unknown}")
-        data = dict(payload)
-        if "metapaths" in data:
-            data["metapaths"] = tuple(data["metapaths"])
         try:
-            return cls(**data)
+            return cls(**payload)
         except TypeError as exc:
             raise ConfigError(str(exc)) from None
 

@@ -209,11 +209,6 @@ class HanEncoder:
     def create(cls, config: HanConfig) -> "HanEncoder":
         return cls(config, init_han_params(config))
 
-    def embed(self, tsg: TechniqueSubgraph) -> np.ndarray:
-        """Encode one subgraph; returns a (dim,) vector."""
-        h = embed_subgraph(tsg, self.matrices, self.config)
-        return h.value[0].copy()
-
     def to_dict(self) -> dict:
         return {
             "config": asdict(self.config),
@@ -472,12 +467,8 @@ def embed_subgraph(
 
     The one-subgraph case of :func:`embed_batch`: ``params`` may hold plain
     arrays or tape-registered matrices, and ``attention`` rows and indices
-    are the subgraph's own.
+    are the subgraph's own. The batch is built on each call; a caller that
+    runs many forwards on one subgraph builds its :class:`SubgraphBatch`
+    once and calls :func:`embed_batch`.
     """
-    # a subgraph never changes, so its one-subgraph batch (meta-path pairs,
-    # indices and their scatter matrices) is kept on it for repeated forwards
-    key = ("batch", config.metapaths)
-    batch = tsg._metapath_cache.get(key)
-    if batch is None:
-        batch = tsg._metapath_cache[key] = SubgraphBatch([tsg], config)
-    return embed_batch(batch, params, config, attention)
+    return embed_batch(SubgraphBatch([tsg], config), params, config, attention)

@@ -41,46 +41,29 @@ MODES = ("True_Graph", "Sampled_Graph", "Raw_Graph")
 _SPURIOUS = ("__spurious__", "__spurious__")
 
 
-@dataclass(frozen=True)
-class NodeRef:
-    """A process node of one dataset sample, with its ground-truth label."""
+def split_leave_malicious_out(
+    dataset: LabeledDataset, seed: int = 0
+) -> tuple[ProvenanceGraph, np.ndarray, np.ndarray, np.ndarray]:
+    """The dataset's graphs as one ``disjoint_union``, its noi mask over the
+    union's rows, and the leave-malicious-out split of its process rows.
 
-    sample_idx: int
-    node_id: str
-    malicious: bool
-
-
-@dataclass
-class LmoSplit:
-    train: list[NodeRef]  # benign only
-    test: list[NodeRef]  # all malicious + equal benign
-
-
-def split_leave_malicious_out(dataset: LabeledDataset, seed: int = 0) -> LmoSplit:
-    """Benign-only training nodes; balanced malicious/benign test nodes.
-
-    Scoped to process nodes, since only those are ever flagged.
+    Only process rows are split, since only those are ever flagged. Train
+    rows are benign only. Test rows are every malicious row, then as many
+    benign rows drawn at random, each group in ascending row order.
     """
-    malicious: list[NodeRef] = []
-    benign: list[NodeRef] = []
-    for si, sample in enumerate(dataset):
-        truth_nois = sample.truth.noi_set()
-        for nid in sample.graph.process_ids():
-            if nid in truth_nois:
-                malicious.append(NodeRef(si, nid, True))
-            else:
-                benign.append(NodeRef(si, nid, False))
+    union = disjoint_union([s.graph for s in dataset])
+    noi = np.concatenate([np.isin(s.graph.node_ids(), s.truth.nois) for s in dataset])
+    procs = union.process_rows()
+    malicious, benign = procs[noi[procs]], procs[~noi[procs]]
     if len(benign) < len(malicious):
         raise ValueError(
             f"{len(benign)} benign process nodes cannot balance "
             f"{len(malicious)} malicious ones"
         )
-    rng = Rng(seed).split("lmo-split")
-    picked = rng.choice(len(benign), size=len(malicious), replace=False)
-    picked_set = set(picked.tolist())
-    test = malicious + [benign[i] for i in sorted(picked_set)]
-    train = [ref for i, ref in enumerate(benign) if i not in picked_set]
-    return LmoSplit(train=train, test=test)
+    picked = np.zeros(len(benign), dtype=bool)
+    picked[Rng(seed).split("lmo-split").choice(
+        len(benign), size=len(malicious), replace=False)] = True
+    return union, noi, benign[~picked], np.concatenate([malicious, benign[picked]])
 
 
 def evaluate_noi(flagged, truth_malicious, universe) -> dict[str, float]:
@@ -120,59 +103,30 @@ def noi_lmo_protocol(
 ) -> dict[str, float]:
     """Run the leave-malicious-out protocol end to end and score it.
 
-    The encoder and forest see only benign-induced graphs; scoring happens
-    on the full graphs so malicious nodes keep their true neighborhoods.
-    Because isolation scores shift with the training population size, the
-    decision threshold is calibrated as the 0.995 quantile of the benign
-    training scores (never of anything held out). ``seed`` defaults to
-    ``config.seed``.
+    The encoder and forest see only the benign part of the union (every noi
+    removed); test rows are embedded on the full union so malicious nodes
+    keep their true neighborhoods. Because isolation scores shift with the
+    training population size, the decision threshold is calibrated as the
+    0.995 quantile of the benign training scores (never of anything held
+    out). ``seed`` defaults to ``config.seed``.
     """
     from .noi import anomaly_scores, fit_forest
 
     seed = config.seed if seed is None else seed
-    split = split_leave_malicious_out(dataset, seed)
-    benign_graphs = []
-    for sample in dataset:
-        truth_nois = sample.truth.noi_set()
-        keep = [nid for nid in sample.graph.node_ids() if nid not in truth_nois]
-        benign_graphs.append(sample.graph.induced(keep))
-    union = disjoint_union(benign_graphs)
+    union, noi, train, test = split_leave_malicious_out(dataset, seed)
+    benign = union.take(np.flatnonzero(~noi))
     encoder = ft.train_encoder(
-        union, ft.init_features(union), config.encoder_config(seed)
+        benign, ft.init_features(benign), config.encoder_config(seed)
     )
-
-    # training embeddings for the forest: benign process nodes only
-    train_keys = {(r.sample_idx, r.node_id) for r in split.train}
-    train_rows = []
-    for si, g in enumerate(benign_graphs):
-        emb = ft.extract_embeddings(encoder, g, ft.init_features(g))
-        index = g.node_index()
-        train_rows += [emb[index[nid]] for nid in index if (si, nid) in train_keys]
-    train_rows = np.array(train_rows)
+    benign_row = np.cumsum(~noi) - 1  # union row -> row of ``benign``
+    train_emb = ft.extract_embeddings(encoder, benign, ft.init_features(benign))
+    train_rows = train_emb[benign_row[train]]
     forest = fit_forest(train_rows, config.num_trees, config.subsample, seed=seed)
-    train_scores = anomaly_scores(forest, train_rows)
-    threshold = float(np.quantile(train_scores, 0.995))
+    threshold = float(np.quantile(anomaly_scores(forest, train_rows), 0.995))
 
-    test_rows = []
-    test_ids = []
-    truth_ids = set()
-    full_emb = {}
-    for ref in split.test:
-        key = (ref.sample_idx, ref.node_id)
-        if ref.sample_idx not in full_emb:
-            g = dataset.samples[ref.sample_idx].graph
-            full_emb[ref.sample_idx] = (
-                g.node_index(),
-                ft.extract_embeddings(encoder, g, ft.init_features(g)),
-            )
-        index, emb = full_emb[ref.sample_idx]
-        test_rows.append(emb[index[ref.node_id]])
-        test_ids.append(key)
-        if ref.malicious:
-            truth_ids.add(key)
-    test_scores = anomaly_scores(forest, np.reshape(test_rows, (-1, forest.width)))
-    flagged = {key for key, score in zip(test_ids, test_scores) if score > threshold}
-    metrics = evaluate_noi(flagged, truth_ids, test_ids)
+    test_emb = ft.extract_embeddings(encoder, union, ft.init_features(union))
+    flagged = test[anomaly_scores(forest, test_emb[test]) > threshold]
+    metrics = evaluate_noi(flagged.tolist(), test[noi[test]].tolist(), test.tolist())
     metrics["threshold"] = threshold
     return metrics
 

@@ -20,7 +20,9 @@ names an unknown entity type, a non-process subject or (strict mode) an
 operation outside the 21, has attrs that are not a map, has a ``ts`` that
 is a bool, a non-integral number, not an integer at all or outside the
 signed 64-bit range, or has a subject or object id that is neither a
-string nor an integer.
+string nor an integer. Graph JSON (:meth:`ProvenanceGraph.from_dict`) is
+read by the same rules: ids become strings, ``ts`` is checked as above,
+and an edge's ``type_id`` must be an integer.
 """
 
 from __future__ import annotations
@@ -294,25 +296,30 @@ class ProvenanceGraph:
             if version != cls.FORMAT_VERSION:
                 raise GraphError(f"unsupported graph format_version {version!r}")
             for n in payload["nodes"]:
-                if n["id"] in index:
-                    raise GraphError(f"duplicate node id {n['id']!r}")
-                row = index[n["id"]] = len(ids)
-                ids.append(n["id"])
+                nid = _entity_id("node id", n["id"])
+                if nid in index:
+                    raise GraphError(f"duplicate node id {nid!r}")
+                row = index[nid] = len(ids)
+                ids.append(nid)
                 types.append(_TYPE_CODE[EntityType.parse(n["type"])])
-                if n.get("attrs"):
-                    attrs[row] = dict(n["attrs"])
+                node_attrs = n.get("attrs")
+                if node_attrs:
+                    if not isinstance(node_attrs, Mapping):
+                        raise GraphError(f"node {nid!r} attrs must be a string map")
+                    attrs[row] = dict(node_attrs)
             for e in payload["edges"]:
-                eid = int(e["type_id"])
-                if eid not in EDGE_TYPE_NAMES:
-                    raise GraphError(f"unknown edge type id {eid}")
-                src, dst = index.get(e["src"]), index.get(e["dst"])
+                eid = e["type_id"]
+                if eid.__class__ is not int or eid not in EDGE_TYPE_NAMES:
+                    raise GraphError(f"unknown edge type id {eid!r}")
+                src = index.get(_entity_id("edge src", e["src"]))
+                dst = index.get(_entity_id("edge dst", e["dst"]))
                 if src is None or dst is None:
                     raise GraphError(f"edge endpoint missing from node set: {e!r}")
                 # build_graph's rule
                 if edge_type_of(ENTITY_TYPES[types[src]], EDGE_TYPE_NAMES[eid][1],
                                 ENTITY_TYPES[types[dst]]) != eid:
                     raise GraphError(f"edge type id {eid} does not fit edge {e!r}")
-                for column, value in zip(columns, (src, dst, eid, int(e["ts"]))):
+                for column, value in zip(columns, (src, dst, eid, _event_ts(e["ts"]))):
                     column.append(value)
         except (KeyError, TypeError, AttributeError) as exc:
             raise GraphError(f"malformed graph: {exc!r}") from None
@@ -471,7 +478,7 @@ def _event_ts(value) -> int:
 def _entity_id(key: str, value) -> str:
     if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
         return str(value)
-    raise GraphError(f"event {key} {value!r} is neither a string nor an integer")
+    raise GraphError(f"{key} {value!r} is neither a string nor an integer")
 
 
 _event_fields = operator.itemgetter(*_REQUIRED_EVENT_KEYS)
@@ -508,8 +515,8 @@ def parse_event(record: Mapping, strict: bool = True) -> Event:
         raise GraphError("attrs must be a string map")
     ts = _event_ts(ts)
     return Event(
-        _entity_id("subject_id", subject_id), st, op,
-        _entity_id("object_id", object_id), ot, ts, dict(attrs) if attrs else None,
+        _entity_id("event subject_id", subject_id), st, op,
+        _entity_id("event object_id", object_id), ot, ts, dict(attrs) if attrs else None,
     )
 
 

@@ -13,7 +13,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .graph import GraphError, ProvenanceGraph
+from .graph import GraphError, ProvenanceGraph, _entity_id
 
 
 class TechniqueSubgraph:
@@ -44,7 +44,6 @@ class TechniqueSubgraph:
                 raise GraphError(f"noi {nid!r} not in subgraph")
         if seed not in self.nois:
             raise GraphError(f"seed {seed!r} must be one of the nois")
-        self._metapath_cache: dict = {}
 
     @property
     def node_ids(self) -> list[str]:
@@ -83,7 +82,8 @@ class TechniqueSubgraph:
     def from_dict(cls, payload: Mapping) -> "TechniqueSubgraph":
         try:
             label = payload.get("label") or {}
-            nois, seed = payload["nois"], payload["seed"]
+            nois = [_entity_id("noi", nid) for nid in payload["nois"]]
+            seed = _entity_id("seed", payload["seed"])
             technique, tactic = label.get("technique"), label.get("tactic")
         except (KeyError, TypeError, AttributeError) as exc:
             raise GraphError(f"malformed subgraph: {exc!r}") from None

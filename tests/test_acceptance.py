@@ -19,6 +19,8 @@ from provrec.config import PipelineConfig
 from provrec.embedding import (
     AttentionRecord,
     HanConfig,
+    SubgraphBatch,
+    embed_batch,
     embed_subgraph,
     init_han_params,
 )
@@ -155,9 +157,10 @@ def test_criterion_1_gradient_fidelity():
             for name, value in init_han_params(HanConfig(dim=3, seed=i)).items()
         }
         probe = Matrix(gen.normal(0, 1, size=(1, 3)))
+        batch = SubgraphBatch([tsg], config)
 
         def loss():
-            return nm.sum_all(nm.mul(embed_subgraph(tsg, params, config), probe))
+            return nm.sum_all(nm.mul(embed_batch(batch, params, config), probe))
 
         worst["attention"] = max(
             worst["attention"], nm.grad_check(loss, tape, eps=1e-5)
@@ -173,14 +176,15 @@ def test_criterion_1_gradient_fidelity():
         }
         out_w = tape.parameter("out_w", gen.normal(0, 0.7, size=(3, 3)))
         out_b = tape.parameter("out_b", gen.normal(0, 0.1, size=(1, 3)))
+        batch_a, batch_b = SubgraphBatch([a], config), SubgraphBatch([b], config)
 
         def loss():
             ea = nm.leaky_relu(
-                nm.add(nm.matmul(embed_subgraph(a, params, config), out_w), out_b),
+                nm.add(nm.matmul(embed_batch(batch_a, params, config), out_w), out_b),
                 0.01,
             )
             eb = nm.leaky_relu(
-                nm.add(nm.matmul(embed_subgraph(b, params, config), out_w), out_b),
+                nm.add(nm.matmul(embed_batch(batch_b, params, config), out_w), out_b),
                 0.01,
             )
             return nm.add(

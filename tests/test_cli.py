@@ -8,10 +8,11 @@ import pytest
 
 from provrec.cli import EXIT_DATA, EXIT_MODEL, EXIT_OK, EXIT_USAGE, main
 from provrec.config import PipelineConfig
-from provrec.evaluation import detect
+from provrec.evaluation import detect, noi_lmo_protocol
 from provrec.graph import EntityType, ProvenanceGraph
 from provrec.numerics import decode_array, encode_array
 from provrec.persistence import ModelFormatError, load_model
+from provrec.synthetic import LabeledDataset
 
 from conftest import (
     cut_first_exemplar,
@@ -214,6 +215,34 @@ def test_recognize_rejects_wrong_top_level_shape(chain, tmp_path, payload):
     out = tmp_path / "rec.json"
     assert run("--config", config, "recognize", "--subgraph", query,
                "--models", root / "bundle.json", "--out", out) == EXIT_DATA
+    assert not out.exists()
+
+
+_LAUNCH = {"src": "p", "dst": "q", "type_id": 1, "ts": 0}
+_MALFORMED_SUBGRAPHS = {
+    "ts_fractional": {"edges": [{**_LAUNCH, "ts": 1.9}]},
+    "ts_bool": {"edges": [{**_LAUNCH, "ts": True}]},
+    "type_id_string": {"edges": [{**_LAUNCH, "type_id": "1"}]},
+    "noi_float": {"nois": ["p", 1.5]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_SUBGRAPHS))
+def test_recognize_refuses_malformed_subgraph_json(chain, tmp_path, capsys, case):
+    root, config = chain
+    query = tmp_path / "query.json"
+    query.write_text(json.dumps({
+        "seed": "p",
+        "nodes": [{"id": "p", "type": "process"}, {"id": "q", "type": "process"}],
+        "edges": [_LAUNCH],
+        "nois": ["p"],
+        **_MALFORMED_SUBGRAPHS[case],
+    }))
+    out = tmp_path / "rec.json"
+    assert run("--config", config, "recognize", "--subgraph", query,
+               "--models", root / "bundle.json", "--out", out) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "data error" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -425,6 +454,18 @@ def test_evaluate_reports_are_deterministic(chain):
                    "--models", root / "bundle.json", "--mode", "true",
                    "--out", out) == EXIT_OK
     assert r1.read_bytes() == r2.read_bytes()
+
+
+def test_evaluate_with_noi_reports_the_lmo_protocol(chain):
+    root, config = chain
+    out = root / "rep-noi.json"
+    assert run("--config", config, "evaluate", "--data", root / "ds",
+               "--models", root / "bundle.json", "--mode", "true", "--with-noi",
+               "--out", out) == EXIT_OK
+    pipeline = PipelineConfig.from_file(config)
+    expected = noi_lmo_protocol(LabeledDataset.load(root / "ds"), pipeline,
+                                pipeline.seed)
+    assert json.loads(out.read_text())["noi_detection"] == expected
 
 
 _GRAPH = {"format_version": 1, "nodes": [{"id": "p", "type": "process"}], "edges": []}

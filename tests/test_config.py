@@ -22,6 +22,32 @@ BAD_VALUES = [
     ("shots", 0),
     ("margin", 0.0),
     ("metapaths", ["MP1", "MP1"]),
+    # values a later stage cannot use; some crashed it with a traceback
+    ("num_trees", 0),
+    ("lam", 2.5),
+    ("t_layers", 1.5),
+    ("metapaths", 5),
+    ("metapaths", "MP1"),
+    ("metapaths", [1]),
+    ("lam", True),
+    ("seed", "7"),
+    ("hidden", 0),
+    ("d", 0),
+    ("samples_per_class", 0),
+    ("subsample", 1),
+    ("background", -1),
+    ("seed", -1),
+    ("encoder_lr", 0),
+    ("matcher_lr", float("inf")),
+    ("matcher_lr", float("nan")),
+    ("noise_rate", 1.5),
+    ("noise_rate", -0.1),
+    ("unknown_threshold", -0.5),
+    ("score_threshold", "high"),
+    ("margin", "wide"),
+    # these ran silently with no training step at all
+    ("encoder_epochs", -1),
+    ("matcher_epochs", -5),
 ]
 
 
@@ -39,6 +65,10 @@ def test_boundary_values_accepted():
     config = PipelineConfig(contamination=1.0, shots=1, metapaths=["MP1"])
     assert config.metapaths == ("MP1",)
     assert config.matcher_config(seed=3).han.metapaths == ("MP1",)
+    PipelineConfig(num_trees=1, hidden=1, d=1, samples_per_class=1, subsample=2,
+                   background=0, seed=0, encoder_epochs=0, matcher_epochs=0,
+                   noise_rate=0, unknown_threshold=0, encoder_lr=1, matcher_lr=1e-9)
+    PipelineConfig(noise_rate=1.0, contamination=None, unknown_threshold=None)
 
 
 def test_override_to_none_clears_a_key():

@@ -330,6 +330,11 @@ def test_single_process_subgraph_hand_computation():
     assert np.allclose(h.value, want, atol=1e-12)
 
 
+def _embed(encoder, tsg):
+    """One subgraph through a built encoder's wrapped weights; a (dim,) row."""
+    return embed_subgraph(tsg, encoder.matrices, encoder.config).value[0]
+
+
 def test_relabeled_copy_embeds_identically(shared_file_tsg):
     t1 = shared_file_tsg
     reversed_triples = [
@@ -342,7 +347,7 @@ def test_relabeled_copy_embeds_identically(shared_file_tsg):
     ]
     t2 = _tsg(reversed_triples)
     enc = HanEncoder.create(HanConfig(dim=8, seed=5))
-    assert (enc.embed(t1) == enc.embed(t2)).all()
+    assert (_embed(enc, t1) == _embed(enc, t2)).all()
 
 
 def test_structurally_different_subgraphs_embed_apart(shared_file_tsg):
@@ -354,7 +359,7 @@ def test_structurally_different_subgraphs_embed_apart(shared_file_tsg):
         + [("pb", "connect", "s0", EntityType.SOCKET)]
     )
     enc = HanEncoder.create(HanConfig(dim=8, seed=5))
-    d = np.linalg.norm(enc.embed(shared_file_tsg) - enc.embed(other))
+    d = np.linalg.norm(_embed(enc, shared_file_tsg) - _embed(enc, other))
     assert d > 0
 
 
@@ -384,9 +389,10 @@ def test_grad_check_through_full_composition(shared_file_tsg):
         for name, value in init_han_params(config).items()
     }
     probe = Matrix(Rng(70).normal(0, 1, size=(1, 4)))
+    batch = SubgraphBatch([shared_file_tsg], config)
 
     def loss():
-        h = embed_subgraph(shared_file_tsg, params, config)
+        h = embed_batch(batch, params, config)
         return nm.sum_all(nm.mul(h, probe))
 
     assert nm.grad_check(loss, list(params.values()), eps=1e-5) < 1e-4
@@ -397,7 +403,7 @@ def test_metapath_masking_combinations(shared_file_tsg):
     for name, combo in METAPATH_COMBOS.items():
         config = HanConfig(dim=8, metapaths=combo, seed=9)
         enc = HanEncoder.create(config)
-        outputs[name] = enc.embed(shared_file_tsg)
+        outputs[name] = _embed(enc, shared_file_tsg)
     assert METAPATH_COMBOS["MPC6"] == META_PATHS
     assert not np.allclose(outputs["MPC1"], outputs["MPC6"])
     for name, combo in METAPATH_COMBOS.items():
@@ -412,11 +418,11 @@ def test_encoder_checkpoint_round_trip(shared_file_tsg, tmp_path):
     # the encoder is checkpointed inside the matcher that holds it
     config = MatcherConfig(han=HanConfig(dim=8, seed=10))
     enc = HanEncoder.create(config.han)
-    before = enc.embed(shared_file_tsg)
+    before = _embed(enc, shared_file_tsg)
     path = tmp_path / "matcher.json"
     save_model(SiameseModel(config, enc, np.eye(8), np.zeros((1, 8))), path)
     loaded = load_model(path)
-    assert (loaded.encoder.embed(shared_file_tsg) == before).all()
+    assert (_embed(loaded.encoder, shared_file_tsg) == before).all()
 
 
 # -- batched forward ------------------------------------------------------------

@@ -47,29 +47,37 @@ def tiny_models(tiny_dataset, tiny_config):
 
 
 def test_lmo_split_has_zero_leakage(tiny_dataset):
-    split = split_leave_malicious_out(tiny_dataset, seed=1)
-    assert all(not ref.malicious for ref in split.train)
-    train_keys = {(r.sample_idx, r.node_id) for r in split.train}
-    for ref in split.test:
-        if ref.malicious:
-            assert (ref.sample_idx, ref.node_id) not in train_keys
+    union, noi, train, test = split_leave_malicious_out(tiny_dataset, seed=1)
+    assert union.n_nodes == len(noi) == sum(s.graph.n_nodes for s in tiny_dataset)
+    procs = union.process_rows()
+    assert np.isin(train, procs).all() and np.isin(test, procs).all()
+    assert not noi[train].any()
+    assert not np.isin(test, train).any()
+    # the mask marks exactly each sample's truth nois, under the union's ids
+    ids = union.node_ids()
+    assert {ids[r] for r in np.flatnonzero(noi)} == {
+        f"g{si}/{nid}" for si, s in enumerate(tiny_dataset) for nid in s.truth.nois}
 
 
 def test_lmo_split_is_balanced(tiny_dataset):
-    split = split_leave_malicious_out(tiny_dataset, seed=1)
-    malicious = [r for r in split.test if r.malicious]
-    benign = [r for r in split.test if not r.malicious]
-    assert len(malicious) == len(benign)
+    union, noi, train, test = split_leave_malicious_out(tiny_dataset, seed=1)
+    n_mal = int(noi[test].sum())
+    assert n_mal == len(test) - n_mal
     total_mal = sum(len(s.truth.nois) for s in tiny_dataset)
-    assert len(malicious) == total_mal
+    assert n_mal == total_mal
+    # malicious rows first, then the picked benign rows, each ascending
+    assert noi[test[:n_mal]].all() and not noi[test[n_mal:]].any()
+    assert (np.diff(test[:n_mal]) > 0).all() and (np.diff(test[n_mal:]) > 0).all()
+    # every process row is either trained on or tested
+    assert sorted(train.tolist() + test.tolist()) == union.process_rows().tolist()
 
 
 def test_lmo_split_seeded(tiny_dataset):
-    s1 = split_leave_malicious_out(tiny_dataset, seed=5)
-    s2 = split_leave_malicious_out(tiny_dataset, seed=5)
-    assert s1.test == s2.test and s1.train == s2.train
-    s3 = split_leave_malicious_out(tiny_dataset, seed=6)
-    assert s3.test != s1.test
+    _, _, train1, test1 = split_leave_malicious_out(tiny_dataset, seed=5)
+    _, _, train2, test2 = split_leave_malicious_out(tiny_dataset, seed=5)
+    assert (test1 == test2).all() and (train1 == train2).all()
+    _, _, _, test3 = split_leave_malicious_out(tiny_dataset, seed=6)
+    assert (test3 != test1).any()
 
 
 def test_lmo_rejects_when_benign_scarce():
@@ -86,6 +94,33 @@ def test_lmo_protocol_detects_held_out_malicious(tiny_dataset, tiny_config):
     # must still beat the 0.5 coin-flip accuracy comfortably
     assert metrics["Accuracy"] > 0.7
     assert metrics["Precision"] > 0.7
+
+
+# The protocol's outputs on the tiny fixture, as float.hex. They were
+# recorded from the per-node implementation that the union-graph one
+# replaced, and both give them bit for bit.
+_LMO_PINS = {
+    None: {
+        "Accuracy": "0x1.8a60dd67c8a61p-1",
+        "Precision": "0x1.0000000000000p+0",
+        "Recall": "0x1.14c1bacf914c2p-1",
+        "F1": "0x1.674c59d31674dp-1",
+        "threshold": "0x1.1fc4892f3e02ep-1",
+    },
+    3: {
+        "Accuracy": "0x1.0000000000000p+0",
+        "Precision": "0x1.0000000000000p+0",
+        "Recall": "0x1.0000000000000p+0",
+        "F1": "0x1.0000000000000p+0",
+        "threshold": "0x1.18f9ab1bc10cbp-1",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_LMO_PINS, key=str))
+def test_lmo_protocol_is_pinned(tiny_dataset, tiny_config, seed):
+    metrics = noi_lmo_protocol(tiny_dataset, tiny_config, seed)
+    assert {k: v.hex() for k, v in metrics.items()} == _LMO_PINS[seed]
 
 
 # -- detector metrics ------------------------------------------------------------

@@ -212,6 +212,49 @@ def test_graph_json_that_build_graph_would_refuse_is_refused(figure_snippet, cas
         ProvenanceGraph.from_dict(payload)
 
 
+def _set_first_edge(key, value):
+    return lambda p: p["edges"][0].update({key: value})
+
+
+# values JSONL ingest refuses, refused in graph JSON too
+_MALFORMED_GRAPH_JSON = {
+    "ts_bool": _set_first_edge("ts", True),
+    "ts_fractional": _set_first_edge("ts", 1.9),
+    "ts_beyond_int64": _set_first_edge("ts", 2**63),
+    "type_id_string": _set_first_edge("type_id", "3"),
+    "type_id_bool": _set_first_edge("type_id", True),
+    "type_id_float": _set_first_edge("type_id", 3.0),
+    "src_float": _set_first_edge("src", 1.5),
+    "dst_list": _set_first_edge("dst", ["x.pdf"]),
+    "node_id_bool": lambda p: p["nodes"].append({"id": True, "type": "file"}),
+    "node_id_null": lambda p: p["nodes"].append({"id": None, "type": "file"}),
+    "attrs_list": lambda p: p["nodes"][0].update({"attrs": ["k", "v"]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_GRAPH_JSON))
+def test_graph_json_is_read_by_the_ingest_rules(figure_snippet, case):
+    payload = figure_snippet.to_dict()
+    _MALFORMED_GRAPH_JSON[case](payload)
+    with pytest.raises(GraphError):
+        ProvenanceGraph.from_dict(payload)
+
+
+def test_graph_json_integer_ids_are_read_as_strings():
+    launch = EDGE_TYPE_IDS[(EntityType.PROCESS, "launch")]
+    payload = {
+        "format_version": 1,
+        "nodes": [{"id": 3, "type": "process"}, {"id": "4", "type": "process"}],
+        "edges": [{"src": 3, "dst": 4, "type_id": launch, "ts": 7}],
+    }
+    graph = ProvenanceGraph.from_dict(payload)
+    assert graph.node_ids() == ["3", "4"]
+    assert [tuple(e) for e in graph.edges] == [("3", "4", launch, 7)]
+    with pytest.raises(GraphError, match="duplicate"):
+        ProvenanceGraph.from_dict(
+            {**payload, "nodes": [*payload["nodes"], {"id": "3", "type": "process"}]})
+
+
 def test_induced_subgraph_keeps_internal_edges(figure_snippet):
     sub = figure_snippet.induced(["chrome", "x.pdf", "acrobat"])
     assert sub.n_nodes == 3

@@ -179,7 +179,7 @@ def test_branch_symmetry_exact(small_model):
 
 def test_inference_embeds_reuse_the_wrapped_weights(small_model, monkeypatch):
     _, model = small_model
-    tsg = _variant("socks", 5)  # fresh: its one-subgraph batch is built on first use
+    tsg = _variant("socks", 5)
     han = model.config.han
     # reference: the same forward fed plain arrays, wrapped call by call
     want = project(embed_subgraph(tsg, model.encoder.params, han),
@@ -218,9 +218,10 @@ def test_recognize_keeps_no_batch_on_the_query(small_model):
         if tech not in exemplars.techniques():
             exemplars.add_exemplar(tech, "TA", tsg, model)
     query = _variant("socks", 6)
+    before = dict(vars(query))
     recognize(query, exemplars, model)
-    assert not [k for k in query._metapath_cache if k[0] == "batch"]
-    assert query._metapath_cache == {}  # nor its meta-path pairs
+    assert vars(query).keys() == before.keys()
+    assert all(vars(query)[k] is v for k, v in before.items())
 
 
 # -- gradients through the pair loss ----------------------------------------------
@@ -235,9 +236,11 @@ def test_pair_loss_grad_check():
         for name, value in init_han_params(config).items()
     }
 
+    batch_a, batch_b = SubgraphBatch([a], config), SubgraphBatch([b], config)
+
     def loss():
-        ea = embed_subgraph(a, params, config)
-        eb = embed_subgraph(b, params, config)
+        ea = embed_batch(batch_a, params, config)
+        eb = embed_batch(batch_b, params, config)
         return nm.add(
             pair_loss(ea, eb, False, 1.0),
             pair_loss(ea, ea, True, 1.0),
@@ -250,13 +253,14 @@ def test_shared_gradient_is_sum_of_branch_contributions():
     config = HanConfig(dim=4, seed=12)
     a, b = _variant("files", 1), _variant("socks", 1)
     init = init_han_params(config)
+    batch_a, batch_b = SubgraphBatch([a], config), SubgraphBatch([b], config)
 
     def grads(freeze_a, freeze_b):
         tape = GradientTape()
         params = {k: tape.parameter(k, v.copy()) for k, v in init.items()}
         const = {k: Matrix(v) for k, v in init.items()}
-        ea = embed_subgraph(a, const if freeze_a else params, config)
-        eb = embed_subgraph(b, const if freeze_b else params, config)
+        ea = embed_batch(batch_a, const if freeze_a else params, config)
+        eb = embed_batch(batch_b, const if freeze_b else params, config)
         diff = nm.sub(ea, eb)
         tape.backward(nm.sum_all(nm.mul(diff, diff)))
         return {k: p.grad.copy() for k, p in params.items()}

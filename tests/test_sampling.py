@@ -8,7 +8,14 @@ import networkx as nx
 import pytest
 
 from provrec import sampling
-from provrec.graph import EntityType, Event, GraphError, build_graph, graph_to_events
+from provrec.graph import (
+    EDGE_TYPE_IDS,
+    EntityType,
+    Event,
+    GraphError,
+    build_graph,
+    graph_to_events,
+)
 from provrec.numerics import Rng
 from provrec.sampling import (
     TechniqueSubgraph,
@@ -487,6 +494,21 @@ def test_subgraph_invariants_and_round_trip():
     assert back.node_ids == sub.node_ids
     assert back.nois == sub.nois
     assert back.seed == sub.seed
+
+
+def test_subgraph_json_with_mixed_id_types_reads_ids_as_strings():
+    launch = EDGE_TYPE_IDS[(EntityType.PROCESS, "launch")]
+    payload = {
+        "seed": 1,
+        "nodes": [{"id": 1, "type": "process"}, {"id": "a", "type": "process"}],
+        "edges": [{"src": 1, "dst": "a", "type_id": launch, "ts": 0}],
+        "nois": [1, "a"],
+    }
+    sub = TechniqueSubgraph.from_dict(payload)
+    assert (sub.node_ids, sub.nois, sub.seed) == (["1", "a"], ("1", "a"), "1")
+    for key, bad in (("nois", [1.5]), ("seed", None), ("nois", 5)):
+        with pytest.raises(GraphError):
+            TechniqueSubgraph.from_dict({**payload, key: bad})
 
 
 def test_subgraph_rejects_seed_outside_nois():
