@@ -5,7 +5,7 @@
 
 from provrec import ScenarioSpec, generate_scenario
 from provrec.embedding import HanConfig
-from provrec.matching import ExemplarSet, MatcherConfig, recognize, train_matcher
+from provrec.matching import ExemplarSet, MatcherConfig, recognize_many, train_matcher
 
 spec = ScenarioSpec(samples_per_class=4, background=60, seed=3)
 dataset = generate_scenario(spec)
@@ -31,9 +31,10 @@ for tech in techniques:
     tactic = next(s.tactic for s in dataset.samples if s.technique == tech)
     exemplars.add_class(tech, tactic, members, model)
 
+# Every query is embedded in one batched forward and ranked by distance.
+results = recognize_many([s.truth for s in queries], exemplars, model)
 correct = 0
-for sample in queries:
-    result = recognize(sample.truth, exemplars, model)
+for sample, result in zip(queries, results):
     hit = result.decision == sample.technique
     correct += hit
     top = ", ".join(f"{t}:{d:.2f}" for t, _, d in result.ranking[:3])

@@ -60,6 +60,7 @@ from .matching import (
     pick_representative,
     recognition_metrics,
     recognize,
+    recognize_many,
     train_matcher,
 )
 from .noi import (

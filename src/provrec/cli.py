@@ -40,7 +40,7 @@ from .graph import (
     read_events_jsonl,
     write_events_jsonl,
 )
-from .matching import recognize
+from .matching import recognize_many
 from .noi import NoiReport
 from .numerics import NumericsError
 from .persistence import ModelFormatError, load_model, save_model
@@ -271,15 +271,12 @@ def _cmd_recognize(args, config: PipelineConfig) -> int:
     entries = payload.get("subgraphs", [payload])
     if not isinstance(entries, list):
         raise GraphError('"subgraphs" must be a list of subgraphs')
-    queries = [TechniqueSubgraph.from_dict(q) for q in entries]
-    results = []
-    for i, query in enumerate(queries):
-        result = recognize(
-            query, models.exemplars, models.matcher, config.unknown_threshold
-        )
-        results.append({"query_id": i, **result.to_dict()})
+    results = recognize_many([TechniqueSubgraph.from_dict(q) for q in entries],
+                             models.exemplars, models.matcher, config.unknown_threshold)
+    for i, result in enumerate(results):
         print(f"query {i}: {result.decision} ({result.decision_tactic})")
-    _write_json({"results": results}, Path(args.out))
+    rows = [{"query_id": i, **r.to_dict()} for i, r in enumerate(results)]
+    _write_json({"results": rows}, Path(args.out))
     return EXIT_OK
 
 

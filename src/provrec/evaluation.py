@@ -21,7 +21,8 @@ from .matching import (
     RecognitionResult,
     SiameseModel,
     recognition_metrics,
-    recognize,
+    recognize,  # noqa: F401 (perfbench's traced run wraps it here)
+    recognize_many,
     train_matcher,
 )
 from .noi import NoiReport, detect_nois
@@ -278,15 +279,14 @@ def triage(
     seed: int | None = None,
 ) -> Triage:
     """Detect anomalous nodes on one host, carve subgraphs around them and
-    recognise each carve; ``seed`` defaults to ``config.seed``."""
+    recognise the carves in one batched forward; ``seed`` defaults to
+    ``config.seed``."""
     report = detect(graph, models.encoder, config, seed)
     carved = sample_subgraphs(
         graph, report.flagged, lam=config.lam, min_nois=config.min_nois
     )
-    return Triage(report, carved, [
-        recognize(tsg, models.exemplars, models.matcher, config.unknown_threshold)
-        for tsg in carved
-    ])
+    return Triage(report, carved, recognize_many(
+        carved, models.exemplars, models.matcher, config.unknown_threshold))
 
 
 def evaluate_end_to_end(
@@ -310,13 +310,10 @@ def evaluate_end_to_end(
     if not test_samples:
         raise ValueError("no test samples")
 
-    predictions: list[RecognitionResult | None] = []
-    truth: list[tuple[str, str]] = []
-    sampling_parts: list[SamplingMetrics] = []
-
-    for sample in test_samples:
-        label = (sample.technique, sample.tactic)
-        if mode == "Sampled_Graph":
+    if mode == "Sampled_Graph":
+        predictions, truth, sampling_parts = [], [], []
+        for sample in test_samples:
+            label = (sample.technique, sample.tactic)
             host = triage(sample.graph, models, config, seed)
             matching = match_subgraphs(host.carved, [sample.truth])
             sampling_parts.append(
@@ -327,12 +324,12 @@ def evaluate_end_to_end(
             predictions.extend(host.results or [None])
             truth.extend([label if ci in pairs else _SPURIOUS
                           for ci in range(len(host.carved))] or [label])
-            continue
-        query = sample.truth if mode == "True_Graph" else _whole_graph_subgraph(sample)
-        predictions.append(
-            recognize(query, models.exemplars, models.matcher, config.unknown_threshold)
-        )
-        truth.append(label)
+    else:
+        whole = mode == "Raw_Graph"
+        predictions = recognize_many(
+            [_whole_graph_subgraph(s) if whole else s.truth for s in test_samples],
+            models.exemplars, models.matcher, config.unknown_threshold)
+        truth = [(s.technique, s.tactic) for s in test_samples]
 
     report = {
         "mode": mode,

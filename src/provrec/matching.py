@@ -144,9 +144,6 @@ class SiameseModel:
                         self.encoder.matrices, self.config.han)
         return project(h, *self.head).value
 
-    def distance_of(self, ea: np.ndarray, eb: np.ndarray) -> float:
-        return float(np.sqrt(((ea - eb) ** 2).sum()))
-
     def weights(self) -> dict[str, np.ndarray]:
         out = dict(self.encoder.params)
         out["out_w"] = self.out_w
@@ -184,6 +181,11 @@ class SiameseModel:
                 digest.update(value.tobytes())
             self._hash = digest.hexdigest()
         return self._hash
+
+
+def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distance of every row of ``a`` to every row of ``b``."""
+    return np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1))
 
 
 def project(h, out_w, out_b) -> nm.Matrix:
@@ -286,9 +288,7 @@ def pick_representative(
     if not samples:
         raise ValueError("cannot pick a representative from an empty class")
     embeddings = model.embed_many(samples)
-    dist = np.array([[model.distance_of(a, b) for b in embeddings] for a in embeddings])
-    np.fill_diagonal(dist, 0.0)
-    return int(np.argmin(dist.sum(axis=1)))
+    return int(np.argmin(distances(embeddings, embeddings).sum(axis=1)))
 
 
 @dataclass
@@ -338,9 +338,6 @@ class ExemplarSet:
     def get(self, technique: str) -> Exemplar:
         return self._entries[technique]
 
-    def tactic_of(self, technique: str) -> str:
-        return self._entries[technique].tactic
-
     def add_class(
         self,
         technique: str,
@@ -365,13 +362,15 @@ class ExemplarSet:
         self._entries[technique] = entry
         return entry
 
-    def embedding_of(self, technique: str, model: SiameseModel) -> np.ndarray:
-        entry = self._entries[technique]
+    def embeddings(self, model: SiameseModel) -> np.ndarray:
+        """The cached embeddings as rows, in ``techniques()`` order; an entry
+        cached by another model is embedded afresh first."""
         current = model.content_hash()
-        if entry.model_hash != current:
-            entry.embedding = model.embed(entry.subgraph)
-            entry.model_hash = current
-        return entry.embedding
+        for entry in self._entries.values():
+            if entry.model_hash != current:
+                entry.embedding = model.embed(entry.subgraph)
+                entry.model_hash = current
+        return np.array([entry.embedding for entry in self._entries.values()])
 
     def to_dict(self) -> dict:
         return {"exemplars": [e.to_dict() for e in self._entries.values()]}
@@ -381,6 +380,8 @@ class ExemplarSet:
         out = cls()
         for entry in payload["exemplars"]:
             ex = Exemplar.from_dict(entry)
+            if ex.technique in out._entries:
+                raise ValueError(f"technique {ex.technique!r} has two exemplars")
             out._entries[ex.technique] = ex
         return out
 
@@ -404,32 +405,36 @@ class RecognitionResult:
         }
 
 
-def recognize(
-    tsg: TechniqueSubgraph,
+def recognize_many(
+    subgraphs: Sequence[TechniqueSubgraph],
     exemplars: ExemplarSet,
     model: SiameseModel,
     unknown_threshold: float | None = None,
-) -> RecognitionResult:
-    """Match a query subgraph against every cached representative.
-
-    The decision is the nearest technique, or UNKNOWN when a threshold is
-    set and even the nearest representative is farther than it.
-    """
+) -> list[RecognitionResult]:
+    """Rank every cached representative by (distance, technique) for each
+    query, all queries embedded in one batched forward. The decision is the
+    nearest technique, or UNKNOWN when a threshold is set and even the
+    nearest representative is farther than it."""
     if len(exemplars) == 0:
         raise ValueError("exemplar set is empty")
-    query = model.embed(tsg)
-    ranking = sorted(
-        (
-            (tech, exemplars.tactic_of(tech),
-             model.distance_of(query, exemplars.embedding_of(tech, model)))
-            for tech in exemplars.techniques()
-        ),
-        key=lambda row: (row[2], row[0]),
-    )
-    best_tech, best_tactic, best_d = ranking[0]
-    if unknown_threshold is not None and best_d > unknown_threshold:
-        return RecognitionResult(ranking, UNKNOWN, None)
-    return RecognitionResult(ranking, best_tech, best_tactic)
+    if not subgraphs:
+        return []
+    dist = distances(model.embed_many(subgraphs), exemplars.embeddings(model))
+    techniques = exemplars.techniques()
+    tactics = [exemplars.get(tech).tactic for tech in techniques]
+    results = []
+    for row in dist.tolist():
+        ranking = sorted(zip(techniques, tactics, row), key=lambda r: (r[2], r[0]))
+        unknown = unknown_threshold is not None and ranking[0][2] > unknown_threshold
+        results.append(RecognitionResult(
+            ranking, *((UNKNOWN, None) if unknown else ranking[0][:2])))
+    return results
+
+
+def recognize(tsg: TechniqueSubgraph, exemplars: ExemplarSet, model: SiameseModel,
+              unknown_threshold: float | None = None) -> RecognitionResult:
+    """:func:`recognize_many` of one query."""
+    return recognize_many([tsg], exemplars, model, unknown_threshold)[0]
 
 
 def recognition_metrics(

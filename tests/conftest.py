@@ -262,6 +262,13 @@ def cut_first_exemplar(payload, size):
     entry["embedding"] = encode_array(decode_array(entry["embedding"], None)[:size])
 
 
+def repeat_first_technique(payload):
+    """Bundle payload edit: one more exemplar entry, the second entry's subgraph
+    and embedding filed under the first entry's technique."""
+    entries = payload["exemplars"]["exemplars"]
+    entries.append({**entries[1], "technique": entries[0]["technique"]})
+
+
 @pytest.fixture
 def rng():
     return Rng(1234)

@@ -34,6 +34,7 @@ from provrec.graph import EntityType, build_graph, disjoint_union
 from provrec.matching import (
     MatcherConfig,
     contrastive_loss,
+    distances,
     pair_loss,
     recognition_metrics,
     train_matcher,
@@ -561,16 +562,16 @@ def test_criterion_11_extensibility():
     weights_before = {k: v.copy() for k, v in model.weights().items()}
     techs = exemplars.techniques()
     distances_before = {
-        (a, b): model.distance_of(exemplars.get(a).embedding,
-                                  exemplars.get(b).embedding)
+        (a, b): distances(exemplars.get(a).embedding[None],
+                          exemplars.get(b).embedding[None])[0, 0]
         for a in techs for b in techs
     }
     exemplars.add_exemplar("tech-registry", "Persistence", cls_tsg(2, 0), model)
     for name, value in model.weights().items():
         assert (value == weights_before[name]).all()
     for (a, b), d in distances_before.items():
-        now = model.distance_of(exemplars.get(a).embedding,
-                                exemplars.get(b).embedding)
+        now = distances(exemplars.get(a).embedding[None],
+                        exemplars.get(b).embedding[None])[0, 0]
         assert now == d
     assert len(exemplars) == 3
     _ok(11, "adding a class left every weight and prior distance bit-identical")

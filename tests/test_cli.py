@@ -18,6 +18,7 @@ from conftest import (
     cut_first_exemplar,
     in_both_han_configs,
     make_graph,
+    repeat_first_technique,
     rewritten_checkpoint,
 )
 
@@ -159,6 +160,7 @@ _REFUSED = {
     "bundle_exemplar_cut_short": ("bundle", lambda p: cut_first_exemplar(p, 10)),
     "bundle_repeated_metapath":
         ("bundle", lambda p: in_both_han_configs(p, metapaths=["MP2", "MP1", "MP2"])),
+    "bundle_repeated_technique": ("bundle", repeat_first_technique),
 }
 
 
@@ -205,6 +207,16 @@ def test_bundle_with_a_non_finite_weight_exits_three(chain, tmp_path):
                root / "ds" / "truth" / "t0000.json", "--models", bundle,
                "--out", out) == EXIT_MODEL
     assert not out.exists()
+
+
+def test_recognize_of_no_subgraphs_writes_no_results(chain, tmp_path):
+    root, config = chain
+    query = tmp_path / "query.json"
+    query.write_text(json.dumps({"subgraphs": []}))
+    out = tmp_path / "rec.json"
+    assert run("--config", config, "recognize", "--subgraph", query,
+               "--models", root / "bundle.json", "--out", out) == EXIT_OK
+    assert json.loads(out.read_text()) == {"results": []}
 
 
 @pytest.mark.parametrize("payload", [5, {"subgraphs": 5}])
@@ -544,7 +556,7 @@ def _existing_out_argv(root, config, command, out):
     ("train-encoder", "provrec.features", "train_encoder"),
     ("train-matcher", "provrec.cli", "train_pipeline"),
     ("detect-noi", "provrec.cli", "detect"),
-    ("recognize", "provrec.cli", "recognize"),
+    ("recognize", "provrec.cli", "recognize_many"),
     ("evaluate", "provrec.cli", "evaluate_end_to_end"),
 ])
 def test_existing_out_is_refused_before_any_work(

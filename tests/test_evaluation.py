@@ -17,7 +17,7 @@ from provrec.evaluation import (
     train_pipeline,
     triage,
 )
-from provrec.matching import UNKNOWN, recognize
+from provrec.matching import UNKNOWN, recognize_many
 from provrec.noi import detect_nois
 from provrec.sampling import sample_subgraphs
 from provrec.synthetic import ScenarioSpec, generate_scenario
@@ -235,10 +235,8 @@ def _reference_triage(graph, models, config, seed):
     carved = sample_subgraphs(
         graph, report.flagged, lam=config.lam, min_nois=config.min_nois
     )
-    results = [
-        recognize(t, models.exemplars, models.matcher, config.unknown_threshold)
-        for t in carved
-    ]
+    results = recognize_many(
+        carved, models.exemplars, models.matcher, config.unknown_threshold)
     return report, carved, results
 
 

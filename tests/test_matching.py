@@ -18,7 +18,7 @@ from provrec.embedding import (
     embed_subgraph,
     init_han_params,
 )
-from provrec.evaluation import split_few_shot
+from provrec.evaluation import split_few_shot, train_pipeline
 from provrec.features import FEATURE_DIM
 from provrec.graph import EntityType, Event, build_graph, graph_to_events
 from provrec.matching import (
@@ -28,11 +28,13 @@ from provrec.matching import (
     SiameseModel,
     build_triplets,
     contrastive_loss,
+    distances,
     pair_loss,
     pick_representative,
     project,
     recognition_metrics,
     recognize,
+    recognize_many,
     train_matcher,
     triplet_loss,
 )
@@ -41,6 +43,10 @@ from provrec.sampling import TechniqueSubgraph, sample_subgraphs
 from provrec.synthetic import DEFAULT_TEMPLATES, generate_sample, generate_scenario
 
 from conftest import make_graph, node_batch
+
+
+def _distance(ea, eb):
+    return float(distances(ea[None], eb[None])[0, 0])
 
 
 def _tsg(triples):
@@ -149,7 +155,7 @@ def test_training_separates_classes(small_model):
     intra, inter = [], []
     for i in range(len(samples)):
         for j in range(i + 1, len(samples)):
-            d = model.distance_of(embs[i], embs[j])
+            d = _distance(embs[i], embs[j])
             (intra if samples[i][1] == samples[j][1] else inter).append(d)
     assert np.mean(intra) < np.mean(inter)
 
@@ -173,8 +179,8 @@ def test_branch_symmetry_exact(small_model):
     samples, model = small_model
     a, b = samples[0][0], samples[3][0]
     ea, eb = model.embed(a), model.embed(b)
-    assert model.distance_of(ea, eb) == model.distance_of(eb, ea)
-    assert model.distance_of(ea, model.embed(a)) == 0.0
+    assert _distance(ea, eb) == _distance(eb, ea)
+    assert _distance(ea, model.embed(a)) == 0.0
 
 
 def test_inference_embeds_reuse_the_wrapped_weights(small_model, monkeypatch):
@@ -288,9 +294,6 @@ class _StubModel:
     def embed_many(self, tsgs):
         return np.array([self.embed(t) for t in tsgs])
 
-    def distance_of(self, ea, eb):
-        return float(abs(ea[0] - eb[0]))
-
 
 def test_single_sample_is_its_own_representative(small_model):
     samples, model = small_model
@@ -360,7 +363,7 @@ def test_recognition_matches_nearest_exemplar_oracle(exemplar_setup):
         e = model.embed(query)
         oracle = min(
             exemplars.techniques(),
-            key=lambda t: (model.distance_of(e, exemplars.get(t).embedding), t),
+            key=lambda t: (_distance(e, exemplars.get(t).embedding), t),
         )
         assert recognize(query, exemplars, model).decision == oracle
 
@@ -371,12 +374,60 @@ def test_empty_exemplar_set_rejected(exemplar_setup):
         recognize(samples[0][0], ExemplarSet(), model)
 
 
+def test_no_queries_run_no_forward(exemplar_setup, monkeypatch):
+    samples, model, exemplars = exemplar_setup
+
+    def no_forward(subgraphs):
+        raise AssertionError("a forward ran")
+
+    monkeypatch.setattr(model, "embed_many", no_forward)
+    assert recognize_many([], exemplars, model) == []
+    with pytest.raises(ValueError, match="exemplar set is empty"):
+        recognize_many([samples[0][0]], ExemplarSet(), model)
+
+
+@pytest.fixture(scope="module")
+def default_queries():
+    """The default pipeline at seed 0 and its held-out truth subgraphs."""
+    config = PipelineConfig()
+    dataset = generate_scenario(config.scenario_spec(), seed=0)
+    train, test = split_few_shot(dataset, config.shots, 0)
+    return train_pipeline(train, config, 0), [s.truth for s in test]
+
+
+def test_a_query_ranks_alike_alone_and_in_any_batch(default_queries):
+    models, queries = default_queries
+    exemplars, model = models.exemplars, models.matcher
+    alone = [recognize(q, exemplars, model) for q in queries]
+    assert alone == [recognize_many([q], exemplars, model)[0] for q in queries]
+    n = len(queries)
+    batches = {
+        "forward": list(range(n)),
+        "reversed": list(range(n))[::-1],
+        "shuffled": [int(i) for i in Rng(3).permutation(n)],
+        "duplicate": [*range(n), n // 2],
+    }
+    for name, order in batches.items():
+        got = recognize_many([queries[i] for i in order], exemplars, model)
+        assert len(got) == len(order)
+        for i, result in zip(order, got):
+            want = alone[i]
+            assert [r[:2] for r in result.ranking] == [
+                r[:2] for r in want.ranking], (name, i)
+            assert (result.decision, result.decision_tactic) == (
+                want.decision, want.decision_tactic), (name, i)
+            # a query equal to its exemplar is at 0 alone and ~1e-15 in a batch
+            np.testing.assert_allclose([r[2] for r in result.ranking],
+                                       [r[2] for r in want.ranking],
+                                       rtol=1e-12, atol=1e-12)
+
+
 def test_stale_exemplar_cache_recomputed(exemplar_setup):
     samples, model, exemplars = exemplar_setup
     entry = exemplars.get("file-tech")
     entry.embedding = entry.embedding + 100.0
     entry.model_hash = "stale"
-    fresh = exemplars.embedding_of("file-tech", model)
+    fresh = exemplars.embeddings(model)[exemplars.techniques().index("file-tech")]
     assert (fresh == model.embed(entry.subgraph)).all()
     assert entry.model_hash == model.content_hash()
 
@@ -403,9 +454,7 @@ def test_adding_a_class_changes_no_weights_or_distances(exemplar_setup):
         t: exemplars.get(t).embedding.copy() for t in exemplars.techniques()
     }
     pairwise_before = {
-        (t1, t2): model.distance_of(
-            exemplars.get(t1).embedding, exemplars.get(t2).embedding
-        )
+        (t1, t2): _distance(exemplars.get(t1).embedding, exemplars.get(t2).embedding)
         for t1 in exemplars.techniques()
         for t2 in exemplars.techniques()
     }
@@ -420,9 +469,7 @@ def test_adding_a_class_changes_no_weights_or_distances(exemplar_setup):
     for tech, emb in embeddings_before.items():
         assert (exemplars.get(tech).embedding == emb).all()
     for (t1, t2), d in pairwise_before.items():
-        now = model.distance_of(
-            exemplars.get(t1).embedding, exemplars.get(t2).embedding
-        )
+        now = _distance(exemplars.get(t1).embedding, exemplars.get(t2).embedding)
         assert now == d
     assert "reg-tech" in exemplars.techniques()
 

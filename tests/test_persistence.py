@@ -19,7 +19,12 @@ from provrec.numerics import Rng, decode_array, encode_array
 from provrec.persistence import ModelFormatError, load_model, save_model
 from provrec.synthetic import generate_scenario
 
-from conftest import cut_first_exemplar, in_both_han_configs, rewritten_checkpoint
+from conftest import (
+    cut_first_exemplar,
+    in_both_han_configs,
+    repeat_first_technique,
+    rewritten_checkpoint,
+)
 
 
 @pytest.fixture(scope="module")
@@ -185,13 +190,13 @@ def test_bundle_in_the_parent_layout_re_embeds_once(bundle_file, tmp_path):
     loaded = load_model(older_file, expect_kind="bundle")
     assert stale != loaded.matcher.content_hash() == models.matcher.content_hash()
     embedded = []
-    embed = loaded.matcher.embed
+    embed_many = loaded.matcher.embed_many
 
-    def counted(tsg):
-        embedded.append(tsg)
-        return embed(tsg)
+    def counted(subgraphs):  # exemplar refreshes reach it through embed
+        embedded.extend(subgraphs)
+        return embed_many(subgraphs)
 
-    loaded.matcher.embed = counted
+    loaded.matcher.embed_many = counted
     queries = [models.exemplars.get(t).subgraph for t in models.exemplars.techniques()]
     for _ in range(2):
         assert _rankings(loaded, queries) == _rankings(models, queries)
@@ -225,6 +230,7 @@ _MALFORMED = {
     "three_layers_under_t_layers_2": lambda p: _three_layers(p["encoder"]),
     "exemplar_cut_short": lambda p: cut_first_exemplar(p, 5),
     "repeated_metapath": lambda p: in_both_han_configs(p, metapaths=["MP1", "MP1"]),
+    "repeated_technique": repeat_first_technique,
 }
 
 
