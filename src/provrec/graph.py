@@ -5,8 +5,8 @@ process. Four entity types and 21 operation kinds give the edge vocabulary;
 the edge-type ids fixed here define feature-vector positions downstream, so
 their order never changes.
 
-A graph is stored as columns, filled by :func:`build_graph` in one pass over
-the events: the node ids in insertion order, one type code per node (an
+A graph is stored as columns, filled by :func:`build_graph` from the events'
+columns: the node ids in insertion order, one type code per node (an
 index into ``ENTITY_TYPES``), attrs for the nodes that have any, and one
 int64 block of four edge columns (source row, target row, edge-type id,
 ts), whose first three rows are :meth:`ProvenanceGraph.edge_arrays`.
@@ -14,13 +14,17 @@ ts), whose first three rows are :meth:`ProvenanceGraph.edge_arrays`.
 (:class:`Edge` in event order) are read-only views, built from the columns
 each time they are read; the pipeline reads the columns.
 
-JSONL ingest parses and checks each line once. A line is refused, with its
-line number and a reason, when it is not one JSON object, lacks a field,
-names an unknown entity type, a non-process subject or (strict mode) an
-operation outside the 21, has attrs that are not a map, has a ``ts`` that
-is a bool, a non-integral number, not an integer at all or outside the
-signed 64-bit range, or has a subject or object id that is neither a
-string nor an integer. Graph JSON (:meth:`ProvenanceGraph.from_dict`) is
+JSONL ingest reads a block of lines at a time: the json scanner decodes
+each line, the fields are checked a column at a time, and a record in the
+form the writer writes becomes an :class:`Event` directly; any other line
+goes through ``json.loads`` and :func:`parse_event`, which state the rules.
+A line is refused, with its line number and a reason, when it is not valid
+UTF-8 (the rest of the log still loads), is not one JSON object, lacks a
+field, names an unknown entity type, a non-process subject or (strict mode)
+an operation outside the 21, has attrs that are not a map, has a ``ts``
+that is a bool, a non-integral number, not an integer at all or outside the
+signed 64-bit range, or has a subject or object id that is neither a string
+nor an integer. Graph JSON (:meth:`ProvenanceGraph.from_dict`) is
 read by the same rules: ids become strings, ``ts`` is checked as above,
 and an edge's ``type_id`` must be an integer.
 """
@@ -29,9 +33,12 @@ from __future__ import annotations
 
 import json
 import operator
+import re
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress, count, islice, repeat
+from json.encoder import encode_basestring_ascii
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -65,6 +72,7 @@ ENTITY_TYPES: tuple[EntityType, ...] = tuple(EntityType)
 _TYPE_CODE = {t: code for code, t in enumerate(ENTITY_TYPES)}
 # members hash and compare as their values, so this maps both to the member
 _ENTITY_TYPE_OF = {t.value: t for t in ENTITY_TYPES}
+_TYPE_VALUE = {t: t.value for t in ENTITY_TYPES}  # ``.value`` without the descriptor
 
 
 # Canonical operation list per (process, object-type) pair. Ids 1..21 are
@@ -88,6 +96,9 @@ for _obj in (EntityType.PROCESS, EntityType.FILE, EntityType.REGISTRY, EntityTyp
         EDGE_TYPE_NAMES[_eid] = (_obj, _op)
 
 NUM_EDGE_TYPES = len(EDGE_TYPE_IDS)  # 21
+# the type code of each edge type's object, by edge-type id (0 is unused)
+_OBJECT_CODE = bytes([0] + [_TYPE_CODE[EDGE_TYPE_NAMES[eid][0]]
+                            for eid in range(1, NUM_EDGE_TYPES + 1)])
 
 # Edge-type groups by object entity type (used by the meta-path definitions).
 EDGE_GROUPS: dict[EntityType, frozenset[int]] = {
@@ -340,82 +351,118 @@ def build_graph(events: Iterable[Event]) -> ProvenanceGraph:
 
     Every event becomes one edge. An id reappearing with a different entity
     type is a collision and raises, as does a ``ts`` that is not an int.
-    Events whose types are ``EntityType`` members (as :func:`parse_event`
-    makes them) cost one edge-type lookup; raw type values are checked by
-    :func:`edge_type_of`.
+    Rows and edge-type ids are assigned over columns; each event's attrs go
+    to its nodes in event order. When an input has several faults, the one
+    a pass over the events in order meets first is raised (the ``ts`` check
+    comes after every other).
     """
-    index: dict[str, int] = {}
-    ids: list[str] = []
-    types = bytearray()
-    attrs: dict[int, dict] = {}
-    src: list[int] = []
-    dst: list[int] = []
-    type_ids: list[int] = []
-    stamps: list[int] = []
+    subject_ids, subject_types, operations, object_ids, object_types, stamps, ev_attrs = (
+        _columns(list(events), len(Event._fields)))
+    type_ids, fault = _edge_types(subject_types, operations, object_types)
+    n = len(type_ids)  # events before the first whose types do not resolve
+    ends = [None] * (2 * n)  # subject and object id of each event, in turn
+    ends[0::2], ends[1::2] = subject_ids[:n], object_ids[:n]
+    end_codes = bytearray([_TYPE_CODE[EntityType.PROCESS]]) * (2 * n)
+    end_codes[1::2] = bytes(map(_OBJECT_CODE.__getitem__, type_ids))
+    ids = list(dict.fromkeys(ends))
+    index = dict(zip(ids, range(len(ids))))
+    rows = np.fromiter(map(index.__getitem__, ends), dtype=np.int64, count=2 * n)
+    codes = np.frombuffer(end_codes, dtype=np.uint8)
+    # rows count up from 0 in order of first appearance
+    types = codes[np.flatnonzero(np.diff(np.maximum.accumulate(rows), prepend=-1))]
+    clash = np.flatnonzero(types[rows] != codes)
+    stop = int(clash[0]) if clash.size else 2 * n
+    attrs = _node_attrs(ev_attrs[:min(stop // 2 + 1, n)], rows, stop)
+    if clash.size:
+        raise GraphError(
+            f"entity id {ends[stop]!r} seen as both "
+            f"{ENTITY_TYPES[types[rows[stop]]].value} and {ENTITY_TYPES[codes[stop]].value}"
+        )
+    if fault is not None:
+        raise fault
+    if not _all_exactly(stamps, int):  # the int64 column would truncate a float silently
+        ts = next(ts for ts in stamps if ts.__class__ is not int)
+        raise GraphError(f"event ts {ts!r} is not an integer")
+    return ProvenanceGraph(ids, types.tobytes(),
+                           _edge_columns(rows[0::2], rows[1::2], type_ids, stamps),
+                           attrs, index)
 
-    def row_of(eid: str, code: int, node_attrs: Mapping[str, str] | None) -> int:
-        row = index.get(eid)
-        if row is None:
-            row = index[eid] = len(ids)
-            ids.append(eid)
-            types.append(code)
-        elif types[row] != code:
-            raise GraphError(
-                f"entity id {eid!r} seen as both "
-                f"{ENTITY_TYPES[types[row]].value} and {ENTITY_TYPES[code].value}"
-            )
-        if node_attrs:
-            kept = attrs.get(row)
+
+def _edge_types(subject_types, operations,
+                object_types) -> tuple[list[int], Exception | None]:
+    """(edge-type ids, fault) of events given as columns.
+
+    Events whose types are ``EntityType`` members (as :func:`parse_event`
+    makes them) or their values cost one lookup each; when any is not, each
+    event is checked by :func:`edge_type_of`. The ids stop at the first
+    event refused, and ``fault`` is its error (None when every event
+    resolves).
+    """
+    # a type equal to a member is read as that member, as EntityType.parse reads it
+    if subject_types.count(EntityType.PROCESS) == len(subject_types):
+        try:
+            type_ids = list(map(EDGE_TYPE_IDS.get, zip(object_types, operations)))
+        except TypeError:  # an unhashable operation, refused below
+            type_ids = [None]
+        if None not in type_ids:
+            return type_ids, None
+    type_ids = []
+    for subject_type, operation, object_type in zip(subject_types, operations, object_types):
+        try:
+            type_ids.append(edge_type_of(subject_type, operation, object_type))
+        except (GraphError, TypeError) as exc:
+            return type_ids, exc
+    return type_ids, None
+
+
+def _node_attrs(ev_attrs, rows: np.ndarray, stop: int) -> dict[int, dict]:
+    """Node attrs by row from the events' attrs, merged in event order over
+    the first ``stop`` event ends (``rows``): ``subject_``-prefixed keys go
+    to the subject without the prefix, the rest to the object, and a key a
+    node already has keeps its first value."""
+    attrs: dict[int, dict] = {}
+    if any(ev_attrs):
+        rows = rows.tolist()
+    for e in compress(count(), ev_attrs):
+        items = ev_attrs[e].items()
+        subject = {k[len("subject_"):]: v for k, v in items if k.startswith("subject_")}
+        obj = {k: v for k, v in items if not k.startswith("subject_")}
+        for end, node_attrs in ((2 * e, subject), (2 * e + 1, obj)):
+            if end >= stop or not node_attrs:
+                continue
+            kept = attrs.get(rows[end])
             if kept is None:
-                attrs[row] = dict(node_attrs)
+                attrs[rows[end]] = dict(node_attrs)
             else:
                 for k, v in node_attrs.items():
                     kept.setdefault(k, v)
-        return row
-
-    process = EntityType.PROCESS
-    for subject_id, subject_type, operation, object_id, object_type, ts, ev_attrs in events:
-        if subject_type is process and object_type.__class__ is EntityType:
-            type_id = EDGE_TYPE_IDS.get((object_type, operation))
-            if type_id is None:
-                edge_type_of(subject_type, operation, object_type)  # raises
-        else:
-            type_id = edge_type_of(subject_type, operation, object_type)
-            subject_type = EntityType.parse(subject_type)
-            object_type = EntityType.parse(object_type)
-        subj_attrs = None
-        obj_attrs = None
-        if ev_attrs:
-            subj_attrs = {
-                k[len("subject_"):]: v
-                for k, v in ev_attrs.items()
-                if k.startswith("subject_")
-            }
-            obj_attrs = {
-                k: v for k, v in ev_attrs.items() if not k.startswith("subject_")
-            }
-        src.append(row_of(subject_id, _TYPE_CODE[subject_type], subj_attrs))
-        dst.append(row_of(object_id, _TYPE_CODE[object_type], obj_attrs))
-        type_ids.append(type_id)
-        stamps.append(ts)
-    for ts in stamps:  # the int64 column would truncate a float silently
-        if ts.__class__ is not int:
-            raise GraphError(f"event ts {ts!r} is not an integer")
-    return ProvenanceGraph(
-        ids, bytes(types), _edge_columns(src, dst, type_ids, stamps), attrs, index
-    )
+    return attrs
 
 
 def graph_to_events(graph: ProvenanceGraph) -> list[Event]:
     """Reconstruct the event triads of a graph's edges (subjects are processes)."""
+    src, dst, type_ids, stamps = graph._edges.tolist()
+    object_types, operations = _columns(list(map(EDGE_TYPE_NAMES.__getitem__, type_ids)), 2)
     ids = graph._ids
-    events = []
-    for src, dst, type_id, ts in zip(*graph._edges.tolist()):
-        obj_type, operation = EDGE_TYPE_NAMES[type_id]
-        events.append(
-            Event(ids[src], EntityType.PROCESS, operation, ids[dst], obj_type, ts)
-        )
-    return events
+    return _events(map(ids.__getitem__, src), operations, map(ids.__getitem__, dst),
+                   object_types, stamps)
+
+
+def _all_exactly(column, cls: type) -> bool:
+    """Whether every value in ``column`` is of type ``cls`` itself, not a subclass."""
+    return all(map(operator.is_, map(type, column), repeat(cls)))
+
+
+def _columns(rows: list, width: int) -> list[list]:
+    """The ``width`` columns of equal-length tuples."""
+    return [list(map(operator.itemgetter(k), rows)) for k in range(width)]
+
+
+def _events(subject_ids, operations, object_ids, object_types, stamps) -> list[Event]:
+    """Events of process subjects without attrs, from columns."""
+    return list(map(tuple.__new__, repeat(Event), zip(
+        subject_ids, repeat(EntityType.PROCESS), operations, object_ids, object_types,
+        stamps, repeat(None))))
 
 
 def disjoint_union(graphs: Sequence[ProvenanceGraph]) -> ProvenanceGraph:
@@ -520,37 +567,163 @@ def parse_event(record: Mapping, strict: bool = True) -> Event:
     )
 
 
+# Lines decoded at a time; the decoded records of one block are held at once.
+# On a 100x host (44k lines) blocks of 64-512 lines read in ~130 ms and
+# blocks of 4,096 in ~220 ms, and a block of 512 adds ~0.5 MB to the peak.
+_BLOCK_LINES = 512
+_scan_once = json.JSONDecoder().scan_once
+_UNREAD = (None, -1)  # a line the scanner could not read, or not UTF-8
+# a byte that is not UTF-8, as ``errors="surrogateescape"`` reads it
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+# (types of the ids, subject type, operation, object type, types of ts and
+# attrs) of a record in the form the writer writes -> its object type
+_CANONICAL = {
+    (str, "process", op, str, obj.value, int, type(None)): obj for obj, op in EDGE_TYPE_IDS
+}
+
+
 def read_events_jsonl(path, strict: bool = True) -> tuple[list[Event], IngestStats]:
     """Read one event per line; bad lines are counted and reported, not lost.
 
-    A line is decoded once; one that is not exactly one JSON value is
-    decoded again by ``json.loads`` so that its reason is the usual one.
+    Lines are split as text mode splits them (``\\n``, ``\\r\\n``, ``\\r``) and
+    stripped, and a line that is not valid UTF-8 is refused on its own. A
+    block of lines at a time is decoded by the json scanner and checked a
+    field at a time; records in the writer's form become events directly,
+    and every other line is read by ``json.loads`` and :func:`parse_event`,
+    so its reason is the usual one.
     """
     events: list[Event] = []
     stats = IngestStats()
-    decode = json.JSONDecoder().raw_decode
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            stats.lines += 1
-            try:
-                try:
-                    record, end = decode(line)
-                    if end != len(line):
-                        raise ValueError
-                except ValueError:
-                    record = json.loads(line)
-                events.append(parse_event(record, strict=strict))
-                stats.loaded += 1
-            except (json.JSONDecodeError, GraphError, ValueError) as exc:
-                stats.rejected.append((line_no, str(exc)))
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        first = 1
+        while block := list(islice(fh, _BLOCK_LINES)):
+            _read_block(block, first, strict, events, stats)
+            first += len(block)
     return events, stats
 
 
+def _read_block(block: list[str], first: int, strict: bool, events: list[Event],
+                stats: IngestStats) -> None:
+    """Read the lines numbered from ``first`` into ``events`` and ``stats``."""
+    stripped = list(map(str.strip, block))
+    lines = list(filter(None, stripped))
+    if not lines:
+        return
+    stats.lines += len(lines)
+    scanned = _scan(lines)
+    if not all(map(str.isascii, lines)):
+        for i, line in enumerate(lines):
+            if _ESCAPED_BYTE.search(line):
+                scanned[i] = _UNREAD
+    records, ends = _columns(scanned, 2)
+    rows = range(len(lines))
+    # the lines that are one JSON object each
+    if ends != list(map(len, lines)) or not _all_exactly(records, dict):
+        rows = list(compress(rows, map(operator.and_,
+                                       map(operator.eq, ends, map(len, lines)),
+                                       map(operator.is_, map(type, records), repeat(dict)))))
+        records = list(map(records.__getitem__, rows))
+    columns = [list(map(dict.get, records, repeat(k)))
+               for k in _REQUIRED_EVENT_KEYS + ("attrs",)]
+    subject_ids, _, operations, object_ids, _, stamps, _ = columns
+    objs = _canonical_object_types(*columns)
+    fast = _events(compress(subject_ids, objs), compress(operations, objs),
+                   compress(object_ids, objs), compress(objs, objs), compress(stamps, objs))
+    stats.loaded += len(fast)
+    if len(fast) == len(lines):
+        events += fast
+        return
+    # the other lines, each read by the rules, in line order between the fast ones
+    slow = sorted(set(range(len(lines))).difference(compress(rows, objs)))
+    numbers = list(compress(count(first), stripped))
+    done = 0
+    for j, i in enumerate(slow):
+        events += fast[done:i - j]
+        done = i - j
+        try:
+            events.append(_parse_line(lines[i], scanned[i], strict))
+            stats.loaded += 1
+        except (json.JSONDecodeError, GraphError, ValueError) as exc:
+            stats.rejected.append((numbers[i], str(exc)))
+    events += fast[done:]
+
+
+def _scan(lines: list[str]) -> list[tuple]:
+    """(value, end) of each line by the json scanner, or ``_UNREAD``.
+
+    The scanner raises StopIteration where no value starts, which ends a
+    ``map`` as if the lines ran out; a map goes on with the next line when
+    asked again, so after each stop or error the line is marked and the map
+    resumed, and no line is lost.
+    """
+    scanned: list[tuple] = []
+    it = map(_scan_once, lines, repeat(0))
+    while True:
+        try:
+            scanned.extend(it)
+        except ValueError:  # a malformed value; its reason comes from json.loads
+            pass
+        if len(scanned) == len(lines):
+            return scanned
+        scanned.append(_UNREAD)
+
+
+def _canonical_object_types(subject_ids, subject_types, operations, object_ids,
+                            object_types, stamps, attrs) -> list:
+    """Of each record, given as field columns (None where absent), its
+    object type if it is in the writer's form, else None."""
+    def keys():
+        return zip(map(type, subject_ids), subject_types, operations, map(type, object_ids),
+                   object_types, map(type, stamps), map(type, attrs))
+    try:
+        objs = list(map(_CANONICAL.get, keys()))
+    except TypeError:  # a field holds a list or a map: one record at a time
+        objs = []
+        for key in keys():
+            try:
+                objs.append(_CANONICAL.get(key))
+            except TypeError:
+                objs.append(None)
+    kept = list(compress(stamps, objs))
+    if kept and not _INT64_MIN <= min(kept) <= max(kept) <= _INT64_MAX:
+        objs = [obj if obj and _INT64_MIN <= ts <= _INT64_MAX else None
+                for obj, ts in zip(objs, stamps)]
+    return objs
+
+
+def _parse_line(line: str, scanned: tuple, strict: bool) -> Event:
+    """The event of a line not in the writer's form, or the error that
+    refuses it, as a line-by-line ``json.loads`` reader would raise it."""
+    if _ESCAPED_BYTE.search(line):
+        line.encode("utf-8", "surrogateescape").decode("utf-8")  # raises, naming the byte
+    value, end = scanned
+    if end != len(line):
+        value = json.loads(line)
+    return parse_event(value, strict=strict)
+
+
+_LINE = ('{"subject_id": %s, "subject_type": "%s", "operation": %s, '
+         '"object_id": %s, "object_type": "%s", "ts": %d}\n')
+
+
 def write_events_jsonl(events: Iterable[Event], path) -> None:
+    """One ``json.dumps`` line per event: its fields, and ``attrs`` if any.
+
+    When every id and operation is a ``str``, every type an ``EntityType``,
+    every ``ts`` an ``int`` and no event has attrs, the lines are formatted
+    from one template, with strings escaped as ``json.dumps`` escapes them.
+    """
+    events = list(events)
+    columns = _columns(events, len(Event._fields))
     with open(path, "w", encoding="utf-8") as fh:
+        if _plain(*columns):
+            subject_ids, subject_types, operations, object_ids, object_types, stamps, _ = (
+                columns)
+            quote, value = encode_basestring_ascii, _TYPE_VALUE.__getitem__
+            fh.writelines(map(_LINE.__mod__, zip(
+                map(quote, subject_ids), map(value, subject_types), map(quote, operations),
+                map(quote, object_ids), map(value, object_types), stamps)))
+            return
         for ev in events:
             record = {
                 "subject_id": ev.subject_id,
@@ -563,3 +736,12 @@ def write_events_jsonl(events: Iterable[Event], path) -> None:
             if ev.attrs:
                 record["attrs"] = dict(ev.attrs)
             fh.write(json.dumps(record) + "\n")
+
+
+def _plain(subject_ids, subject_types, operations, object_ids, object_types, stamps,
+           attrs) -> bool:
+    """Whether event columns fit the writer's template."""
+    return (_all_exactly(subject_ids, str) and _all_exactly(operations, str)
+            and _all_exactly(object_ids, str) and _all_exactly(subject_types, EntityType)
+            and _all_exactly(object_types, EntityType) and _all_exactly(stamps, int)
+            and not any(attrs))

@@ -342,6 +342,22 @@ def scale(a, k: float) -> Matrix:
     return Matrix._from_op(a.value * k, "scale", (a, lambda g: g * k))
 
 
+# Rows per block of the weight-gradient product ``a.T @ g``. OpenBLAS splits
+# a long reduction differently by thread count, so the blocks are summed in
+# a fixed order to make weights the same for every pool size. 256 is below
+# the 384 rows where 1- and 2-thread sums were first seen to differ.
+MATMUL_VJP_ROW_BLOCK = 256
+
+
+def _blocked_tmatmul(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``a.T @ g`` as the in-order sum over blocks of ``MATMUL_VJP_ROW_BLOCK`` rows."""
+    step = MATMUL_VJP_ROW_BLOCK
+    out = a[:step].T @ g[:step]
+    for start in range(step, a.shape[0], step):
+        out += a[start:start + step].T @ g[start:start + step]
+    return out
+
+
 def matmul(a, b) -> Matrix:
     a, b = _wrap(a), _wrap(b)
     if a.cols != b.rows:
@@ -349,7 +365,7 @@ def matmul(a, b) -> Matrix:
     with np.errstate(over="ignore", invalid="ignore"):
         value = a.value @ b.value
     return Matrix._from_op(value, "matmul", (a, lambda g: g @ b.value.T),
-                           (b, lambda g: a.value.T @ g))
+                           (b, lambda g: _blocked_tmatmul(a.value, g)))
 
 
 def spmm(s, b) -> Matrix:

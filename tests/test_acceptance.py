@@ -58,7 +58,7 @@ from provrec.sampling import (
 )
 from provrec.synthetic import generate_scenario
 
-from conftest import ev, make_graph, random_process_graph
+from testkit import ev, make_graph, random_process_graph
 
 
 def _ok(n, text):

@@ -14,7 +14,7 @@ from provrec.numerics import decode_array, encode_array
 from provrec.persistence import ModelFormatError, load_model
 from provrec.synthetic import LabeledDataset
 
-from conftest import (
+from testkit import (
     cut_first_exemplar,
     in_both_han_configs,
     make_graph,
@@ -270,6 +270,22 @@ def test_ingest_counts_non_object_lines_as_rejected(chain, tmp_path):
     stats = json.loads((tmp_path / "g.stats.json").read_text())
     assert stats["loaded"] == 1
     assert [r["line"] for r in stats["rejected"]] == [1, 2, 3]
+
+
+def test_ingest_refuses_a_line_that_is_not_utf8_and_loads_the_rest(tmp_path, capsys):
+    good = {"subject_id": "p", "subject_type": "process", "operation": "read",
+            "object_id": "f", "object_type": "file", "ts": 1}
+    bad = json.dumps({**good, "object_id": "X"}).encode().replace(b"X", b"\xff")
+    log = tmp_path / "log.jsonl"
+    log.write_bytes(bad + b"\n" + json.dumps(good).encode() + b"\n")
+    target = tmp_path / "g.json"
+    assert run("ingest", "--events", log, "--out", target) == EXIT_OK
+    stats = json.loads((tmp_path / "g.stats.json").read_text())
+    assert (stats["lines"], stats["loaded"]) == (2, 1)
+    assert [r["line"] for r in stats["rejected"]] == [1]
+    assert "'utf-8' codec can't decode byte 0xff" in stats["rejected"][0]["reason"]
+    assert ProvenanceGraph.load(target).n_edges == 1
+    assert "rejected line 1" in capsys.readouterr().err
 
 
 def test_generate_is_bit_deterministic(workspace):

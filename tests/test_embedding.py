@@ -25,7 +25,7 @@ from provrec.graph import EntityType
 from provrec.numerics import GradientTape, Matrix, Rng
 from provrec.sampling import TechniqueSubgraph
 
-from conftest import listing_class_batch, make_graph, node_batch
+from testkit import listing_class_batch, make_graph, node_batch
 
 
 def _tsg(triples, nois=None):

@@ -13,7 +13,7 @@ from provrec.graph import EntityType, build_graph, disjoint_union
 from provrec.numerics import Matrix, NumericsError, Rng
 from provrec.synthetic import ScenarioSpec, generate_scenario
 
-from conftest import ev, launch_chain, make_graph
+from testkit import ev, launch_chain, make_graph
 
 
 # -- init_features ------------------------------------------------------------

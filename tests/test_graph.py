@@ -20,7 +20,7 @@ from provrec.graph import (
 )
 from provrec.numerics import Rng
 
-from conftest import ev, make_graph, random_process_graph
+from testkit import ev, make_graph, random_process_graph
 
 
 # -- edge types ---------------------------------------------------------------

@@ -20,7 +20,7 @@ from provrec.graph import (
 )
 from provrec.sampling import TechniqueSubgraph
 
-from conftest import make_graph
+from testkit import make_graph
 
 P, F, R, S = EntityType.PROCESS, EntityType.FILE, EntityType.REGISTRY, EntityType.SOCKET
 

@@ -42,7 +42,7 @@ from provrec.numerics import GradientTape, Matrix, Rng
 from provrec.sampling import TechniqueSubgraph, sample_subgraphs
 from provrec.synthetic import DEFAULT_TEMPLATES, generate_sample, generate_scenario
 
-from conftest import make_graph, node_batch
+from testkit import make_graph, node_batch
 
 
 def _distance(ea, eb):

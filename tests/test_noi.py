@@ -19,7 +19,7 @@ from provrec.noi import (
 )
 from provrec.numerics import Rng
 
-from conftest import make_graph
+from testkit import make_graph
 
 FOREST_ARRAYS = ("dim", "threshold", "left", "right", "path", "roots")
 

@@ -1,6 +1,11 @@
 """Autodiff ops, losses, gradient checking, and seeded randomness."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -331,6 +336,53 @@ def test_spmm_repeated_calls_on_one_matrix_are_identical():
     for value, grad in runs[1:]:
         assert (value == runs[0][0]).all() and (grad == runs[0][1]).all()
     assert np.allclose(runs[0][1], mat.T @ probe.value, atol=1e-12)
+
+
+@pytest.mark.parametrize("rows", [1, 256, 257, 700])
+def test_matmul_weight_gradient_sums_fixed_row_blocks_in_order(rows):
+    rng = Rng(83)
+    a = Matrix(rng.normal(0, 1, size=(rows, 5)))
+    tape, (b,) = _tape_with(rng, [(5, 3)])
+    probe = rng.normal(0, 1, size=(rows, 3))
+    tape.backward(nm.sum_all(nm.mul(nm.matmul(a, b), Matrix(probe))))
+    step = nm.MATMUL_VJP_ROW_BLOCK
+    expected = a.value[:step].T @ probe[:step]
+    for start in range(step, rows, step):
+        expected = expected + a.value[start:start + step].T @ probe[start:start + step]
+    assert (b.grad == expected).all()
+    assert np.allclose(b.grad, a.value.T @ probe, atol=1e-12)
+
+
+_TRAINED_HASHES = """
+import json
+from provrec.config import PipelineConfig
+from provrec.evaluation import split_few_shot, train_pipeline
+from provrec.synthetic import generate_scenario
+hashes = {}
+for seed in range(2, 7):
+    config = PipelineConfig(seed=seed)
+    dataset = generate_scenario(config.scenario_spec(), seed=seed)
+    train, _ = split_few_shot(dataset, config.shots, seed)
+    hashes[seed] = train_pipeline(train, config, seed).matcher.content_hash()
+print(json.dumps(hashes))
+"""
+
+
+def test_trained_matchers_do_not_depend_on_the_blas_thread_count():
+    """Seeds 2-6 trained with one and with two OpenBLAS threads, in two
+    processes, give the same matcher hash (they did not before the weight
+    gradient was summed in fixed row blocks)."""
+    src = str(Path(nm.__file__).resolve().parents[1])
+    procs = [subprocess.Popen([sys.executable, "-c", _TRAINED_HASHES], text=True,
+                              stdout=subprocess.PIPE,
+                              env={**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+                                   "PYTHONPATH": src})
+             for threads in (1, 2)]
+    outputs = [proc.communicate(timeout=600)[0] for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0]
+    one_thread, two_threads = map(json.loads, outputs)
+    assert sorted(one_thread) == ["2", "3", "4", "5", "6"]
+    assert one_thread == two_threads
 
 
 def test_row_index_scatter_equals_add_at_with_repeats():

@@ -19,7 +19,7 @@ from provrec.numerics import Rng, decode_array, encode_array
 from provrec.persistence import ModelFormatError, load_model, save_model
 from provrec.synthetic import generate_scenario
 
-from conftest import (
+from testkit import (
     cut_first_exemplar,
     in_both_han_configs,
     repeat_first_technique,

@@ -20,7 +20,7 @@ from provrec.rules import (
     step_event,
 )
 
-from conftest import make_graph
+from testkit import make_graph
 
 
 def _event(subject, operation, obj, obj_type, ts=0):

@@ -28,7 +28,7 @@ from provrec.sampling import (
 )
 from provrec.synthetic import DEFAULT_TEMPLATES, generate_sample
 
-from conftest import make_graph, random_process_graph
+from testkit import make_graph, random_process_graph
 
 
 # -- oracle -------------------------------------------------------------------
