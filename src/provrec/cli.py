@@ -42,7 +42,7 @@ from .graph import (
 )
 from .matching import recognize_many
 from .noi import NoiReport
-from .numerics import NumericsError
+from .numerics import NumericsError, _openblas_threads
 from .persistence import ModelFormatError, load_model, save_model
 from .rules import RuleError, load_blacklists, replay
 from .sampling import TechniqueSubgraph, sample_subgraphs
@@ -85,13 +85,17 @@ def _log_path(out: Path) -> Path:
 
 
 def _blas_setup() -> dict:
-    """The BLAS thread settings a run saw; results can differ in the last
-    bits between thread counts."""
+    """The BLAS thread settings a run saw: the environment variables, the
+    CPU count and the pool size numpy's OpenBLAS reports (None when numpy's
+    BLAS is not OpenBLAS). Results are the same for every thread count;
+    training runs on one thread whatever the pool size."""
     setup = {
         key: os.environ.get(key, "default")
         for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
     }
     setup["cpu_count"] = os.cpu_count()
+    blas = _openblas_threads()
+    setup["openblas_threads"] = blas.get() if blas else None
     return setup
 
 

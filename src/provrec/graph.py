@@ -643,7 +643,7 @@ def _read_block(block: list[str], first: int, strict: bool, events: list[Event],
         try:
             events.append(_parse_line(lines[i], scanned[i], strict))
             stats.loaded += 1
-        except (json.JSONDecodeError, GraphError, ValueError) as exc:
+        except (json.JSONDecodeError, GraphError, ValueError, RecursionError) as exc:
             stats.rejected.append((numbers[i], str(exc)))
     events += fast[done:]
 
@@ -661,8 +661,8 @@ def _scan(lines: list[str]) -> list[tuple]:
     while True:
         try:
             scanned.extend(it)
-        except ValueError:  # a malformed value; its reason comes from json.loads
-            pass
+        except (ValueError, RecursionError):  # malformed, or nested too deep
+            pass  # its reason comes from json.loads
         if len(scanned) == len(lines):
             return scanned
         scanned.append(_UNREAD)

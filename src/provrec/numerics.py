@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import base64
 import binascii
+import ctypes
+import functools
 import hashlib
 import math
-from typing import Callable, Iterable, Sequence
+from pathlib import Path
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -647,32 +650,87 @@ class GradientTape:
                 p.grad = np.zeros_like(p.value)
 
 
+class _BlasThreads(NamedTuple):
+    get: Callable[[], int]
+    set: Callable[[int], None]
+
+
+@functools.cache
+def _openblas_threads() -> _BlasThreads | None:
+    """The get and set functions of the thread count of numpy's OpenBLAS, or
+    None when numpy's BLAS is not an OpenBLAS.
+
+    The library is looked for among those the process has mapped (Linux),
+    numpy's own copy first, then in numpy's ``numpy.libs`` directory; its
+    functions are named ``scipy_openblas_*`` in numpy's wheels and
+    ``openblas_*`` in a plain OpenBLAS, with a ``64_`` suffix in 64-bit-int
+    builds.
+    """
+    libs_dir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
+            mapped = [line.split(maxsplit=5)[-1].strip() for line in fh]
+    except OSError:
+        mapped = []
+    found = [p for p in dict.fromkeys(mapped) if "openblas" in Path(p).name.lower()]
+    found.sort(key=lambda p: Path(p).parent != libs_dir)
+    found += map(str, sorted(libs_dir.glob("*openblas*")))
+    for path in found:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get and set_:
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    return _BlasThreads(get, set_)
+    return None
+
+
 def descend(
     tape: GradientTape, loss_fn: Callable[[], Matrix], epochs: int, lr: float
 ) -> list[float]:
     """Full-batch gradient descent on every parameter of ``tape``; returns the
     loss of each epoch. ``loss_fn`` rebuilds the forward from the current
     parameter values. A forward or a step that goes non-finite raises
-    :class:`NumericsError` advising a smaller learning rate."""
+    :class:`NumericsError` advising a smaller learning rate.
+
+    The epochs run on one OpenBLAS thread; the caller's thread count is
+    restored on return and on error. The count is process-wide, so two
+    threads that train at once may leave it at one.
+    """
     if lr <= 0:
         raise NumericsError("learning rate must be positive")
+    # OpenBLAS's idle worker busy-waits after each threaded GEMM, and the
+    # GEMMs of training are too small to gain wall time from a second thread.
+    blas = _openblas_threads()
+    caller_threads = blas.get() if blas else 0
+    if blas:
+        blas.set(1)
     losses: list[float] = []
-    for _ in range(epochs):
-        try:
-            loss = loss_fn()
-        except NumericsError as exc:
-            raise NumericsError(
-                f"training diverged ({exc}); reduce the learning rate"
-            ) from None
-        tape.backward(loss)
-        for p in tape:
-            with np.errstate(over="ignore", invalid="ignore"):
-                p.value -= lr * p.grad
-            if not np.isfinite(p.value).all():
+    try:
+        for _ in range(epochs):
+            try:
+                loss = loss_fn()
+            except NumericsError as exc:
                 raise NumericsError(
-                    f"parameter {p.name!r} diverged; reduce the learning rate"
-                )
-        losses.append(loss.item())
+                    f"training diverged ({exc}); reduce the learning rate"
+                ) from None
+            tape.backward(loss)
+            for p in tape:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    p.value -= lr * p.grad
+                if not np.isfinite(p.value).all():
+                    raise NumericsError(
+                        f"parameter {p.name!r} diverged; reduce the learning rate"
+                    )
+            losses.append(loss.item())
+    finally:
+        if blas:
+            blas.set(caller_threads)
     return losses
 
 

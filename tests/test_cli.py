@@ -10,7 +10,7 @@ from provrec.cli import EXIT_DATA, EXIT_MODEL, EXIT_OK, EXIT_USAGE, main
 from provrec.config import PipelineConfig
 from provrec.evaluation import detect, noi_lmo_protocol
 from provrec.graph import EntityType, ProvenanceGraph
-from provrec.numerics import decode_array, encode_array
+from provrec.numerics import _openblas_threads, decode_array, encode_array
 from provrec.persistence import ModelFormatError, load_model
 from provrec.synthetic import LabeledDataset
 
@@ -595,12 +595,32 @@ def test_run_log_records_blas_setup(chain, tmp_path, monkeypatch, threads):
     else:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    target = tmp_path / "g.json"
-    assert run("ingest", "--events", root / "ds" / "events" / "e0005.jsonl",
-               "--out", target) == EXIT_OK
+    # the pool OpenBLAS reports, not the variable read when it loaded
+    pool = 1 if threads else 3
+    openblas = _openblas_threads()
+    caller = openblas.get()
+    openblas.set(pool)
+    try:
+        target = tmp_path / "g.json"
+        assert run("ingest", "--events", root / "ds" / "events" / "e0005.jsonl",
+                   "--out", target) == EXIT_OK
+    finally:
+        openblas.set(caller)
     blas = json.loads((tmp_path / "g.json.log.json").read_text())["blas"]
     assert blas == {
         "OPENBLAS_NUM_THREADS": threads or "default",
         "OMP_NUM_THREADS": "default",
         "cpu_count": os.cpu_count(),
+        "openblas_threads": pool,
     }
+
+
+def test_run_log_pool_is_null_when_numpy_blas_is_not_openblas(chain, tmp_path,
+                                                              monkeypatch):
+    root, _ = chain
+    monkeypatch.setattr("provrec.cli._openblas_threads", lambda: None)
+    target = tmp_path / "g.json"
+    assert run("ingest", "--events", root / "ds" / "events" / "e0005.jsonl",
+               "--out", target) == EXIT_OK
+    blas = json.loads((tmp_path / "g.json.log.json").read_text())["blas"]
+    assert blas["openblas_threads"] is None

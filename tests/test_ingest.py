@@ -189,6 +189,20 @@ def test_failing_lines_first_in_the_middle_and_last_read_as_the_first_reader(
     assert_matches_reference(path)
 
 
+@pytest.mark.parametrize("deep", ["[" * 100_000, '{"a": ' * 100_000],
+                         ids=["arrays", "objects"])
+def test_a_line_nested_too_deep_is_one_rejected_line(tmp_path, deep):
+    """The decoder's RecursionError refuses its line alone, in both modes."""
+    path = tmp_path / "deep.jsonl"
+    path.write_text("\n".join([line(ts=1), deep, line(ts=2)]) + "\n", encoding="utf-8")
+    for strict in (True, False):
+        events, stats = read_events_jsonl(path, strict=strict)
+        assert [ev.ts for ev in events] == [1, 2]
+        assert (stats.lines, stats.loaded) == (3, 2)
+        [(number, reason)] = stats.rejected
+        assert number == 2 and "maximum recursion depth exceeded" in reason
+
+
 def _reference_write(events):
     """The bytes of one ``json.dumps(record)`` line per event, or the error
     ``json.dumps`` raises."""

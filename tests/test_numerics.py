@@ -355,34 +355,43 @@ def test_matmul_weight_gradient_sums_fixed_row_blocks_in_order(rows):
 
 _TRAINED_HASHES = """
 import json
+import sys
+from provrec import numerics
 from provrec.config import PipelineConfig
 from provrec.evaluation import split_few_shot, train_pipeline
 from provrec.synthetic import generate_scenario
+blas = numerics._openblas_threads()
+if sys.argv[1:] == ["unpinned"]:
+    numerics._openblas_threads = lambda: None  # descend leaves the pool as it is
 hashes = {}
 for seed in range(2, 7):
     config = PipelineConfig(seed=seed)
     dataset = generate_scenario(config.scenario_spec(), seed=seed)
     train, _ = split_few_shot(dataset, config.shots, seed)
     hashes[seed] = train_pipeline(train, config, seed).matcher.content_hash()
-print(json.dumps(hashes))
+print(json.dumps({"hashes": hashes, "threads": blas.get()}))
 """
 
 
 def test_trained_matchers_do_not_depend_on_the_blas_thread_count():
-    """Seeds 2-6 trained with one and with two OpenBLAS threads, in two
-    processes, give the same matcher hash (they did not before the weight
-    gradient was summed in fixed row blocks)."""
+    """Seeds 2-6 trained in three processes give the same matcher hash: with
+    one OpenBLAS thread, with two, and with two and descend's one-thread pin
+    lifted, so the epochs themselves run on two threads (they did not give
+    one hash before the weight gradient was summed in fixed row blocks).
+    Each pool is still its size after training."""
     src = str(Path(nm.__file__).resolve().parents[1])
-    procs = [subprocess.Popen([sys.executable, "-c", _TRAINED_HASHES], text=True,
+    runs = [(1, []), (2, []), (2, ["unpinned"])]
+    procs = [subprocess.Popen([sys.executable, "-c", _TRAINED_HASHES, *args], text=True,
                               stdout=subprocess.PIPE,
                               env={**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
                                    "PYTHONPATH": src})
-             for threads in (1, 2)]
-    outputs = [proc.communicate(timeout=600)[0] for proc in procs]
-    assert [proc.returncode for proc in procs] == [0, 0]
-    one_thread, two_threads = map(json.loads, outputs)
+             for threads, args in runs]
+    outputs = [json.loads(proc.communicate(timeout=600)[0]) for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0, 0]
+    assert [out["threads"] for out in outputs] == [threads for threads, _ in runs]
+    one_thread, two_threads, unpinned = [out["hashes"] for out in outputs]
     assert sorted(one_thread) == ["2", "3", "4", "5", "6"]
-    assert one_thread == two_threads
+    assert one_thread == two_threads == unpinned
 
 
 def test_row_index_scatter_equals_add_at_with_repeats():
@@ -587,6 +596,47 @@ def test_descend_checks_the_rate_and_wraps_a_failing_forward():
 
     with pytest.raises(NumericsError, match=r"training diverged \(non-finite"):
         nm.descend(tape, failing, 3, 0.1)
+
+
+def test_openblas_is_found_here():
+    """numpy links OpenBLAS on the machines this suite runs on, so the
+    one-thread pin of ``descend`` is no silent no-op."""
+    blas = nm._openblas_threads()
+    assert blas is not None
+    assert blas.get() >= 1
+
+
+def test_descend_runs_its_epochs_on_one_openblas_thread_and_restores_the_pool():
+    blas = nm._openblas_threads()
+    caller = blas.get()
+    seen = []
+
+    def watched(loss_fn):
+        def wrapped():
+            seen.append(blas.get())
+            return loss_fn()
+        return wrapped
+
+    tape, loss_fn = _two_parameter_model(58)
+    blas.set(3)  # neither the pin nor the default pool size
+    try:
+        nm.descend(tape, watched(loss_fn), 4, 0.3)
+        assert (seen, blas.get()) == ([1, 1, 1, 1], 3)
+        seen.clear()
+        p = tape.parameter("w", [[1e300]])
+        with pytest.raises(NumericsError, match="'w' diverged"):
+            nm.descend(tape, watched(lambda: nm.scale(p, -1e8)), 3, 1e301)
+        assert (seen, blas.get()) == ([1], 3)
+        seen.clear()
+
+        def failing():
+            raise NumericsError("non-finite result from op 'exp'")
+
+        with pytest.raises(NumericsError, match="training diverged"):
+            nm.descend(tape, watched(failing), 3, 0.1)
+        assert (seen, blas.get()) == ([1], 3)
+    finally:
+        blas.set(caller)
 
 
 def test_forward_backward_bit_identical_replay():
