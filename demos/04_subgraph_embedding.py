@@ -10,7 +10,6 @@ from provrec.embedding import (
     METAPATH_COMBOS,
     AttentionRecord,
     HanConfig,
-    HanEncoder,
     embed_subgraph,
     init_han_params,
 )
@@ -55,14 +54,13 @@ print("graph-level weights over nodes (sum to 1):")
 print(np.round(record.gamma, 3))
 
 
-def embed(encoder, subgraph):
-    """One subgraph through a built encoder's weights; a (dim,) vector."""
-    return embed_subgraph(subgraph, encoder.matrices, encoder.config).value[0]
+def embed(config, subgraph):
+    """One subgraph through freshly initialised weights; a (dim,) vector."""
+    return embed_subgraph(subgraph, init_han_params(config), config).value[0]
 
 
 # The encoding ignores node insertion order entirely.
-encoder = HanEncoder.create(config)
-h1 = embed(encoder, sub)
+h1 = embed(config, sub)
 shuffled = tsg(
     [
         ("pa", "connect", "10.1.2.3:443", EntityType.SOCKET),
@@ -74,10 +72,9 @@ shuffled = tsg(
     ]
 )
 print("\nsame subgraph, different event order -> identical vector:",
-      bool((embed(encoder, shuffled) == h1).all()))
+      bool((embed(config, shuffled) == h1).all()))
 
 # Ablation hook: restrict which meta-paths participate.
 for name, combo in METAPATH_COMBOS.items():
-    enc = HanEncoder.create(HanConfig(dim=16, metapaths=combo, seed=42))
-    norm = float(np.linalg.norm(embed(enc, sub)))
+    norm = float(np.linalg.norm(embed(HanConfig(dim=16, metapaths=combo, seed=42), sub)))
     print(f"{name} ({'+'.join(combo)}): |h| = {norm:.4f}")

@@ -13,7 +13,6 @@ from .embedding import (
     META_PATHS,
     METAPATH_COMBOS,
     HanConfig,
-    HanEncoder,
     embed_subgraph,
     metapath_neighbors,
 )

@@ -18,7 +18,7 @@ the whole composition is differentiable through the numerics layer.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -181,47 +181,6 @@ def init_han_params(config: HanConfig) -> dict[str, np.ndarray]:
         name: ft.init_weight(rng, r, c)
         for name, (r, c) in han_param_shapes(config).items()
     }
-
-
-class HanEncoder:
-    """Trained attention parameters plus the config that shaped them.
-
-    The weights never change once trained, so each is wrapped once as a
-    constant matrix (``matrices``) that every embed reuses; ``params`` holds
-    the same arrays.
-    """
-
-    def __init__(self, config: HanConfig, params: Mapping[str, np.ndarray]):
-        self.config = config
-        self.matrices: dict[str, nm.Matrix] = {}
-        for name, shape in han_param_shapes(config).items():
-            if name not in params:
-                raise ValueError(f"missing parameter {name!r}")
-            if np.shape(params[name]) != shape:
-                raise ValueError(
-                    f"parameter {name!r} has shape {np.shape(params[name])}, "
-                    f"expected {shape}"
-                )
-            self.matrices[name] = nm.Matrix(params[name], name=name)
-        self.params = {name: m.value for name, m in self.matrices.items()}
-
-    @classmethod
-    def create(cls, config: HanConfig) -> "HanEncoder":
-        return cls(config, init_han_params(config))
-
-    def to_dict(self) -> dict:
-        return {
-            "config": asdict(self.config),
-            "params": {k: nm.encode_array(v) for k, v in self.params.items()},
-            "shapes": {k: list(v.shape) for k, v in self.params.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "HanEncoder":
-        config = HanConfig.from_dict(payload["config"])
-        params = {k: nm.decode_array(flat, payload["shapes"][k])
-                  for k, flat in payload["params"].items()}
-        return cls(config, params)
 
 
 @dataclass
@@ -432,9 +391,9 @@ def embed_batch(
 ) -> nm.Matrix:
     """Full three-stage composition over a batch; one row per subgraph.
 
-    ``params`` may hold constant matrices (inference, as in
-    :attr:`HanEncoder.matrices`), tape-registered matrices (training) or plain
-    arrays; gradients flow through every stage. ``attention`` is filled node
+    ``params`` may hold constant matrices (inference, as a trained
+    :class:`~provrec.matching.SiameseModel` wraps its weights), tape-registered
+    matrices (training) or plain arrays; gradients flow through every stage. ``attention`` is filled node
     by node (:meth:`SubgraphBatch.record_nodes`).
     """
     projected = nm.matmul(batch.features, params["proj"])

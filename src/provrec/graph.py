@@ -314,9 +314,9 @@ class ProvenanceGraph:
                 ids.append(nid)
                 types.append(_TYPE_CODE[EntityType.parse(n["type"])])
                 node_attrs = n.get("attrs")
+                if node_attrs is not None and not isinstance(node_attrs, Mapping):
+                    raise GraphError(f"node {nid!r} attrs must be a string map")
                 if node_attrs:
-                    if not isinstance(node_attrs, Mapping):
-                        raise GraphError(f"node {nid!r} attrs must be a string map")
                     attrs[row] = dict(node_attrs)
             for e in payload["edges"]:
                 eid = e["type_id"]

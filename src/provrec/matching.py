@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
@@ -21,10 +22,10 @@ import numpy as np
 from . import numerics as nm
 from .embedding import (
     HanConfig,
-    HanEncoder,
     SubgraphBatch,
     embed_batch,
     embed_subgraph,  # noqa: F401 (perfbench's traced run wraps it here)
+    han_param_shapes,
     init_han_params,
 )
 from .features import init_weight, without_retired
@@ -96,8 +97,8 @@ class MatcherConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.margin <= 0:
-            raise ValueError("margin must be positive")
+        if not 0 < self.margin < math.inf:
+            raise ValueError("margin must be a finite number above 0")
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "MatcherConfig":
@@ -107,31 +108,36 @@ class MatcherConfig:
 
 
 class SiameseModel:
-    """Shared attention encoder plus a projection head; twin outputs are
-    compared by Euclidean distance."""
+    """Every matcher weight under one config: the shared attention encoder's
+    and the projection head's. Twin outputs are compared by Euclidean
+    distance."""
 
     def __init__(
         self,
         config: MatcherConfig,
-        encoder: HanEncoder,
-        out_w: np.ndarray,
-        out_b: np.ndarray,
+        weights: Mapping[str, np.ndarray],
         loss_curve: list[float] | None = None,
     ):
-        if config.han != encoder.config:
-            # embed runs with config.han on weights shaped by encoder.config
-            raise ValueError(f"config.han {config.han} differs from the "
-                             f"encoder's config {encoder.config}")
+        d = config.han.dim
+        shapes = {**han_param_shapes(config.han), "out_w": (d, d), "out_b": (1, d)}
+        unknown = sorted(set(weights) - set(shapes))
+        if unknown:
+            raise ValueError(f"unknown parameters {unknown}")
         self.config = config
-        self.encoder = encoder
-        # frozen like the encoder's weights, so wrapped once for every embed
-        self.head = (nm.Matrix(out_w, name="out_w"), nm.Matrix(out_b, name="out_b"))
-        self.out_w, self.out_b = (m.value for m in self.head)
+        # frozen once trained, so each is wrapped once for every embed
+        self._weights: dict[str, nm.Matrix] = {}
+        for name, shape in shapes.items():
+            if name not in weights:
+                raise ValueError(f"missing parameter {name!r}")
+            if np.shape(weights[name]) != shape:
+                raise ValueError(f"parameter {name!r} has shape "
+                                 f"{np.shape(weights[name])}, expected {shape}")
+            self._weights[name] = nm.Matrix(weights[name], name=name)
         self.loss_curve = list(loss_curve) if loss_curve else []
         self._hash: str | None = None
 
     def embed(self, tsg: TechniqueSubgraph) -> np.ndarray:
-        """Branch output: encoder vector through the projection layer.
+        """Branch output of one subgraph.
 
         The one-subgraph batch is built afresh and dropped, so a query keeps
         no batch on itself.
@@ -140,41 +146,51 @@ class SiameseModel:
 
     def embed_many(self, subgraphs: Sequence[TechniqueSubgraph]) -> np.ndarray:
         """Branch outputs of several subgraphs from one batched class forward."""
-        h = embed_batch(SubgraphBatch(subgraphs, self.config.han),
-                        self.encoder.matrices, self.config.han)
-        return project(h, *self.head).value
+        han = self.config.han
+        return branch(SubgraphBatch(subgraphs, han), self._weights, han).value
 
     def weights(self) -> dict[str, np.ndarray]:
-        out = dict(self.encoder.params)
-        out["out_w"] = self.out_w
-        out["out_b"] = self.out_b
-        return out
+        """Every weight by name: the encoder's, then ``out_w`` and ``out_b``."""
+        return {name: m.value for name, m in self._weights.items()}
 
     def to_dict(self) -> dict:
+        encoder = self.weights()
+        out_w, out_b = encoder.pop("out_w"), encoder.pop("out_b")
         return {
             "config": asdict(self.config),
-            "encoder": self.encoder.to_dict(),
-            "out_w": nm.encode_array(self.out_w),
-            "out_b": nm.encode_array(self.out_b),
+            "encoder": {
+                "config": asdict(self.config.han),
+                "params": {k: nm.encode_array(v) for k, v in encoder.items()},
+                "shapes": {k: list(v.shape) for k, v in encoder.items()},
+            },
+            "out_w": nm.encode_array(out_w),
+            "out_b": nm.encode_array(out_b),
         }
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "SiameseModel":
         config = MatcherConfig.from_dict(payload["config"])
-        d = config.han.dim  # the head train_matcher builds
-        return cls(
-            config,
-            HanEncoder.from_dict(payload["encoder"]),
-            nm.decode_array(payload["out_w"], (d, d)),
-            nm.decode_array(payload["out_b"], (1, d)),
-        )
+        encoder = payload["encoder"]
+        if HanConfig.from_dict(encoder["config"]) != config.han:
+            # the encoder's weights would be read under another shape table
+            raise ValueError(f"encoder config {encoder['config']} differs from "
+                             f"config.han {asdict(config.han)}")
+        d = config.han.dim
+        weights = {"out_w": nm.decode_array(payload["out_w"], (d, d)),
+                   "out_b": nm.decode_array(payload["out_b"], (1, d))}
+        for name in sorted(set(encoder["params"]) | set(encoder["shapes"])):
+            if name in weights:
+                raise ValueError(f"parameter {name!r} is stored twice")
+            weights[name] = nm.decode_array(encoder["params"][name],
+                                            encoder["shapes"][name])
+        return cls(config, weights)
 
     def content_hash(self) -> str:
         """SHA-256 of both configs and every weight's name, shape, dtype and
         raw bytes: any change to a weight's last bit changes it."""
         # weights are frozen once training returns, so hash once
         if self._hash is None:
-            configs = [asdict(self.config), asdict(self.encoder.config)]
+            configs = [asdict(self.config), asdict(self.config.han)]
             digest = hashlib.sha256(json.dumps(configs, sort_keys=True).encode("utf-8"))
             for name, value in sorted(self.weights().items()):
                 digest.update(f"{name} {value.shape} {value.dtype}\n".encode("utf-8"))
@@ -188,9 +204,13 @@ def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1))
 
 
-def project(h, out_w, out_b) -> nm.Matrix:
-    """The branch head: encoder rows through the fully connected layer."""
-    return nm.leaky_relu(nm.add(nm.matmul(h, out_w), out_b))
+def branch(batch: SubgraphBatch, weights: Mapping[str, nm.Matrix | np.ndarray],
+           han: HanConfig) -> nm.Matrix:
+    """One twin branch, the forward of training and recognition alike: the
+    attention encoder over the batch, then the fully connected head; one row
+    per subgraph. ``weights`` holds every matcher weight by name."""
+    h = embed_batch(batch, weights, han)
+    return nm.leaky_relu(nm.add(nm.matmul(h, weights["out_w"]), weights["out_b"]))
 
 
 def pair_loss(
@@ -200,7 +220,8 @@ def pair_loss(
     on their Euclidean distance.
 
     ``ea`` and ``eb`` hold one branch output per row; returns an (m, 1)
-    column, 1x1 for a single pair.
+    column, 1x1 for a single pair. A negative pair at distance 0 has loss
+    ``margin`` and gradient 0, through :func:`numerics.sqrt`'s gradient at 0.
     """
     diff = nm.sub(ea, eb)
     sq = nm.row_sums(nm.mul(diff, diff))
@@ -249,15 +270,12 @@ def train_matcher(
     if not triplets:
         raise ValueError("no valid triplets; every class is a singleton")
 
-    tape = nm.GradientTape()
-    han_params = {
-        name: tape.parameter(name, value)
-        for name, value in init_han_params(config.han).items()
-    }
     d = config.han.dim
-    init_rng = rng.split("head-init")
-    out_w = tape.parameter("out_w", init_weight(init_rng, d, d))
-    out_b = tape.parameter("out_b", np.zeros((1, d)))
+    init = init_han_params(config.han)
+    init["out_w"] = init_weight(rng.split("head-init"), d, d)
+    init["out_b"] = np.zeros((1, d))
+    tape = nm.GradientTape()
+    params = {name: tape.parameter(name, value) for name, value in init.items()}
 
     used = sorted({i for t in triplets for i in (t.anchor, t.positive, t.negative)})
     batch = SubgraphBatch([subgraphs[i] for i in used], config.han)
@@ -268,14 +286,12 @@ def train_matcher(
     )
 
     def loss_fn():
-        z = project(embed_batch(batch, han_params, config.han), out_w, out_b)
+        z = branch(batch, params, config.han)
         return triplet_loss(z, anchor, positive, negative, config.margin)
 
     losses = nm.descend(tape, loss_fn, config.epochs, config.lr)
-
-    # the models copy the values they wrap
-    encoder = HanEncoder(config.han, {name: p.value for name, p in han_params.items()})
-    return SiameseModel(config, encoder, out_w.value, out_b.value, losses)
+    # the model copies the values it wraps
+    return SiameseModel(config, {name: p.value for name, p in params.items()}, losses)
 
 
 def pick_representative(

@@ -464,15 +464,16 @@ def tanh(a) -> Matrix:
 
 
 def sqrt(a) -> Matrix:
+    """Elementwise square root. Its gradient at 0 is taken as 0: the
+    derivative is unbounded there, and in ``sqrt(sum of squares)`` 0 is a
+    subgradient of the Euclidean norm at the origin."""
     a = _wrap(a)
     if (a.value < 0).any():
         raise NumericsError("sqrt of negative value")
     r = np.sqrt(a.value)
 
     def vjp(g):
-        if (r == 0).any():
-            raise NumericsError("sqrt gradient undefined at zero")
-        return g / (2.0 * r)
+        return np.divide(g, 2.0 * r, out=np.zeros_like(g), where=r > 0)
 
     return Matrix._from_op(r, "sqrt", (a, vjp))
 

@@ -48,6 +48,9 @@ BAD_VALUES = [
     # these ran silently with no training step at all
     ("encoder_epochs", -1),
     ("matcher_epochs", -5),
+    # these trained until the loss was not finite
+    ("margin", float("nan")),
+    ("margin", float("inf")),
 ]
 
 

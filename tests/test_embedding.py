@@ -9,7 +9,6 @@ from provrec.embedding import (
     METAPATH_COMBOS,
     AttentionRecord,
     HanConfig,
-    HanEncoder,
     SubgraphBatch,
     embed_batch,
     embed_subgraph,
@@ -330,9 +329,11 @@ def test_single_process_subgraph_hand_computation():
     assert np.allclose(h.value, want, atol=1e-12)
 
 
-def _embed(encoder, tsg):
-    """One subgraph through a built encoder's wrapped weights; a (dim,) row."""
-    return embed_subgraph(tsg, encoder.matrices, encoder.config).value[0]
+def _embed(config, tsg, weights=None):
+    """One subgraph through ``weights``, by default freshly initialised ones;
+    a (dim,) row."""
+    weights = init_han_params(config) if weights is None else weights
+    return embed_subgraph(tsg, weights, config).value[0]
 
 
 def test_relabeled_copy_embeds_identically(shared_file_tsg):
@@ -346,8 +347,8 @@ def test_relabeled_copy_embeds_identically(shared_file_tsg):
         ("pa", "write", "doc", EntityType.FILE),
     ]
     t2 = _tsg(reversed_triples)
-    enc = HanEncoder.create(HanConfig(dim=8, seed=5))
-    assert (_embed(enc, t1) == _embed(enc, t2)).all()
+    config = HanConfig(dim=8, seed=5)
+    assert (_embed(config, t1) == _embed(config, t2)).all()
 
 
 def test_structurally_different_subgraphs_embed_apart(shared_file_tsg):
@@ -358,8 +359,8 @@ def test_structurally_different_subgraphs_embed_apart(shared_file_tsg):
         ]
         + [("pb", "connect", "s0", EntityType.SOCKET)]
     )
-    enc = HanEncoder.create(HanConfig(dim=8, seed=5))
-    d = np.linalg.norm(_embed(enc, shared_file_tsg) - _embed(enc, other))
+    config = HanConfig(dim=8, seed=5)
+    d = np.linalg.norm(_embed(config, shared_file_tsg) - _embed(config, other))
     assert d > 0
 
 
@@ -401,9 +402,7 @@ def test_grad_check_through_full_composition(shared_file_tsg):
 def test_metapath_masking_combinations(shared_file_tsg):
     outputs = {}
     for name, combo in METAPATH_COMBOS.items():
-        config = HanConfig(dim=8, metapaths=combo, seed=9)
-        enc = HanEncoder.create(config)
-        outputs[name] = _embed(enc, shared_file_tsg)
+        outputs[name] = _embed(HanConfig(dim=8, metapaths=combo, seed=9), shared_file_tsg)
     assert METAPATH_COMBOS["MPC6"] == META_PATHS
     assert not np.allclose(outputs["MPC1"], outputs["MPC6"])
     for name, combo in METAPATH_COMBOS.items():
@@ -415,14 +414,14 @@ def test_encoder_checkpoint_round_trip(shared_file_tsg, tmp_path):
     from provrec.matching import MatcherConfig, SiameseModel
     from provrec.persistence import load_model, save_model
 
-    # the encoder is checkpointed inside the matcher that holds it
+    # the encoder's weights are checkpointed inside the matcher that holds them
     config = MatcherConfig(han=HanConfig(dim=8, seed=10))
-    enc = HanEncoder.create(config.han)
-    before = _embed(enc, shared_file_tsg)
+    weights = {**init_han_params(config.han), "out_w": np.eye(8), "out_b": np.zeros((1, 8))}
+    before = _embed(config.han, shared_file_tsg)
     path = tmp_path / "matcher.json"
-    save_model(SiameseModel(config, enc, np.eye(8), np.zeros((1, 8))), path)
+    save_model(SiameseModel(config, weights), path)
     loaded = load_model(path)
-    assert (_embed(loaded.encoder, shared_file_tsg) == before).all()
+    assert (_embed(config.han, shared_file_tsg, loaded.weights()) == before).all()
 
 
 # -- batched forward ------------------------------------------------------------

@@ -229,6 +229,10 @@ _MALFORMED_GRAPH_JSON = {
     "node_id_bool": lambda p: p["nodes"].append({"id": True, "type": "file"}),
     "node_id_null": lambda p: p["nodes"].append({"id": None, "type": "file"}),
     "attrs_list": lambda p: p["nodes"][0].update({"attrs": ["k", "v"]}),
+    "attrs_empty_list": lambda p: p["nodes"][0].update({"attrs": []}),
+    "attrs_zero": lambda p: p["nodes"][0].update({"attrs": 0}),
+    "attrs_empty_string": lambda p: p["nodes"][0].update({"attrs": ""}),
+    "attrs_false": lambda p: p["nodes"][0].update({"attrs": False}),
 }
 
 

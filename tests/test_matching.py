@@ -12,7 +12,6 @@ from provrec import numerics as nm
 from provrec.config import PipelineConfig
 from provrec.embedding import (
     HanConfig,
-    HanEncoder,
     SubgraphBatch,
     embed_batch,
     embed_subgraph,
@@ -26,12 +25,12 @@ from provrec.matching import (
     ExemplarSet,
     MatcherConfig,
     SiameseModel,
+    branch,
     build_triplets,
     contrastive_loss,
     distances,
     pair_loss,
     pick_representative,
-    project,
     recognition_metrics,
     recognize,
     recognize_many,
@@ -99,8 +98,9 @@ def test_contrastive_loss_rejects_bad_inputs():
 
 
 def test_model_margin_must_be_positive():
-    with pytest.raises(ValueError):
-        MatcherConfig(margin=0.0)
+    for margin in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="margin must be a finite number above 0"):
+            MatcherConfig(margin=margin)
 
 
 # -- triplets --------------------------------------------------------------------
@@ -188,8 +188,7 @@ def test_inference_embeds_reuse_the_wrapped_weights(small_model, monkeypatch):
     tsg = _variant("socks", 5)
     han = model.config.han
     # reference: the same forward fed plain arrays, wrapped call by call
-    want = project(embed_subgraph(tsg, model.encoder.params, han),
-                   model.out_w, model.out_b).value[0].copy()
+    want = _one_branch(tsg, model.weights(), han)
     tsg = _variant("socks", 5)
     made = []
     init = Matrix.__init__
@@ -209,12 +208,19 @@ def test_inference_embeds_reuse_the_wrapped_weights(small_model, monkeypatch):
     assert (first == want).all() and (second == want).all()
 
 
+def _one_branch(tsg, weights, han):
+    """The branch written out for one subgraph: :func:`embed_subgraph`, then
+    the fully connected head; a (dim,) row."""
+    h = embed_subgraph(tsg, weights, han)
+    z = nm.add(nm.matmul(h, weights["out_w"]), weights["out_b"])
+    return nm.leaky_relu(z).value[0].copy()
+
+
 def test_embed_equals_the_one_subgraph_forward(small_model):
     samples, model = small_model
     han = model.config.han
     for tsg, _ in samples:
-        want = project(embed_subgraph(tsg, model.encoder.matrices, han), *model.head)
-        assert (model.embed(tsg) == want.value[0]).all()
+        assert (model.embed(tsg) == _one_branch(tsg, model.weights(), han)).all()
 
 
 def test_recognize_keeps_no_batch_on_the_query(small_model):
@@ -566,9 +572,27 @@ def _rebuilt(model, config=None, bump=None):
     weights = {name: value.copy() for name, value in model.weights().items()}
     if bump is not None:
         weights[bump].flat[-1] = np.nextafter(weights[bump].flat[-1], np.inf)
-    out_w, out_b = weights.pop("out_w"), weights.pop("out_b")
-    encoder = HanEncoder(model.encoder.config, weights)
-    return SiameseModel(config or model.config, encoder, out_w, out_b)
+    return SiameseModel(config or model.config, weights)
+
+
+def test_model_refuses_a_weight_outside_its_shape_table(small_model):
+    _, model = small_model
+    weights = model.weights()
+    with pytest.raises(ValueError, match="unknown parameters \\['att_w_MP9'\\]"):
+        SiameseModel(model.config, {**weights, "att_w_MP9": weights["att_w_MP1"]})
+    del weights["out_b"]
+    with pytest.raises(ValueError, match="missing parameter 'out_b'"):
+        SiameseModel(model.config, weights)
+
+
+def test_negative_pair_at_distance_zero_trains():
+    # one subgraph under two labels: every negative pair sits at distance 0,
+    # where the hinge's gradient is taken as 0
+    tsg = _variant("files", 0)
+    samples = [(tsg, "a"), (tsg, "a"), (tsg, "b"), (tsg, "b")]
+    config = MatcherConfig(han=HanConfig(dim=4, seed=1), epochs=3, seed=1)
+    model = train_matcher(samples, config)
+    assert model.loss_curve == [0.5, 0.5, 0.5]
 
 
 def test_content_hash_sees_one_ulp_in_any_weight(small_model):
@@ -604,8 +628,7 @@ def test_batched_epoch_matches_looped_reference():
         return loss.item(), {k: p.grad for k, p in params.items()}
 
     def batched(params, batch=node_batch(tsgs, config)):
-        z = project(embed_batch(batch, params, config),
-                    params["out_w"], params["out_b"])
+        z = branch(batch, params, config)
         rows = [nm.RowIndex([getattr(t, r) for t in triplets], len(tsgs))
                 for r in ("anchor", "positive", "negative")]
         return triplet_loss(z, *rows, 1.0)
@@ -705,8 +728,9 @@ def test_thousand_node_hub_carve_embeds_in_bounded_memory():
     (tsg,) = sample_subgraphs(graph, flags, lam=4, min_nois=5)
     assert tsg.n_nodes >= 1000
     config = MatcherConfig()
-    model = SiameseModel(config, HanEncoder.create(config.han),
-                         np.eye(config.han.dim), np.zeros((1, config.han.dim)))
+    d = config.han.dim
+    model = SiameseModel(config, {**init_han_params(config.han), "out_w": np.eye(d),
+                                  "out_b": np.zeros((1, d))})
     tracemalloc.start()
     try:
         started = time.perf_counter()

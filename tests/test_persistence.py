@@ -5,13 +5,14 @@ import base64
 import errno
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from provrec import persistence
 from provrec.config import PipelineConfig
-from provrec.embedding import META_PATHS, HanConfig, HanEncoder
+from provrec.embedding import META_PATHS, HanConfig, init_han_params
 from provrec.evaluation import PipelineModels, split_few_shot, train_pipeline
 from provrec.features import EncoderConfig, GnnEncoder
 from provrec.matching import ExemplarSet, MatcherConfig, SiameseModel, recognize
@@ -102,6 +103,21 @@ def test_load_and_save_again_is_byte_identical(bundle_file, tmp_path):
     save_model(loaded, again)
     assert again.read_bytes() == path.read_bytes()
     assert loaded.matcher.content_hash() == models.matcher.content_hash()
+
+
+# a dim-4 matcher checkpoint saved before the matcher held its encoder's and
+# its head's weights in one table, with its content hash at that time
+OLDER_MATCHER = Path(__file__).parent / "data" / "siamese_matcher_dim4.json"
+OLDER_MATCHER_HASH = "021f670a10a02c51743c818566d7a47d2ff088483ab2587837c752c6d6615342"
+
+
+def test_older_matcher_checkpoint_loads_and_saves_again_byte_identical(tmp_path):
+    model = load_model(OLDER_MATCHER, expect_kind="siamese_matcher")
+    assert model.config.han.dim == 4 and len(model.weights()) == 15
+    assert model.content_hash() == OLDER_MATCHER_HASH
+    again = tmp_path / "again.json"
+    save_model(model, again)
+    assert again.read_bytes() == OLDER_MATCHER.read_bytes()
 
 
 def test_bundle_with_an_older_model_hash_still_recognises(bundle_file, tmp_path):
@@ -207,6 +223,14 @@ def test_bundle_in_the_parent_layout_re_embeds_once(bundle_file, tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
+def _copy_matcher_weight(payload, name, *blocks):
+    """Bundle payload edit: the matcher's ``path_b`` copied to ``name`` in the
+    ``blocks`` (``params``, ``shapes``) of its encoder block."""
+    encoder = payload["matcher"]["encoder"]
+    for block in blocks:
+        encoder[block][name] = encoder[block]["path_b"]
+
+
 def _three_layers(encoder):
     """A third hidden layer's weight and shape, under a config of two."""
     encoder["weights"].append(encoder["weights"][-1])
@@ -231,6 +255,13 @@ _MALFORMED = {
     "exemplar_cut_short": lambda p: cut_first_exemplar(p, 5),
     "repeated_metapath": lambda p: in_both_han_configs(p, metapaths=["MP1", "MP1"]),
     "repeated_technique": repeat_first_technique,
+    # a weight the matcher has no shape for, which loading used to drop
+    "unknown_matcher_weight": lambda p: _copy_matcher_weight(p, "att_w_MP9", "params",
+                                                             "shapes"),
+    "matcher_shape_without_weight": lambda p: _copy_matcher_weight(p, "att_w_MP9",
+                                                                   "shapes"),
+    "head_weight_in_the_encoder_block": lambda p: _copy_matcher_weight(p, "out_b", "params",
+                                                                       "shapes"),
 }
 
 
@@ -449,8 +480,9 @@ def wide_models(bundle_file):
     _, models, _ = bundle_file
     rng = Rng(5).generator
     han = HanConfig(dim=65)
-    matcher = SiameseModel(MatcherConfig(han=han), HanEncoder.create(han),
-                           rng.normal(size=(65, 65)), rng.normal(size=(1, 65)))
+    matcher = SiameseModel(MatcherConfig(han=han), {
+        **init_han_params(han), "out_w": rng.normal(size=(65, 65)),
+        "out_b": rng.normal(size=(1, 65))})
     encoder = GnnEncoder(EncoderConfig(hidden=65),
                          [rng.normal(size=(42, 65)), rng.normal(size=(65, 65))],
                          rng.normal(size=(65, 4)))
