@@ -261,29 +261,36 @@ class SubgraphBatch:
         # moved to columns of its own band j)
         own = np.arange(n)
         counts = a @ _csr(own, self.node_row, (n, k_row))
+        counts.sort_indices()
         per_row = np.diff(counts.indptr)
         band = np.repeat(k_row * np.arange(1, p + 1), n)
+        node = np.repeat(np.tile(own, p), per_row)  # the node of each entry
         self.node_shared, first = ft._row_classes(_csr(
-            np.concatenate([own, np.repeat(np.tile(own, p), per_row)]),
+            np.concatenate([own, node]),
             np.concatenate([self.node_row, counts.indices + np.repeat(band, per_row)]),
             (n, (1 + p) * k_row),
             np.concatenate([np.ones(n), counts.data])))
         s = len(first)
-        shared_row = self.node_row[first]
         self.pairs, self.pair_weights = {}, {}
-        # row j·s + t: how many neighbours shared class t's first node has
-        # with each feature row under meta-path j
-        firsts = counts[(np.arange(p)[:, None] * n + first).ravel()]
-        for mp, (src, dst, count) in zip(config.metapaths, _row_blocks(firsts, s)):
-            self.pairs[mp] = (nm.RowIndex(src, k_row), nm.RowIndex(shared_row[dst], k_row),
-                              nm.RowIndex(dst, s))
-            self.pair_weights[mp] = nm.RowWeights(count)
+        # the entries of the shared classes' first nodes, which ascend with
+        # their classes: in band j, how many neighbours shared class t's
+        # first node has with each feature row under meta-path j
+        is_first = np.zeros(n, dtype=bool)
+        is_first[first] = True
+        keep = np.flatnonzero(is_first[node])
+        bounds = np.searchsorted(keep, counts.indptr[n * np.arange(p + 1)])
+        for mp, lo, hi in zip(config.metapaths, bounds[:-1], bounds[1:]):
+            at = keep[lo:hi]
+            self.pairs[mp] = (nm.RowIndex(counts.indices[at], k_row),
+                              nm.RowIndex(self.node_row[node[at]], k_row),
+                              nm.RowIndex(self.node_shared[node[at]], s))
+            self.pair_weights[mp] = nm.RowWeights(counts.data[at])
         self.node_of = nm.RowIndex(np.tile(np.arange(s), p), s)
         # a class: a shared class within one subgraph
         graph_of = np.repeat(np.arange(n_graphs), sizes)
-        self.node_class, first = ft._row_classes(_csr(
-            np.concatenate([own, own]), np.concatenate([graph_of, n_graphs + self.node_shared]),
-            (n, n_graphs + s)))
+        _, first, inverse = np.unique(graph_of * s + self.node_shared,
+                                      return_index=True, return_inverse=True)
+        self.node_class, first = ft._by_first_row(inverse, first)
         self.features = nm.Matrix(x[first_row])
         self.shared_of = nm.RowIndex(self.node_shared[first], s)
         self.graph_of = nm.RowIndex(graph_of[first], n_graphs)

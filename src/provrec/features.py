@@ -52,12 +52,14 @@ def aggregation_matrix(graph: ProvenanceGraph) -> sparse.csr_matrix:
     """Row i averages node i with its unique in-neighbors (self included)."""
     n = graph.n_nodes
     src, dst, _ = graph.edge_arrays()
-    links = sparse.csr_matrix((np.ones(len(src)), (dst, src)), shape=(n, n))
-    agg = links + sparse.identity(n, format="csr")
-    agg.sort_indices()
-    counts = np.diff(agg.indptr)
-    agg.data = np.repeat(1.0 / counts, counts)
-    return agg
+    # cell (i, j) has key i·n + j, so the sorted distinct keys of the edges
+    # and the diagonal list the matrix row by row, columns ascending
+    cells = np.unique(np.concatenate([dst * n + src, np.arange(n) * (n + 1)]))
+    row, col = np.divmod(cells, n)
+    counts = np.bincount(row, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(counts, out=indptr[1:])
+    return sparse.csr_matrix((np.repeat(1.0 / counts, counts), col, indptr), shape=(n, n))
 
 
 def gnn_layer_forward(agg, e_in, w) -> nm.Matrix:
@@ -102,7 +104,12 @@ def _row_classes(rows: sparse.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
         classes[members] = offset + inverse.reshape(-1)
         firsts.append(members[first])
         offset += len(first)
-    firsts = np.concatenate(firsts)
+    return _by_first_row(classes, np.concatenate(firsts))
+
+
+def _by_first_row(classes: np.ndarray, firsts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``classes`` renumbered in the order of their first rows, and those
+    rows ascending; ``firsts[k]`` is the first row of class k."""
     order = np.argsort(firsts)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))

@@ -38,12 +38,13 @@ def contrastive_loss(distance: float, same_class: bool, margin: float = 1.0) -> 
     """Squared distance for same-class pairs, hinge on the margin otherwise.
 
     ``margin=0`` is legal here (the negative-pair loss is then identically
-    zero); trained models require a strictly positive margin.
+    zero); trained models require a strictly positive margin. NaN is
+    refused for either.
     """
-    if distance < 0:
-        raise ValueError("distance must be nonnegative")
-    if margin < 0:
-        raise ValueError("margin must be nonnegative")
+    if not distance >= 0:
+        raise ValueError(f"distance must be nonnegative, got {distance}")
+    if not margin >= 0:
+        raise ValueError(f"margin must be nonnegative, got {margin}")
     if same_class:
         return float(distance * distance)
     return float(max(0.0, margin - distance))

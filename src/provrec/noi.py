@@ -14,6 +14,7 @@ together, one level per step, and scores follow the standard
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,6 +34,15 @@ def average_path_length(n: int) -> float:
         return 0.0
     h = math.log(n - 1) + _EULER_GAMMA
     return 2.0 * h - 2.0 * (n - 1) / n
+
+
+@functools.lru_cache(maxsize=None)
+def _path_length_table(size: int) -> np.ndarray:
+    """c(0), ..., c(size - 1) as a read-only array. Callers pass a power of
+    two, so one table serves every subsample size up to it."""
+    table = np.array([average_path_length(k) for k in range(size)])
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(eq=False)
@@ -71,13 +81,14 @@ def _distinct_rows(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return canon[first], inverse
 
 
-def _slots_of(node: np.ndarray, nodes: np.ndarray, width: int):
+def _slots_of(node: np.ndarray, nodes: np.ndarray, length: np.ndarray):
     """Indices of the slots that belong to ``nodes`` and the start of each
-    node's run among them; ``node`` is sorted and ``nodes`` ascending."""
-    member = np.zeros(width, dtype=bool)
+    node's run among them; ``node`` is sorted, ``nodes`` ascending and
+    ``length`` counts every node's slots."""
+    member = np.zeros(len(length), dtype=bool)
     member[nodes] = True
-    sel = np.flatnonzero(member[node])
-    return sel, np.flatnonzero(np.diff(node[sel], prepend=-1))
+    runs = length[nodes]
+    return np.flatnonzero(member[node]), np.cumsum(runs) - runs
 
 
 def fit_forest(
@@ -109,6 +120,8 @@ def fit_forest(
         raise ValueError("need at least two points to fit a forest")
     if subsample_size < 2:
         raise ValueError("subsample_size must be at least 2")
+    if num_trees < 1:
+        raise ValueError("num_trees must be at least 1")
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
     psi = min(subsample_size, n)
@@ -123,32 +136,34 @@ def fit_forest(
     else:
         counts = np.tile(np.bincount(inverse, minlength=m), num_trees)
     # one slot per (node, distinct row) pair, sorted by node; node ids are
-    # local to the current level, whose first global id is ``first``
+    # local to the current level, whose first global id is ``first``. Every
+    # node of a level holds at least one slot.
     slots = np.flatnonzero(counts)
     node, row = np.divmod(slots, m)
     weight = counts[slots]
-    c = np.array([average_path_length(k) for k in range(psi + 1)])
-    levels = []
+    c = _path_length_table(1 << psi.bit_length())
+    paths, splits = [], []
     first, width, depth = 0, num_trees, 0
     while True:
-        dims = np.full(width, -1, dtype=np.int64)
-        thresholds = np.zeros(width)
-        lefts = np.arange(first, first + width)
-        rights = lefts.copy()
-        starts = np.flatnonzero(np.diff(node, prepend=-1))
-        size = np.add.reduceat(weight, starts)
-        levels.append((dims, thresholds, lefts, rights, depth + c[size]))
+        length = np.bincount(node, minlength=width)
+        size = np.add.reduceat(weight, np.cumsum(length) - length)
+        paths.append(depth + c[size])
         if depth == height_limit:
             break
-        split = np.flatnonzero(np.diff(starts, append=len(node)) > 1)
+        split = np.flatnonzero(length > 1)
         if not split.size:
             break
-        lo, hi = np.zeros(width), np.zeros(width)
+        # only the slots of splitting nodes go on; k is each slot's node's
+        # rank among them, and arrays below are indexed by that rank
+        sel, seg = _slots_of(node, split, length)
+        row, weight, runs = row[sel], weight[sel], length[split]
+        k = np.repeat(np.arange(split.size), runs)
+        dims = np.empty(split.size, dtype=np.int64)
+        lo, hi = np.empty(split.size), np.empty(split.size)
         # draw a dimension for each pending node and keep it where it varies,
         # a few rounds; the rest then pick exactly from their varying mask
-        pending = split
+        pending, sel = np.arange(split.size), slice(None)  # at first, every slot
         for attempt in range(_DIM_DRAWS + 1):
-            sel, seg = _slots_of(node, pending, width)
             if attempt < _DIM_DRAWS:
                 dims[pending] = rng.integers(pts.shape[1], size=pending.size)
             else:
@@ -156,34 +171,38 @@ def fit_forest(
                 varying = np.maximum.reduceat(block, seg) > np.minimum.reduceat(block, seg)
                 pick = rng.integers(varying.sum(axis=1))
                 dims[pending] = np.argmax(np.cumsum(varying, axis=1) > pick[:, None], axis=1)
-            values = rows[row[sel], dims[node[sel]]]
+            values = rows[row[sel], dims[k[sel]]]
             lo[pending] = np.minimum.reduceat(values, seg)
             hi[pending] = np.maximum.reduceat(values, seg)
             pending = pending[lo[pending] == hi[pending]]
             if not pending.size:
                 break
-        lo, hi = lo[split], hi[split]
+            sel, seg = _slots_of(k, pending, runs)
         threshold = rng.uniform(lo, hi)
         # a draw on a boundary separates nothing; the midpoint does unless
         # lo and hi are adjacent floats, where hi itself separates
         bad = ~((threshold > lo) & (threshold <= hi))
         mid = (lo + hi) / 2.0
         threshold[bad] = np.where(mid > lo, mid, hi)[bad]
-        thresholds[split] = threshold
-        lefts[split] = first + width + 2 * np.arange(split.size)
-        rights[split] = lefts[split] + 1
-        # route the slots of splitting nodes to their children, keeping order
-        sel, _ = _slots_of(node, split, width)
-        node, row, weight = node[sel], row[sel], weight[sel]
-        rank = np.zeros(width, dtype=np.int64)
-        rank[split] = np.arange(split.size)
-        child = 2 * rank[node] + (rows[row, dims[node]] >= thresholds[node])
+        splits.append((first + split, dims, threshold))
+        # route the slots to their children, keeping order
+        child = 2 * k + (rows[row, dims[k]] >= threshold[k])
         order = np.argsort(child, kind="stable")
         node, row, weight = child[order], row[order], weight[order]
         first, width, depth = first + width, 2 * split.size, depth + 1
-    dims, thresholds, lefts, rights, paths = (np.concatenate(a) for a in zip(*levels))
+    # children are numbered level after level in the order of their parents,
+    # so the j-th split node of the forest has children num_trees + 2j and
+    # num_trees + 2j + 1
+    total = first + width
+    forest_dim, forest_threshold = np.full(total, -1, dtype=np.int64), np.zeros(total)
+    left, right = np.arange(total), np.arange(total)
+    if splits:
+        at, dims, thresholds = (np.concatenate(a) for a in zip(*splits))
+        forest_dim[at], forest_threshold[at] = dims, thresholds
+        left[at] = num_trees + 2 * np.arange(at.size)
+        right[at] = left[at] + 1
     return IsolationForest(
-        dims, thresholds, lefts, rights, paths,
+        forest_dim, forest_threshold, left, right, np.concatenate(paths),
         np.arange(num_trees, dtype=np.int64), psi, pts.shape[1],
     )
 
@@ -195,6 +214,8 @@ def anomaly_scores(forest: IsolationForest, points) -> np.ndarray:
         raise ValueError(
             f"points of shape {pts.shape} do not match training width {forest.width}"
         )
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
     # equal rows score equally, so each distinct row is scored once
     pts, inverse = _distinct_rows(pts)
     rows = np.arange(len(pts))
@@ -205,9 +226,10 @@ def anomaly_scores(forest: IsolationForest, points) -> np.ndarray:
             break
         below = pts[rows, dim] < forest.threshold[node]
         node = np.where(below, forest.left[node], forest.right[node])
-    # Python's sum adds the trees one by one in tree order, and Python's **
-    # is C pow: numpy's vectorised power may differ from it in the last bit
-    mean_path = sum(forest.path[node]) / len(forest.roots)
+    # the running sum adds the trees one by one in tree order (a reduction
+    # along the axis may pair them), and Python's ** is C pow: numpy's
+    # vectorised power may differ from it in the last bit
+    mean_path = np.cumsum(forest.path[node], axis=0)[-1] / len(forest.roots)
     exponent = -mean_path / average_path_length(forest.subsample_size)
     return np.array([2.0 ** x for x in exponent.tolist()])[inverse]
 

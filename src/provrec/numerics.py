@@ -221,7 +221,7 @@ class RowIndex:
     them, as ``np.add.at`` would.
     """
 
-    __slots__ = ("ids", "size", "_order", "_scatter", "_runs")
+    __slots__ = ("ids", "size", "_sorted", "_scatter", "_runs")
 
     def __init__(self, ids, size: int):
         ids = np.asarray(ids, dtype=np.intp)
@@ -231,17 +231,21 @@ class RowIndex:
             raise NumericsError(f"row index out of range for {size} rows")
         self.ids = ids
         self.size = int(size)
-        self._order: np.ndarray | None = None
+        self._sorted: tuple[np.ndarray, np.ndarray] | None = None
         self._scatter = None
         self._runs = None
 
     def __len__(self) -> int:
         return self.ids.size
 
-    def _sorted_order(self) -> np.ndarray:
-        if self._order is None:
-            self._order = np.argsort(self.ids, kind="stable")
-        return self._order
+    def _sorted_runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The stable sort order of the ids and where each row's run starts
+        in it: row r's ids are ``order[indptr[r]:indptr[r + 1]]``."""
+        if self._sorted is None:
+            indptr = np.zeros(self.size + 1, dtype=np.intp)
+            np.cumsum(np.bincount(self.ids, minlength=self.size), out=indptr[1:])
+            self._sorted = (np.argsort(self.ids, kind="stable"), indptr)
+        return self._sorted
 
     def scatter_add(self, values: np.ndarray) -> np.ndarray:
         """(size, c) array whose row r sums the rows of ``values`` with id r.
@@ -252,23 +256,21 @@ class RowIndex:
         if values.shape[1] == 1:
             return np.bincount(self.ids, values[:, 0], self.size).reshape(-1, 1)
         if self._scatter is None:
-            indptr = np.zeros(self.size + 1, dtype=np.intp)
-            np.cumsum(np.bincount(self.ids, minlength=self.size), out=indptr[1:])
             self._scatter = sparse.csr_matrix(
-                (np.ones(self.ids.size), self._sorted_order(), indptr),
+                (np.ones(self.ids.size), *self._sorted_runs()),
                 shape=(self.size, self.ids.size),
             )
         return self._scatter @ values
 
     def segment_max(self, values: np.ndarray) -> np.ndarray:
         """Per-bucket maximum of a 1-D ``values``; 0 for empty buckets."""
+        order, indptr = self._sorted_runs()
         if self._runs is None:
-            ids = self.ids[self._sorted_order()]
-            starts = np.flatnonzero(np.diff(ids, prepend=-1))  # first row of each run
-            self._runs = (ids[starts], starts)
+            present = np.flatnonzero(indptr[1:] > indptr[:-1])  # buckets with rows
+            self._runs = (present, indptr[present])
         present, starts = self._runs
         out = np.zeros(self.size)
-        out[present] = np.maximum.reduceat(values[self._order], starts)
+        out[present] = np.maximum.reduceat(values[order], starts)
         return out
 
 

@@ -1,8 +1,12 @@
 """Meta-path neighborhoods and the three-level attention composition."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from provrec import embedding as em
+from provrec import features as ft
 from provrec import numerics as nm
 from provrec.embedding import (
     META_PATHS,
@@ -20,9 +24,10 @@ from provrec.embedding import (
     pair_scores,
     path_level_fuse,
 )
-from provrec.graph import EntityType
+from provrec.graph import EntityType, Event, build_graph, graph_to_events
 from provrec.numerics import GradientTape, Matrix, Rng
-from provrec.sampling import TechniqueSubgraph
+from provrec.sampling import TechniqueSubgraph, sample_subgraphs
+from provrec.synthetic import DEFAULT_TEMPLATES, generate_sample
 
 from testkit import listing_class_batch, make_graph, node_batch
 
@@ -690,6 +695,85 @@ def test_class_batch_equals_the_listing_build_byte_for_byte():
                 for index, ids in zip(pairs, want.pairs[mp]):
                     _same_bytes(index.ids, ids)
                 _same_bytes(got.pair_weights[mp].values, want.pair_weights[mp])
+
+
+def _product_batch(subgraphs, config):
+    """The index arrays of a batch as the sparse-product build first made
+    them: shared classes' pairs by CSR row indexing of the neighbour counts,
+    and classes as classes of (subgraph, shared class) one-hot rows."""
+    sizes = [tsg.n_nodes for tsg in subgraphs]
+    offsets = np.cumsum([0] + sizes[:-1])
+    n, n_graphs, p = sum(sizes), len(sizes), len(config.metapaths)
+    x = ft.scale_features(np.vstack([tsg.features() for tsg in subgraphs]))
+    edges = [tsg.graph.edge_arrays() for tsg in subgraphs]
+    edges = (np.concatenate([s + o for (s, _, _), o in zip(edges, offsets)]),
+             np.concatenate([d + o for (_, d, _), o in zip(edges, offsets)]),
+             np.concatenate([t for _, _, t in edges]))
+    a = em._neighbour_matrix(*edges, n, config.metapaths)
+    rows = x.view(np.dtype((np.void, 8 * x.shape[1])))
+    _, first_row, node_row = np.unique(rows.ravel(), return_index=True, return_inverse=True)
+    k_row = len(first_row)
+    own = np.arange(n)
+    counts = a @ em._csr(own, node_row, (n, k_row))
+    per_row = np.diff(counts.indptr)
+    band = np.repeat(k_row * np.arange(1, p + 1), n)
+    node_shared, first = ft._row_classes(em._csr(
+        np.concatenate([own, np.repeat(np.tile(own, p), per_row)]),
+        np.concatenate([node_row, counts.indices + np.repeat(band, per_row)]),
+        (n, (1 + p) * k_row),
+        np.concatenate([np.ones(n), counts.data])))
+    s = len(first)
+    shared_row = node_row[first]
+    pairs, pair_weights = {}, {}
+    firsts = counts[(np.arange(p)[:, None] * n + first).ravel()]
+    for mp, (src, dst, count) in zip(config.metapaths, em._row_blocks(firsts, s)):
+        pairs[mp] = (src.astype(np.intp), shared_row[dst], dst)
+        pair_weights[mp] = count
+    graph_of = np.repeat(np.arange(n_graphs), sizes)
+    node_class, first = ft._row_classes(em._csr(
+        np.concatenate([own, own]), np.concatenate([graph_of, n_graphs + node_shared]),
+        (n, n_graphs + s)))
+    return SimpleNamespace(
+        node_row=node_row, node_shared=node_shared, node_class=node_class,
+        pairs=pairs, pair_weights=pair_weights, node_of=np.tile(np.arange(s), p),
+        features=x[first_row], shared_of=node_shared[first], graph_of=graph_of[first],
+        sizes=np.bincount(node_class).astype(np.float64))
+
+
+def _hub_carve():
+    sample = generate_sample(DEFAULT_TEMPLATES[1], Rng(4800).split("host"), 60, 0.05)
+    procs = [nid for nid in sample.graph.node_ids()
+             if sample.graph.entity_type(nid) == EntityType.PROCESS]
+    graph = build_graph(graph_to_events(sample.graph) + [
+        Event(p, EntityType.PROCESS, "read", f"hub_lib{j}", EntityType.FILE, 0)
+        for p in procs for j in range(3)])
+    (tsg,) = sample_subgraphs(graph, sorted(sample.truth.nois) + procs[::len(procs) // 8],
+                              lam=4, min_nois=5)
+    return tsg
+
+
+@pytest.mark.parametrize("case", ["truth", "six", "hub"])
+def test_batch_index_arrays_equal_the_product_build(case):
+    truths = [generate_sample(t, Rng(98).split(f"query-{i}"), 40, 0.05).truth
+              for i, t in enumerate(DEFAULT_TEMPLATES)]
+    tsgs = {"truth": truths[:1], "six": truths, "hub": [_hub_carve()]}[case]
+    if case == "truth":
+        assert tsgs[0].n_nodes == 14
+    for metapaths in (META_PATHS, ("MP1", "MP2")):
+        config = HanConfig(dim=4, metapaths=metapaths)
+        got, want = SubgraphBatch(tsgs, config), _product_batch(tsgs, config)
+        for name in ("node_row", "node_shared", "node_class"):
+            _same_bytes(getattr(got, name), getattr(want, name))
+        _same_bytes(got.features.value, want.features)
+        _same_bytes(got.node_of.ids, want.node_of)
+        _same_bytes(got.shared_of.ids, want.shared_of)
+        _same_bytes(got.graph_of.ids, want.graph_of)
+        _same_bytes(got.sizes.values, want.sizes)
+        assert list(got.pairs) == list(metapaths)
+        for mp, pairs in got.pairs.items():
+            for index, ids in zip(pairs, want.pairs[mp]):
+                _same_bytes(index.ids, ids)
+            _same_bytes(got.pair_weights[mp].values, want.pair_weights[mp])
 
 
 def test_renamed_copy_joins_every_shared_class():

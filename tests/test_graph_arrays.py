@@ -157,6 +157,45 @@ def test_metapath_pairs_equal_edge_loop(case):
         assert _same(got_dst, want_dst), mp
 
 
+def _summed_aggregation_matrix(g):
+    """The aggregation matrix as it was built before one CSR: COO to CSR,
+    plus the identity, sorted, then each row's entries set to 1 / count."""
+    n = g.n_nodes
+    src, dst, _ = g.edge_arrays()
+    links = sparse.csr_matrix((np.ones(len(src)), (dst, src)), shape=(n, n))
+    agg = links + sparse.identity(n, format="csr")
+    agg.sort_indices()
+    counts = np.diff(agg.indptr)
+    agg.data = np.repeat(1.0 / counts, counts)
+    return agg
+
+
+def _random_multigraph(gen):
+    """Random launches (self-loops and repeats included) and file reads,
+    with one or two nodes left without any edge."""
+    m = int(gen.integers(1, 12))
+    triples = [("iso_a", "launch", "iso_b", P), ("iso_c", "launch", "iso_d", P)]
+    for _ in range(int(gen.integers(0, 40))):
+        subject = f"p{gen.integers(m)}"
+        if gen.random() < 0.5:
+            triples.append((subject, "launch", f"p{gen.integers(m)}", P))
+        else:
+            triples.append((subject, "read", f"f{gen.integers(4)}", F))
+    g = make_graph(triples)
+    drop = {"iso_b", "iso_d"} if gen.random() < 0.5 else {"iso_b"}
+    return g.induced([nid for nid in g.node_ids() if nid not in drop])
+
+
+def test_aggregation_matrix_equals_the_summed_construction_on_multigraphs():
+    gen = np.random.default_rng(35)
+    for _ in range(300):
+        g = _random_multigraph(gen)
+        got, want = ft.aggregation_matrix(g), _summed_aggregation_matrix(g)
+        assert got.shape == want.shape
+        for attr in ("indptr", "indices", "data"):
+            assert _same(getattr(got, attr), getattr(want, attr)), attr
+
+
 def test_self_loop_and_repeated_edges_count_once():
     g = CASES["self_loop_launch"]()
     agg = ft.aggregation_matrix(g).toarray()

@@ -95,6 +95,11 @@ def test_contrastive_loss_rejects_bad_inputs():
         contrastive_loss(-0.1, True, 1.0)
     with pytest.raises(ValueError):
         contrastive_loss(0.5, False, -1.0)
+    # a NaN compares false with 0, and the negative side's max(0, ·) hid it
+    with pytest.raises(ValueError, match="distance"):
+        contrastive_loss(float("nan"), False, 1.0)
+    with pytest.raises(ValueError, match="margin"):
+        contrastive_loss(0.5, False, float("nan"))
 
 
 def test_model_margin_must_be_positive():

@@ -162,6 +162,8 @@ def test_input_validation():
         fit_forest(np.ones((1, 2)))
     with pytest.raises(ValueError):
         fit_forest(np.ones((5, 2)), subsample_size=1)
+    with pytest.raises(ValueError, match="num_trees"):
+        fit_forest(np.eye(3), num_trees=0)  # it had no tree to score with
     with pytest.raises(ValueError, match="finite"):
         fit_forest(np.array([[0.0], [np.nan], [1.0]]))
     forest = fit_forest(np.eye(3), num_trees=3, subsample_size=3, seed=0)
@@ -169,6 +171,9 @@ def test_input_validation():
         anomaly_score(forest, [1.0, 2.0])
     with pytest.raises(ValueError, match="width"):
         anomaly_scores(forest, [1.0, 2.0, 3.0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            anomaly_scores(forest, [[bad, 0.0, 0.0], [1.0, 1.0, 1.0]])
 
 
 def _golden_points(seed, rows, width, duplicated):
@@ -226,6 +231,121 @@ def test_batch_scores_equal_per_tree_walk_bit_for_bit():
     assert batch.tolist() == [_scalar_score(forest, q) for q in queries]
     assert [anomaly_score(forest, q) for q in queries[:5]] == batch[:5].tolist()
     assert anomaly_scores(forest, queries[:0]).shape == (0,)
+
+
+def _reference_fit(points, num_trees, subsample_size, seed):
+    """The level-wise forest as first written: c(0..ψ) rebuilt on every fit,
+    run starts by ``np.diff``, and four fresh node arrays per level joined
+    at the end. The draws are the ones :func:`fit_forest` makes."""
+    pts = np.asarray(points, dtype=np.float64)
+    n = len(pts)
+    psi = min(subsample_size, n)
+    height_limit = math.ceil(math.log2(psi))
+    rng = Rng(seed)
+    rows, inverse = noi._distinct_rows(pts)
+    m = len(rows)
+    if n > psi:
+        picks = rng.generator.permuted(np.tile(np.arange(n), (num_trees, 1)), axis=1)
+        slot = inverse[picks[:, :psi]] + m * np.arange(num_trees)[:, None]
+        counts = np.bincount(slot.ravel(), minlength=num_trees * m)
+    else:
+        counts = np.tile(np.bincount(inverse, minlength=m), num_trees)
+
+    def slots_of(node, nodes, width):
+        member = np.zeros(width, dtype=bool)
+        member[nodes] = True
+        sel = np.flatnonzero(member[node])
+        return sel, np.flatnonzero(np.diff(node[sel], prepend=-1))
+
+    slots = np.flatnonzero(counts)
+    node, row = np.divmod(slots, m)
+    weight = counts[slots]
+    c = np.array([average_path_length(k) for k in range(psi + 1)])
+    levels = []
+    first, width, depth = 0, num_trees, 0
+    while True:
+        dims = np.full(width, -1, dtype=np.int64)
+        thresholds = np.zeros(width)
+        lefts = np.arange(first, first + width)
+        rights = lefts.copy()
+        starts = np.flatnonzero(np.diff(node, prepend=-1))
+        size = np.add.reduceat(weight, starts)
+        levels.append((dims, thresholds, lefts, rights, depth + c[size]))
+        if depth == height_limit:
+            break
+        split = np.flatnonzero(np.diff(starts, append=len(node)) > 1)
+        if not split.size:
+            break
+        lo, hi = np.zeros(width), np.zeros(width)
+        pending = split
+        for attempt in range(noi._DIM_DRAWS + 1):
+            sel, seg = slots_of(node, pending, width)
+            if attempt < noi._DIM_DRAWS:
+                dims[pending] = rng.integers(pts.shape[1], size=pending.size)
+            else:
+                block = rows[row[sel]]
+                varying = np.maximum.reduceat(block, seg) > np.minimum.reduceat(block, seg)
+                pick = rng.integers(varying.sum(axis=1))
+                dims[pending] = np.argmax(np.cumsum(varying, axis=1) > pick[:, None], axis=1)
+            values = rows[row[sel], dims[node[sel]]]
+            lo[pending] = np.minimum.reduceat(values, seg)
+            hi[pending] = np.maximum.reduceat(values, seg)
+            pending = pending[lo[pending] == hi[pending]]
+            if not pending.size:
+                break
+        lo, hi = lo[split], hi[split]
+        threshold = rng.uniform(lo, hi)
+        bad = ~((threshold > lo) & (threshold <= hi))
+        mid = (lo + hi) / 2.0
+        threshold[bad] = np.where(mid > lo, mid, hi)[bad]
+        thresholds[split] = threshold
+        lefts[split] = first + width + 2 * np.arange(split.size)
+        rights[split] = lefts[split] + 1
+        sel, _ = slots_of(node, split, width)
+        node, row, weight = node[sel], row[sel], weight[sel]
+        rank = np.zeros(width, dtype=np.int64)
+        rank[split] = np.arange(split.size)
+        child = 2 * rank[node] + (rows[row, dims[node]] >= thresholds[node])
+        order = np.argsort(child, kind="stable")
+        node, row, weight = child[order], row[order], weight[order]
+        first, width, depth = first + width, 2 * split.size, depth + 1
+    dims, thresholds, lefts, rights, paths = (np.concatenate(a) for a in zip(*levels))
+    return IsolationForest(dims, thresholds, lefts, rights, paths,
+                           np.arange(num_trees, dtype=np.int64), psi, pts.shape[1])
+
+
+@pytest.mark.parametrize("rows,psi", [(60, 64), (64, 64), (300, 32), (140, 256)],
+                         ids=["whole-set", "whole-set-at-psi", "subsampled", "host-like"])
+def test_forest_arrays_equal_the_per_level_construction(rows, psi):
+    gen = Rng(31)
+    for case in range(8):
+        width = int(gen.integers(1, 9))
+        pts = _golden_points(40 + case, rows, width, int(gen.integers(0, rows // 2)))
+        # rounded rows repeat, as a host's process embeddings do
+        pts = np.round(pts, case % 3)
+        for trees in (1, 7, 100):
+            got = fit_forest(pts, num_trees=trees, subsample_size=psi, seed=case)
+            want = _reference_fit(pts, trees, psi, case)
+            assert _same_forest(got, want)
+            for name in FOREST_ARRAYS:
+                assert getattr(got, name).dtype == getattr(want, name).dtype, name
+
+
+def test_tree_rows_sum_in_tree_order():
+    # anomaly_scores adds the trees' path rows with a running sum, which
+    # adds them one by one in tree order as Python's sum does; a reduction
+    # along the axis may add them pairwise and differ in the last bit
+    gen = Rng(32)
+    for trees, cols in [(100, 1), (1, 5), (2, 1), (100, 37), (257, 3)]:
+        for _ in range(20):
+            rows = gen.uniform(0.5, 12.0, size=(trees, cols))
+            assert np.cumsum(rows, axis=0)[-1].tolist() == sum(rows).tolist()
+    pts = _golden_points(33, 90, 4, 30)
+    forest = fit_forest(pts, num_trees=100, subsample_size=64, seed=6)
+    queries = np.vstack([pts, Rng(34).normal(0, 2, size=(10, 4))])
+    # one query is a one-column (trees, 1) block of path rows
+    for q in (queries, queries[:1], queries[-1:]):
+        assert anomaly_scores(forest, q).tolist() == [_scalar_score(forest, x) for x in q]
 
 
 def test_leaves_loop_to_themselves_and_trees_cover_all_nodes():

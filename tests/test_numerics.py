@@ -396,11 +396,12 @@ def test_trained_matchers_do_not_depend_on_the_blas_thread_count():
 
 def test_row_index_scatter_equals_add_at_with_repeats():
     rng = Rng(82)
-    for sort, width in ((False, 1), (False, 4), (True, 1), (True, 4)):
-        ids = rng.integers(0, 7, size=40)
+    for sort, width, m in ((False, 1, 40), (False, 4, 40), (True, 1, 40), (True, 4, 40),
+                           (False, 4, 0)):
+        ids = rng.integers(0, 7, size=m)
         ids[:5] = 3  # repeats guaranteed; buckets 7 and 8 stay empty
         ids = np.sort(ids) if sort else ids
-        values = rng.normal(0, 1, size=(40, width))
+        values = rng.normal(0, 1, size=(m, width))
         index = nm.RowIndex(ids, 9)
         want = np.zeros((9, width))
         np.add.at(want, ids, values)
