@@ -3,36 +3,57 @@
 Defaults are the package defaults end to end; a JSON config file, or the
 CLI's --seed and --set KEY=VALUE, override individual keys. Unknown keys
 are rejected rather than ignored so typos cannot silently fall back to
-defaults.
+defaults. Each key's range is checked in one place: by the stage config
+whose field the key sets, or here for the keys no stage config owns.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from dataclasses import dataclass, fields
 
+from . import numerics as nm
 from .embedding import META_PATHS, HanConfig
 from .features import EncoderConfig
 from .matching import MatcherConfig
-from .synthetic import DEFAULT_TEMPLATES, ScenarioSpec
+from .synthetic import ScenarioSpec
 
 
 class ConfigError(ValueError):
     """Unknown keys or out-of-range values in a pipeline config."""
 
 
-# every integer field, with its least value
-_INT_MIN = {
-    "t_layers": 1, "hidden": 1, "encoder_epochs": 0, "num_trees": 1, "subsample": 2,
-    "lam": 1, "min_nois": 1, "d": 1, "matcher_epochs": 0, "samples_per_class": 1,
-    "shots": 1, "background": 0, "seed": 0,
+def _fraction(phrase: str, optional: bool) -> nm.Range:
+    return nm.Range(phrase, lambda v: (optional and v is None)
+                    or (nm.is_number(v) and 0 < v <= 1))
+
+
+# the ranges of the keys no stage config owns
+_RANGES = {
+    "num_trees": nm.at_least(1),
+    "subsample": nm.at_least(2),
+    "score_threshold": _fraction("in (0, 1]", optional=False),
+    "contamination": _fraction("null or in (0, 1]", optional=True),
+    "lam": nm.at_least(1),
+    "min_nois": nm.at_least(1),
+    "unknown_threshold": nm.Range("null or at least 0",
+                                  lambda v: v is None or (nm.is_number(v) and v >= 0)),
+    "shots": nm.at_least(1),
+    # split into every stage's seed
+    "seed": nm.SEED,
 }
 
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+# every other key, under the stage config field it sets; that stage config
+# checks its range
+_STAGE_KEYS = {
+    EncoderConfig: {"t_layers": "t_layers", "hidden": "hidden",
+                    "epochs": "encoder_epochs", "lr": "encoder_lr"},
+    HanConfig: {"dim": "d", "metapaths": "metapaths"},
+    MatcherConfig: {"margin": "margin", "epochs": "matcher_epochs", "lr": "matcher_lr"},
+    ScenarioSpec: {"samples_per_class": "samples_per_class", "background": "background",
+                   "noise_rate": "noise_rate"},
+}
 
 
 @dataclass
@@ -66,71 +87,39 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in _INT_MIN.items():
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name} must be an integer, not {value!r}")
-            if value < low:
-                raise ConfigError(f"{name} must be at least {low}")
-        for name in ("encoder_lr", "matcher_lr"):
-            value = getattr(self, name)
-            if not (_is_number(value) and 0 < value < math.inf):
-                raise ConfigError(f"{name} must be a finite number above 0")
-        if not (_is_number(self.score_threshold) and 0 < self.score_threshold <= 1):
-            raise ConfigError("score_threshold must be in (0, 1]")
-        if self.contamination is not None and not (
-                _is_number(self.contamination) and 0 < self.contamination <= 1):
-            raise ConfigError("contamination must be in (0, 1]")
-        if self.unknown_threshold is not None and not (
-                _is_number(self.unknown_threshold) and self.unknown_threshold >= 0):
-            raise ConfigError("unknown_threshold must be null or at least 0")
-        if not (_is_number(self.noise_rate) and 0 <= self.noise_rate <= 1):
-            raise ConfigError("noise_rate must be in [0, 1]")
-        if not (isinstance(self.metapaths, (list, tuple))
-                and all(isinstance(mp, str) for mp in self.metapaths)):
-            raise ConfigError("metapaths must be a list of strings")
-        self.metapaths = tuple(self.metapaths)
         try:
-            # the stage configs check margin and meta-paths
-            self.matcher_config()
-        except (TypeError, ValueError) as exc:
+            nm.check_fields(self, _RANGES)
+        except nm.FieldError as exc:
             raise ConfigError(str(exc)) from None
+        # building the stage views checks every other key; HanConfig makes
+        # the meta-paths a tuple
+        self.metapaths = self.matcher_config().han.metapaths
+        self.encoder_config()
+        self.scenario_spec()
 
     # -- per-stage views -----------------------------------------------------
 
+    def _view(self, stage, seed: int | None, **settings):
+        """``stage`` built from the keys it owns; an error names the key."""
+        keys = _STAGE_KEYS[stage]
+        for name, key in keys.items():
+            settings[name] = getattr(self, key)
+        try:
+            return stage(seed=self.seed if seed is None else seed, **settings)
+        except nm.FieldError as exc:
+            raise ConfigError(f"{keys.get(exc.field, exc.field)} {exc.problem}") from None
+
     def encoder_config(self, seed: int | None = None) -> EncoderConfig:
-        return EncoderConfig(
-            t_layers=self.t_layers,
-            hidden=self.hidden,
-            epochs=self.encoder_epochs,
-            lr=self.encoder_lr,
-            seed=self.seed if seed is None else seed,
-        )
+        return self._view(EncoderConfig, seed)
 
     def han_config(self, seed: int | None = None) -> HanConfig:
-        return HanConfig(
-            dim=self.d,
-            metapaths=self.metapaths,
-            seed=self.seed if seed is None else seed,
-        )
+        return self._view(HanConfig, seed)
 
     def matcher_config(self, seed: int | None = None) -> MatcherConfig:
-        return MatcherConfig(
-            han=self.han_config(seed),
-            margin=self.margin,
-            epochs=self.matcher_epochs,
-            lr=self.matcher_lr,
-            seed=self.seed if seed is None else seed,
-        )
+        return self._view(MatcherConfig, seed, han=self.han_config(seed))
 
     def scenario_spec(self, seed: int | None = None) -> ScenarioSpec:
-        return ScenarioSpec(
-            templates=DEFAULT_TEMPLATES,
-            samples_per_class=self.samples_per_class,
-            background=self.background,
-            noise_rate=self.noise_rate,
-            seed=self.seed if seed is None else seed,
-        )
+        return self._view(ScenarioSpec, seed)
 
     # -- serialisation -------------------------------------------------------
 

@@ -19,7 +19,7 @@ the whole composition is differentiable through the numerics layer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -144,22 +144,24 @@ class HanConfig:
     metapaths: tuple[str, ...] = META_PATHS
     seed: int = 0
 
+    # each meta-path is one band of the neighbour matrix and one block of
+    # path level, keyed by name
+    RANGES: ClassVar = {
+        "dim": nm.at_least(1),
+        "metapaths": nm.Range(
+            f"a non-empty list drawn from {', '.join(META_PATHS)} with no repeated meta-paths",
+            lambda v: isinstance(v, (list, tuple)) and all(mp in META_PATHS for mp in v)
+            and 0 < len(set(v)) == len(v)),
+        "seed": nm.SEED,
+    }
+
     def __post_init__(self):
-        unknown = [mp for mp in self.metapaths if mp not in META_PATHS]
-        if unknown:
-            raise ValueError(f"unknown meta-paths {unknown}")
-        if not self.metapaths:
-            raise ValueError("at least one meta-path is required")
-        if len(set(self.metapaths)) < len(self.metapaths):
-            # each meta-path is one band of the neighbour matrix and one
-            # block of path level, keyed by name
-            raise ValueError(f"repeated meta-paths in {list(self.metapaths)}")
+        nm.check_fields(self, self.RANGES)
+        self.metapaths = tuple(self.metapaths)
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "HanConfig":
-        data = ft.without_retired(payload, "slope", "feature_dim", "log1p_features")
-        data["metapaths"] = tuple(data.get("metapaths", META_PATHS))
-        return cls(**data)
+        return cls(**ft.without_retired(payload, "slope", "feature_dim", "log1p_features"))
 
 
 def han_param_shapes(config: HanConfig) -> dict[str, tuple[int, int]]:

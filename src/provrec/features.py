@@ -15,7 +15,7 @@ Inference runs the same layers on the full per-node aggregation.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Mapping
+from typing import ClassVar, Mapping
 
 import numpy as np
 from scipy import sparse
@@ -154,12 +154,18 @@ class EncoderConfig:
     lr: float = 0.5  # full-batch descent; smaller steps stall at desk scale
     seed: int = 0
 
+    RANGES: ClassVar = {"t_layers": nm.at_least(1), "hidden": nm.at_least(1),
+                        "epochs": nm.at_least(0), "lr": nm.POSITIVE, "seed": nm.SEED}
+
+    def __post_init__(self):
+        nm.check_fields(self, self.RANGES)
+
 
 class GnnEncoder:
     """Trained layer stack plus the node-type classifier head.
 
     ``weights[t]`` maps layer t-1 output width to ``hidden``; ``classifier``
-    maps hidden to the four node types.
+    maps hidden to the four node types. Weights of other shapes are refused.
     """
 
     def __init__(
@@ -173,6 +179,13 @@ class GnnEncoder:
         self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
         self.classifier = np.asarray(classifier, dtype=np.float64)
         self.loss_curve = list(loss_curve) if loss_curve else []
+        h = config.hidden
+        shapes = [w.shape for w in self.weights] + [self.classifier.shape]
+        # the first layer's input width is the features'
+        chain = [shapes[0][:1] + (h,)] + [(h, h)] * (config.t_layers - 1)
+        if shapes != chain + [(h, len(ENTITY_TYPES))]:
+            raise ValueError(f"weight shapes {shapes} do not fit t_layers="
+                             f"{config.t_layers}, hidden={h} and the classifier")
 
     @property
     def input_dim(self) -> int:
@@ -191,13 +204,8 @@ class GnnEncoder:
     def from_dict(cls, payload: dict) -> "GnnEncoder":
         cfg = EncoderConfig(**without_retired(payload["config"], "slope", "log1p"))
         shapes = payload["shapes"]
-        if not len(payload["weights"]) == len(shapes) - 1 == cfg.t_layers:
-            raise ValueError(
-                f"{len(payload['weights'])} weight arrays and {len(shapes)} shapes "
-                f"do not fit t_layers={cfg.t_layers} plus the classifier"
-            )
         weights = [nm.decode_array(flat, shape)
-                   for flat, shape in zip(payload["weights"], shapes[:-1])]
+                   for flat, shape in zip(payload["weights"], shapes[:-1], strict=True)]
         return cls(cfg, weights, nm.decode_array(payload["classifier"], shapes[-1]))
 
 
@@ -239,8 +247,6 @@ def train_encoder(
     labels = node_type_labels(graph)
     if len(set(labels.tolist())) < 2:
         raise ValueError("training needs at least two node types present")
-    if config.t_layers < 1:
-        raise ValueError("at least one layer is required")
     e0 = np.asarray(e0, dtype=np.float64)
     if e0.shape[0] != graph.n_nodes:
         raise ValueError("feature rows must align with graph nodes")

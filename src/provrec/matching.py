@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import warnings
 from dataclasses import asdict, dataclass, field
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 
@@ -97,9 +96,11 @@ class MatcherConfig:
     lr: float = 0.05
     seed: int = 0
 
+    RANGES: ClassVar = {"margin": nm.POSITIVE, "epochs": nm.at_least(0),
+                        "lr": nm.POSITIVE, "seed": nm.SEED}
+
     def __post_init__(self):
-        if not 0 < self.margin < math.inf:
-            raise ValueError("margin must be a finite number above 0")
+        nm.check_fields(self, self.RANGES)
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "MatcherConfig":

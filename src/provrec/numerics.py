@@ -1,5 +1,5 @@
-"""Dense float64 matrices with reverse-mode gradients, shared losses, and
-seeded randomness.
+"""Dense float64 matrices with reverse-mode gradients, shared losses, seeded
+randomness, and the range check every config runs on its fields.
 
 Every trained component in this package (the node-type encoder, the
 hierarchical attention encoder, the twin-branch matcher) runs on these
@@ -69,6 +69,48 @@ class Rng:
 
     def permutation(self, x):
         return self.generator.permutation(x)
+
+
+# ---------------------------------------------------------------------------
+# config field ranges
+# ---------------------------------------------------------------------------
+
+
+class FieldError(ValueError):
+    """A config field outside its range; ``field`` names it."""
+
+    def __init__(self, field: str, problem: str):
+        super().__init__(f"{field} {problem}")
+        self.field, self.problem = field, problem
+
+
+class Range(NamedTuple):
+    """The values one config field takes: a phrase naming them and the test
+    of a value. Bools are not numbers here, and NaN passes no test."""
+
+    phrase: str
+    holds: Callable[[object], bool]
+
+
+def is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def at_least(low: int) -> Range:
+    return Range(f"an integer at least {low}", lambda v: type(v) is int and v >= low)
+
+
+POSITIVE = Range("a finite number above 0", lambda v: is_number(v) and 0 < v < math.inf)
+SEED = at_least(0)
+
+
+def check_fields(config, ranges: dict[str, Range]) -> None:
+    """Refuse the first field of ``config`` named in ``ranges`` whose value
+    is outside its range, with :class:`FieldError`."""
+    for name, (phrase, holds) in ranges.items():
+        value = getattr(config, name)
+        if not holds(value):
+            raise FieldError(name, f"must be {phrase}, not {value!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -60,12 +60,6 @@ REGISTRY_STATES = {
     "RH6": "holds sensitive system information",
 }
 
-_STATES_BY_TYPE = {
-    EntityType.PROCESS: PROCESS_STATES,
-    EntityType.FILE: FILE_STATES,
-    EntityType.REGISTRY: REGISTRY_STATES,
-}
-
 
 # -- transfer rules ----------------------------------------------------------
 
@@ -163,8 +157,6 @@ KILLCHAIN_ALIGNMENT: dict[str, tuple[str, ...]] = {
     "Complete Mission": ("Collection", "Command and Control", "Impact"),
     "Cleanup Tracks": ("Impact", "Defense Evasion"),
 }
-
-KILLCHAIN_STAGES = tuple(KILLCHAIN_ALIGNMENT)
 
 
 def map_to_killchain(tactic: str) -> frozenset[str]:

@@ -13,10 +13,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 from .graph import EntityType, Event, ProvenanceGraph, build_graph
-from .numerics import Rng
+from .numerics import SEED, Range, Rng, at_least, check_fields, is_number
 from .sampling import TechniqueSubgraph, select_seed
 
 
@@ -92,7 +92,15 @@ class ScenarioSpec:
     noise_rate: float = 0.05
     seed: int = 0
 
+    RANGES: ClassVar = {
+        "samples_per_class": at_least(1),
+        "background": at_least(0),
+        "noise_rate": Range("a number in [0, 1]", lambda v: is_number(v) and 0 <= v <= 1),
+        "seed": SEED,
+    }
+
     def __post_init__(self):
+        check_fields(self, self.RANGES)
         if len(self.templates) < 2:
             raise ValueError("need at least two technique templates")
         names = [t.technique for t in self.templates]

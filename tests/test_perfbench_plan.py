@@ -4,11 +4,12 @@
 attribute)`` it replaces with a timing wrapper during ``--trace 1`` runs. A
 rename or deletion in ``src/`` would only show up there, as a crash, so this
 checks the plan from the tier-1 suite, every other provrec name that
-``workloads.py`` and ``checks.py`` reach through an import, and the graph
-views that ``checks.py`` reads.
+``workloads.py`` and ``checks.py`` reach through an import, the graph views
+that ``checks.py`` reads and the config keys that ``workloads.py`` reads.
 """
 
 import ast
+import dataclasses
 import importlib
 import types
 from pathlib import Path
@@ -120,3 +121,34 @@ def test_the_graph_views_the_benchmark_reads(monkeypatch):
     assert ("x.bin", "file") in nodes and edges[("sh", "x.bin", 3, 20)] == 1
     assert checks.process_ids(g) == {"sh", "curl"}
     assert checks.best_connected(["sh", "curl"], g) == "curl"
+
+
+def test_every_config_key_the_benchmark_reads_resolves():
+    """Every ``PipelineConfig(...)`` keyword and every ``cfg.<attr>`` in
+    ``workloads.py`` is a key or a view of ``PipelineConfig``; a renamed key
+    would otherwise show up only as a crashed benchmark run."""
+    from provrec.config import PipelineConfig
+
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+    keywords = {
+        kw.arg
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name) and node.func.id == "PipelineConfig"
+        for kw in node.keywords
+    }
+    reads = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name) and node.value.id == "cfg"
+    }
+    assert keywords | reads >= {
+        "seed", "lam", "shots", "samples_per_class", "num_trees", "subsample",
+        "score_threshold", "contamination", "min_nois", "unknown_threshold",
+        "scenario_spec",
+    }
+    keys = {f.name for f in dataclasses.fields(PipelineConfig)}
+    assert sorted(keywords - keys) == []
+    config = PipelineConfig()
+    assert sorted(a for a in reads if not hasattr(config, a)) == []
