@@ -86,9 +86,9 @@ def _log_path(out: Path) -> Path:
 
 def _blas_setup() -> dict:
     """The BLAS thread settings a run saw: the environment variables, the
-    CPU count and the pool size numpy's OpenBLAS reports (None when numpy's
-    BLAS is not OpenBLAS). Results are the same for every thread count;
-    training runs on one thread whatever the pool size."""
+    CPU count and the caller's pool size numpy's OpenBLAS reports (None when
+    numpy's BLAS is not OpenBLAS). Results are the same for every thread
+    count; every model forward runs on one thread whatever the pool size."""
     setup = {
         key: os.environ.get(key, "default")
         for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")

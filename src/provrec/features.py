@@ -290,8 +290,8 @@ def train_encoder(
 def extract_embeddings(
     encoder: GnnEncoder, graph: ProvenanceGraph, e0: np.ndarray
 ) -> np.ndarray:
-    """Run the trained stack through the training forward; rows follow the
-    graph's node order."""
+    """Run the trained stack through the training forward, on one BLAS
+    thread; rows follow the graph's node order."""
     e0 = np.asarray(e0, dtype=np.float64)
     if e0.shape != (graph.n_nodes, encoder.input_dim):
         raise ValueError(
@@ -300,7 +300,8 @@ def extract_embeddings(
         )
     h = nm.Matrix(scale_features(e0))
     operators = [aggregation_matrix(graph)] * len(encoder.weights)
-    return _layer_stack(operators, h, encoder.weights).value
+    with nm.one_blas_thread():
+        return _layer_stack(operators, h, encoder.weights).value
 
 
 def type_accuracy(encoder: GnnEncoder, graph: ProvenanceGraph, e0: np.ndarray) -> float:

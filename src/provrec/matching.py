@@ -96,7 +96,8 @@ class MatcherConfig:
     lr: float = 0.05
     seed: int = 0
 
-    RANGES: ClassVar = {"margin": nm.POSITIVE, "epochs": nm.at_least(0),
+    RANGES: ClassVar = {"han": nm.Range("a HanConfig", lambda v: isinstance(v, HanConfig)),
+                        "margin": nm.POSITIVE, "epochs": nm.at_least(0),
                         "lr": nm.POSITIVE, "seed": nm.SEED}
 
     def __post_init__(self):
@@ -147,9 +148,12 @@ class SiameseModel:
         return self.embed_many([tsg])[0]
 
     def embed_many(self, subgraphs: Sequence[TechniqueSubgraph]) -> np.ndarray:
-        """Branch outputs of several subgraphs from one batched class forward."""
+        """Branch outputs of several subgraphs from one batched class forward,
+        run on one BLAS thread."""
         han = self.config.han
-        return branch(SubgraphBatch(subgraphs, han), self._weights, han).value
+        batch = SubgraphBatch(subgraphs, han)
+        with nm.one_blas_thread():
+            return branch(batch, self._weights, han).value
 
     def weights(self) -> dict[str, np.ndarray]:
         """Every weight by name: the encoder's, then ``out_w`` and ``out_b``."""

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import base64
 import binascii
+import contextlib
 import ctypes
 import functools
 import hashlib
 import math
+import threading
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -489,11 +491,15 @@ def slice_rows(a, start: int, stop: int) -> Matrix:
 
 
 def leaky_relu(a, slope: float = 0.01) -> Matrix:
+    # branch-free: np.where on a mixed-sign mask mispredicts. Both forms give
+    # the same bits for 0 <= slope < 1, since (1 - slope) + slope rounds to 1.
+    if not 0.0 <= slope < 1.0:
+        raise NumericsError(f"leaky_relu slope must be in [0, 1), not {slope!r}")
     a = _wrap(a)
     mask = a.value > 0
-    value = np.where(mask, a.value, slope * a.value)
+    value = np.maximum(a.value, slope * a.value)
     return Matrix._from_op(
-        value, "leaky_relu", (a, lambda g: g * np.where(mask, 1.0, slope))
+        value, "leaky_relu", (a, lambda g: g * (mask * (1.0 - slope) + slope))
     )
 
 
@@ -735,6 +741,41 @@ def _openblas_threads() -> _BlasThreads | None:
     return None
 
 
+_pin_lock = threading.Lock()
+_pin_depth = 0  # open one_blas_thread blocks, over all threads
+_pin_caller = 0  # the pool size the outermost block restores
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block on one OpenBLAS thread and give the caller its pool size
+    back when the last open block exits, also on error.
+
+    OpenBLAS's idle worker busy-waits after each threaded GEMM, and the GEMMs
+    of this package's models are too small to gain wall time from a second
+    thread. The pool size is process-wide, so blocks nest and may overlap
+    across threads: the first to enter saves the caller's size and the last
+    to leave restores it. Without OpenBLAS the block runs as it is.
+    """
+    global _pin_depth, _pin_caller
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_caller = blas.get()
+            blas.set(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                blas.set(_pin_caller)
+
+
 def descend(
     tape: GradientTape, loss_fn: Callable[[], Matrix], epochs: int, lr: float
 ) -> list[float]:
@@ -743,20 +784,14 @@ def descend(
     parameter values. A forward or a step that goes non-finite raises
     :class:`NumericsError` advising a smaller learning rate.
 
-    The epochs run on one OpenBLAS thread; the caller's thread count is
-    restored on return and on error. The count is process-wide, so two
-    threads that train at once may leave it at one.
+    The epochs run on one OpenBLAS thread, as every model forward does
+    (:func:`one_blas_thread`); the caller's thread count is restored on
+    return and on error.
     """
     if lr <= 0:
         raise NumericsError("learning rate must be positive")
-    # OpenBLAS's idle worker busy-waits after each threaded GEMM, and the
-    # GEMMs of training are too small to gain wall time from a second thread.
-    blas = _openblas_threads()
-    caller_threads = blas.get() if blas else 0
-    if blas:
-        blas.set(1)
     losses: list[float] = []
-    try:
+    with one_blas_thread():
         for _ in range(epochs):
             try:
                 loss = loss_fn()
@@ -773,9 +808,6 @@ def descend(
                         f"parameter {p.name!r} diverged; reduce the learning rate"
                     )
             losses.append(loss.item())
-    finally:
-        if blas:
-            blas.set(caller_threads)
     return losses
 
 

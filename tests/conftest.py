@@ -3,7 +3,7 @@
 import pytest
 
 from provrec.graph import EntityType
-from provrec.numerics import Rng
+from provrec.numerics import Rng, _openblas_threads
 
 from testkit import make_graph
 
@@ -11,6 +11,20 @@ from testkit import make_graph
 @pytest.fixture
 def rng():
     return Rng(1234)
+
+
+@pytest.fixture
+def pool_of_three():
+    """numpy's OpenBLAS set to a pool of 3 threads, neither the one-thread
+    pin nor the default size; yields its get function and restores the
+    caller's size afterwards."""
+    blas = _openblas_threads()
+    caller = blas.get()
+    blas.set(3)
+    try:
+        yield blas.get
+    finally:
+        blas.set(caller)
 
 
 @pytest.fixture

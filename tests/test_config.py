@@ -223,6 +223,7 @@ def test_stage_fields_are_every_numeric_field():
         (ScenarioSpec, "background", -4),
         (EncoderConfig, "epochs", 2.0),
         (MatcherConfig, "lr", "0.05"),
+        (MatcherConfig, "han", {"dim": 4}),
         *[(HanConfig, "metapaths", v)
           for v in (["MP9"], [], ["MP1", "MP1"], "MP1", [1], [[1]], 5, None)],
     ],

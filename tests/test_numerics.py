@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -607,37 +608,127 @@ def test_openblas_is_found_here():
     assert blas.get() >= 1
 
 
-def test_descend_runs_its_epochs_on_one_openblas_thread_and_restores_the_pool():
-    blas = nm._openblas_threads()
-    caller = blas.get()
+def test_descend_runs_its_epochs_on_one_openblas_thread_and_restores_the_pool(
+        pool_of_three):
     seen = []
 
     def watched(loss_fn):
         def wrapped():
-            seen.append(blas.get())
+            seen.append(pool_of_three())
             return loss_fn()
         return wrapped
 
     tape, loss_fn = _two_parameter_model(58)
-    blas.set(3)  # neither the pin nor the default pool size
+    nm.descend(tape, watched(loss_fn), 4, 0.3)
+    assert (seen, pool_of_three()) == ([1, 1, 1, 1], 3)
+    seen.clear()
+    p = tape.parameter("w", [[1e300]])
+    with pytest.raises(NumericsError, match="'w' diverged"):
+        nm.descend(tape, watched(lambda: nm.scale(p, -1e8)), 3, 1e301)
+    assert (seen, pool_of_three()) == ([1], 3)
+    seen.clear()
+
+    def failing():
+        raise NumericsError("non-finite result from op 'exp'")
+
+    with pytest.raises(NumericsError, match="training diverged"):
+        nm.descend(tape, watched(failing), 3, 0.1)
+    assert (seen, pool_of_three()) == ([1], 3)
+
+
+def test_blas_pins_nest_and_the_outermost_restores_the_pool(pool_of_three):
+    seen = []
+
+    def loss_fn():
+        with nm.one_blas_thread():  # a pinned forward inside descend
+            seen.append(pool_of_three())
+            loss = base()
+        seen.append(pool_of_three())
+        return loss
+
+    tape, base = _two_parameter_model(59)
+    nm.descend(tape, loss_fn, 2, 0.3)
+    assert (seen, pool_of_three()) == ([1, 1, 1, 1], 3)
+    with pytest.raises(KeyError):
+        with nm.one_blas_thread():
+            with nm.one_blas_thread():
+                raise KeyError("forward failed")
+    assert pool_of_three() == 3
+
+
+@pytest.mark.parametrize("last_out", ["first", "second"])
+def test_blas_pins_overlapping_in_two_threads_restore_the_pool_once(
+        pool_of_three, last_out):
+    # first enters, second enters, one leaves while the other still runs
+    # pinned, then the other leaves
+    first_in, second_in, one_out = (threading.Event() for _ in range(3))
+    seen = {}
+
+    def pinned(name, wait_for, then_set):
+        assert wait_for is None or wait_for.wait(10)
+        with nm.one_blas_thread():
+            then_set.set()
+            if name == last_out:
+                assert one_out.wait(10)
+                seen["after the other left"] = pool_of_three()
+            else:
+                assert second_in.wait(10)
+        if name != last_out:
+            one_out.set()
+
+    threads = [threading.Thread(target=pinned, args=("first", None, first_in)),
+               threading.Thread(target=pinned, args=("second", first_in, second_in))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(20)
+    assert not any(t.is_alive() for t in threads)
+    assert (seen, pool_of_three()) == ({"after the other left": 1}, 3)
+
+
+def test_blas_pins_in_many_threads_keep_one_thread_inside_and_restore_once(
+        pool_of_three):
+    seen = set()
+
+    def churn():
+        for _ in range(2000):
+            with nm.one_blas_thread():
+                seen.add(pool_of_three())
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
     try:
-        nm.descend(tape, watched(loss_fn), 4, 0.3)
-        assert (seen, blas.get()) == ([1, 1, 1, 1], 3)
-        seen.clear()
-        p = tape.parameter("w", [[1e300]])
-        with pytest.raises(NumericsError, match="'w' diverged"):
-            nm.descend(tape, watched(lambda: nm.scale(p, -1e8)), 3, 1e301)
-        assert (seen, blas.get()) == ([1], 3)
-        seen.clear()
-
-        def failing():
-            raise NumericsError("non-finite result from op 'exp'")
-
-        with pytest.raises(NumericsError, match="training diverged"):
-            nm.descend(tape, watched(failing), 3, 0.1)
-        assert (seen, blas.get()) == ([1], 3)
+        threads = [threading.Thread(target=churn) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
     finally:
-        blas.set(caller)
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert (seen, pool_of_three()) == ({1}, 3)
+
+
+def test_leaky_relu_is_bit_identical_to_the_branching_form():
+    gen = Rng(61)
+    tiny = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     -2.2250738585072009e-308, 1e-320, -1e-320])
+    wide = 10.0 ** gen.uniform(-320, 300, 9992) * gen.choice([-1.0, 1.0], 9992)
+    x = np.concatenate([tiny, wide]).reshape(100, 100)
+    g = gen.normal(0, 1, size=x.shape)
+    for slope, op in ((0.0, nm.relu), (0.01, nm.leaky_relu)):
+        a = Matrix(x.copy(), trainable=True)
+        out = op(a)
+        nm.backward(nm.sum_all(nm.mul(out, g)))  # out's gradient is g
+        mask = x > 0
+        assert out.value.tobytes() == np.where(mask, x, slope * x).tobytes()
+        assert a.grad.tobytes() == (g * np.where(mask, 1.0, slope)).tobytes()
+
+
+@pytest.mark.parametrize("slope", [-0.01, 1.0, 1.5, math.nan])
+def test_leaky_relu_refuses_a_slope_outside_0_to_1(slope):
+    with pytest.raises(NumericsError, match=r"slope must be in \[0, 1\)"):
+        nm.leaky_relu(Matrix([[1.0, -1.0]]), slope)
 
 
 def test_forward_backward_bit_identical_replay():
