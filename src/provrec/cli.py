@@ -26,7 +26,7 @@ from .config import ConfigError, PipelineConfig
 from .evaluation import (
     MODES,
     detect,
-    evaluate_end_to_end,
+    evaluate_modes,
     run_experiment,
     split_few_shot,
     train_pipeline,
@@ -293,11 +293,8 @@ def _cmd_evaluate(args, config: PipelineConfig) -> int:
     if args.models:
         models = load_model(args.models, expect_kind="bundle")
         _, test = split_few_shot(dataset, config.shots, config.seed)
-        report = {"seed": config.seed, "n_test": len(test), "modes": {}}
-        for mode in modes:
-            report["modes"][mode] = evaluate_end_to_end(
-                test, mode, models, config, config.seed
-            )
+        report = {"seed": config.seed, "n_test": len(test),
+                  "modes": evaluate_modes(test, modes, models, config, config.seed)}
     else:
         report = run_experiment(dataset, config, config.seed, modes)
     if args.with_noi:

@@ -28,7 +28,6 @@ from .matching import (
 from .noi import NoiReport, detect_nois
 from .numerics import Rng
 from .sampling import (
-    SamplingMetrics,
     TechniqueSubgraph,
     match_subgraphs,
     sample_subgraphs,
@@ -223,29 +222,6 @@ def _whole_graph_subgraph(sample: LabeledSample) -> TechniqueSubgraph:
     return TechniqueSubgraph(graph, procs, select_seed(procs, graph))
 
 
-def _aggregate_sampling(parts: Sequence[SamplingMetrics]) -> SamplingMetrics:
-    n_sampled = sum(p.n_sampled for p in parts)
-    n_truth = sum(p.n_truth for p in parts)
-    n_correct = sum(p.n_correct for p in parts)
-    precision = (
-        sum(p.precision * p.n_sampled for p in parts) / n_sampled if n_sampled else 0.0
-    )
-    coverage = (
-        sum(p.coverage * p.n_sampled for p in parts) / n_sampled if n_sampled else 0.0
-    )
-    return SamplingMetrics(
-        precision=precision,
-        coverage=coverage,
-        tpr=n_correct / n_truth if n_truth else 0.0,
-        far=(n_sampled - n_correct) / n_sampled if n_sampled else 0.0,
-        n_sampled=n_sampled,
-        n_truth=n_truth,
-        n_correct=n_correct,
-        tpr_defined=n_truth > 0,
-        far_defined=n_sampled > 0,
-    )
-
-
 def detect(
     graph: ProvenanceGraph,
     encoder: ft.GnnEncoder,
@@ -300,8 +276,10 @@ def evaluate_end_to_end(
 
     True_Graph feeds ground-truth subgraphs; Sampled_Graph feeds whatever
     the pipeline carved (each sampled subgraph is a query labeled by
-    flagged-node overlap, zero-overlap and empty samplings count as wrong);
-    Raw_Graph feeds whole graphs. ``seed`` defaults to ``config.seed``.
+    flagged-node overlap, zero-overlap and empty samplings count as wrong)
+    and scores every host's carves against the truths in one
+    :func:`sampling_metrics` call; Raw_Graph feeds whole graphs. ``seed``
+    defaults to ``config.seed``.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -311,15 +289,13 @@ def evaluate_end_to_end(
         raise ValueError("no test samples")
 
     if mode == "Sampled_Graph":
-        predictions, truth, sampling_parts = [], [], []
-        for sample in test_samples:
+        predictions, truth, carved, matching = [], [], [], []
+        for ti, sample in enumerate(test_samples):
             label = (sample.technique, sample.tactic)
             host = triage(sample.graph, models, config, seed)
-            matching = match_subgraphs(host.carved, [sample.truth])
-            sampling_parts.append(
-                sampling_metrics(host.carved, [sample.truth], matching)
-            )
-            pairs = dict(matching)
+            pairs = dict(match_subgraphs(host.carved, [sample.truth]))
+            matching.extend((len(carved) + ci, ti) for ci in pairs)
+            carved.extend(host.carved)
             # an empty sampling is one wrong prediction for the host
             predictions.extend(host.results or [None])
             truth.extend([label if ci in pairs else _SPURIOUS
@@ -337,8 +313,21 @@ def evaluate_end_to_end(
         "recognition": recognition_metrics(predictions, truth),
     }
     if mode == "Sampled_Graph":
-        report["sampling"] = asdict(_aggregate_sampling(sampling_parts))
+        report["sampling"] = asdict(sampling_metrics(
+            carved, [s.truth for s in test_samples], matching))
     return report
+
+
+def evaluate_modes(
+    test_samples: Sequence[LabeledSample],
+    modes: Sequence[str],
+    models: PipelineModels,
+    config: PipelineConfig,
+    seed: int | None = None,
+) -> dict[str, dict]:
+    """:func:`evaluate_end_to_end` of each mode, by mode name in order."""
+    return {mode: evaluate_end_to_end(test_samples, mode, models, config, seed)
+            for mode in modes}
 
 
 def run_experiment(
@@ -352,12 +341,9 @@ def run_experiment(
     seed = config.seed if seed is None else seed
     train, test = split_few_shot(dataset, config.shots, seed)
     models = train_pipeline(train, config, seed)
-    report = {
+    return {
         "seed": seed,
         "n_train": len(train),
         "n_test": len(test),
-        "modes": {},
+        "modes": evaluate_modes(test, modes, models, config, seed),
     }
-    for mode in modes:
-        report["modes"][mode] = evaluate_end_to_end(test, mode, models, config, seed)
-    return report

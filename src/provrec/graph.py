@@ -372,7 +372,7 @@ def build_graph(events: Iterable[Event]) -> ProvenanceGraph:
     types = codes[np.flatnonzero(np.diff(np.maximum.accumulate(rows), prepend=-1))]
     clash = np.flatnonzero(types[rows] != codes)
     stop = int(clash[0]) if clash.size else 2 * n
-    attrs = _node_attrs(ev_attrs[:min(stop // 2 + 1, n)], rows, stop)
+    attrs = _node_attrs(ev_attrs[:min(stop // 2 + 1, n)], rows)
     if clash.size:
         raise GraphError(
             f"entity id {ends[stop]!r} seen as both "
@@ -415,27 +415,29 @@ def _edge_types(subject_types, operations,
     return type_ids, None
 
 
-def _node_attrs(ev_attrs, rows: np.ndarray, stop: int) -> dict[int, dict]:
-    """Node attrs by row from the events' attrs, merged in event order over
-    the first ``stop`` event ends (``rows``): ``subject_``-prefixed keys go
-    to the subject without the prefix, the rest to the object, and a key a
-    node already has keeps its first value."""
+def merge_attrs(table: dict, subject, obj, attrs: Mapping) -> None:
+    """Merge one event's ``attrs`` into ``table`` (entity -> attrs):
+    ``subject_``-prefixed keys go to ``subject`` without the prefix, the
+    rest to ``obj``, and a key an entity already has keeps its first value."""
+    items = attrs.items()
+    subject_attrs = {k[len("subject_"):]: v for k, v in items if k.startswith("subject_")}
+    object_attrs = {k: v for k, v in items if not k.startswith("subject_")}
+    for entity, entity_attrs in ((subject, subject_attrs), (obj, object_attrs)):
+        if entity_attrs:
+            kept = table.setdefault(entity, {})
+            for k, v in entity_attrs.items():
+                kept.setdefault(k, v)
+
+
+def _node_attrs(ev_attrs, rows: np.ndarray) -> dict[int, dict]:
+    """Node attrs by row from the events' attrs, merged in event order by
+    :func:`merge_attrs`; ``rows`` holds each event's subject and object row
+    in turn."""
     attrs: dict[int, dict] = {}
     if any(ev_attrs):
         rows = rows.tolist()
     for e in compress(count(), ev_attrs):
-        items = ev_attrs[e].items()
-        subject = {k[len("subject_"):]: v for k, v in items if k.startswith("subject_")}
-        obj = {k: v for k, v in items if not k.startswith("subject_")}
-        for end, node_attrs in ((2 * e, subject), (2 * e + 1, obj)):
-            if end >= stop or not node_attrs:
-                continue
-            kept = attrs.get(rows[end])
-            if kept is None:
-                attrs[rows[end]] = dict(node_attrs)
-            else:
-                for k, v in node_attrs.items():
-                    kept.setdefault(k, v)
+        merge_attrs(attrs, rows[2 * e], rows[2 * e + 1], ev_attrs[e])
     return attrs
 
 

@@ -8,11 +8,12 @@ States are never cleared, so replay order alone determines the output.
 
 from __future__ import annotations
 
+import os
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
-from typing import Iterable, Mapping, Sequence
 
-from .graph import EntityType, Event, ProvenanceGraph
+from .graph import EntityType, Event, merge_attrs
 
 
 class RuleError(ValueError):
@@ -202,12 +203,17 @@ class BlacklistConfig:
     trusted_addresses: tuple[str, ...] = ()
 
     def __post_init__(self):
-        for category in self.files:
-            if category not in FILE_CATEGORIES:
-                raise RuleError(f"unknown file blacklist category {category!r}")
-        for category in self.registry:
-            if category not in REGISTRY_CATEGORIES:
-                raise RuleError(f"unknown registry blacklist category {category!r}")
+        for name, kind, categories in (("files", "file", FILE_CATEGORIES),
+                                       ("registry", "registry", REGISTRY_CATEGORIES)):
+            lists = getattr(self, name)
+            if not isinstance(lists, Mapping):
+                raise RuleError(f"blacklist {name} must map categories to entry lists")
+            for category, entries in lists.items():
+                if category not in categories:
+                    raise RuleError(f"unknown {kind} blacklist category {category!r}")
+                _check_entries(f"{name}[{category!r}]", entries)
+        for name in ("commands", "untrusted_addresses", "trusted_addresses"):
+            _check_entries(name, getattr(self, name))
 
     def address_untrusted(self, address: str) -> bool:
         if self.untrusted_addresses:
@@ -215,6 +221,14 @@ class BlacklistConfig:
         if self.trusted_addresses:
             return not _matches(address, self.trusted_addresses)
         return False
+
+
+def _check_entries(name: str, entries) -> None:
+    """Refuse entries that are not a list or tuple of strings; a string
+    would match as its characters."""
+    if not (isinstance(entries, (list, tuple)) and all(isinstance(e, str) for e in entries)):
+        raise RuleError(f"blacklist {name} must be a list of strings, "
+                        f"not {type(entries).__name__}")
 
 
 def _matches(value: str, patterns: Iterable[str]) -> bool:
@@ -232,38 +246,50 @@ def read_blacklist_file(path) -> tuple[str, ...]:
     """One entry per line; blank lines and '#' comments are skipped.
 
     Entries with control characters are malformed and raise with the line
-    number.
+    number; a file that cannot be read as UTF-8 text raises naming its path.
     """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = list(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise RuleError(f"cannot read blacklist file {str(path)!r}: {exc}") from None
     entries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if any(ord(ch) < 32 for ch in line):
-                raise RuleError(f"{path}: malformed entry at line {line_no}")
-            entries.append(line)
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if any(ord(ch) < 32 for ch in line):
+            raise RuleError(f"{path}: malformed entry at line {line_no}")
+        entries.append(line)
     return tuple(entries)
 
 
 def load_blacklists(spec: Mapping) -> BlacklistConfig:
     """Build a config from a {section: {category: path-or-list}} mapping.
 
-    Sections: "files", "registry", "commands", "untrusted_addresses",
-    "trusted_addresses". Values may be list paths (read from disk) or inline
-    lists.
+    Sections: "files" and "registry" map categories to entries; "commands",
+    "untrusted_addresses" and "trusted_addresses" are entries. Entries are
+    a list file's path (read from disk) or an inline list of strings;
+    anything else raises :class:`RuleError`, as :class:`BlacklistConfig`
+    checks them.
     """
+    if not isinstance(spec, Mapping):
+        raise RuleError("a blacklist spec must be a JSON object")
 
-    def as_entries(value) -> tuple[str, ...]:
-        if isinstance(value, (list, tuple)):
-            return tuple(str(v) for v in value)
-        return read_blacklist_file(value)
+    def as_entries(value):
+        if isinstance(value, (str, os.PathLike)):
+            return read_blacklist_file(value)
+        return tuple(value) if isinstance(value, list) else value
 
-    files = {c: as_entries(v) for c, v in (spec.get("files") or {}).items()}
-    registry = {c: as_entries(v) for c, v in (spec.get("registry") or {}).items()}
+    def as_lists(section: str):
+        lists = spec.get(section, {})
+        if not isinstance(lists, Mapping):
+            return lists
+        return {c: as_entries(v) for c, v in lists.items()}
+
     return BlacklistConfig(
-        files=files,
-        registry=registry,
+        files=as_lists("files"),
+        registry=as_lists("registry"),
         commands=as_entries(spec.get("commands", ())),
         untrusted_addresses=as_entries(spec.get("untrusted_addresses", ())),
         trusted_addresses=as_entries(spec.get("trusted_addresses", ())),
@@ -311,42 +337,31 @@ class Alert:
         }
 
 
-def seed_states(source, blacklists: BlacklistConfig) -> StateStore:
-    """Initial codes from blacklist matches over a graph or an event stream.
+def seed_states(events: Iterable[Event], blacklists: BlacklistConfig) -> StateStore:
+    """Initial codes from blacklist matches over an event stream.
 
-    Files and registry keys matching a category list get that category's
-    code; processes running listed commands get PB3; processes connecting to
-    untrusted addresses get PS1.
+    Each entity takes its type from its first event, and its name or else
+    its path from the attrs of all its events, merged as
+    :func:`~provrec.graph.merge_attrs` merges them for graph nodes. Files
+    and registry keys whose id or name matches a category list get that
+    category's code; processes running listed commands get PB3; processes
+    connecting to untrusted addresses get PS1.
     """
     store = StateStore()
-    if isinstance(source, ProvenanceGraph):
-        entities = [
-            (n.id, n.entity_type, n.attrs.get("name") or n.attrs.get("path") or n.id)
-            for n in source.nodes.values()
-        ]
-        connects = [
-            (e.src, e.dst)
-            for e in source.edges
-            if source.entity_type(e.dst) == EntityType.SOCKET
-            and _edge_operation(e.edge_type_id) == "connect"
-        ]
-    else:
-        events: Sequence[Event] = list(source)
-        seen: dict[str, tuple[EntityType, str]] = {}
-        connects = []
-        for ev in events:
-            attrs = ev.attrs or {}
-            if ev.subject_id not in seen:
-                name = attrs.get("subject_name") or ev.subject_id
-                seen[ev.subject_id] = (ev.subject_type, name)
-            if ev.object_id not in seen:
-                name = attrs.get("name") or attrs.get("path") or ev.object_id
-                seen[ev.object_id] = (ev.object_type, name)
-            if ev.object_type == EntityType.SOCKET and ev.operation == "connect":
-                connects.append((ev.subject_id, ev.object_id))
-        entities = [(eid, etype, name) for eid, (etype, name) in seen.items()]
+    types: dict[str, EntityType] = {}
+    attrs: dict[str, dict] = {}
+    connects = []
+    for ev in events:
+        types.setdefault(ev.subject_id, ev.subject_type)
+        types.setdefault(ev.object_id, ev.object_type)
+        if ev.attrs:
+            merge_attrs(attrs, ev.subject_id, ev.object_id, ev.attrs)
+        if ev.object_type == EntityType.SOCKET and ev.operation == "connect":
+            connects.append((ev.subject_id, ev.object_id))
 
-    for eid, etype, display in entities:
+    for eid, etype in types.items():
+        known = attrs.get(eid, {})
+        display = known.get("name") or known.get("path") or eid
         if etype == EntityType.FILE:
             for category, entries in blacklists.files.items():
                 if _matches(eid, entries) or _matches(display, entries):
@@ -365,12 +380,6 @@ def seed_states(source, blacklists: BlacklistConfig) -> StateStore:
         if blacklists.address_untrusted(sock):
             store.grant(proc, "PS1")
     return store
-
-
-def _edge_operation(edge_type_id: int) -> str:
-    from .graph import EDGE_TYPE_NAMES
-
-    return EDGE_TYPE_NAMES[edge_type_id][1]
 
 
 def step_event(store: StateStore, event: Event) -> list[Alert]:

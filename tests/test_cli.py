@@ -474,6 +474,58 @@ def test_baseline_subcommand(workspace, tmp_path):
     assert [a["tactic"] for a in alerts] == ["Initial Access", "Execution"]
 
 
+@pytest.fixture
+def watched_stdin(monkeypatch):
+    """fd 0 holds one line for the test; the returned check reads it back,
+    so it fails when a command read or closed stdin. Opening any other file
+    descriptor as a blacklist file fails the test too, since those belong
+    to the test process and may block."""
+
+    def descriptor_guard(file, *args, **kwargs):
+        assert not isinstance(file, int), f"opened file descriptor {file}"
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr("provrec.rules.open", descriptor_guard, raising=False)
+    saved = os.dup(0)
+    read_end, write_end = os.pipe()
+    os.write(write_end, b"mimikatz.exe\n")
+    os.close(write_end)
+    os.dup2(read_end, 0)
+    os.close(read_end)
+    yield lambda: os.read(0, 64) == b"mimikatz.exe\n"
+    os.dup2(saved, 0)
+    os.close(saved)
+
+
+_BAD_BLACKLISTS = {
+    "commands_zero": {"commands": 0},
+    "commands_seven": {"commands": 7},
+    "files_as_list": {"files": ["x"]},
+    "spec_as_list": [{"commands": ["mimikatz.exe"]}],
+    "category_as_string": {"files": {"user_info": 5}},
+    "entry_not_a_string": {"untrusted_addresses": ["203.0.113.*", 5]},
+    "list_file_is_a_directory": {"commands": "."},  # the working directory
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_BLACKLISTS))
+def test_baseline_refuses_a_malformed_blacklist_spec(tmp_path, capsys, watched_stdin,
+                                                     case):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(json.dumps(
+        {"subject_id": "a", "subject_type": "process", "operation": "read",
+         "object_id": "f", "object_type": "file", "ts": 1}) + "\n")
+    spec = tmp_path / "bl.json"
+    spec.write_text(json.dumps(_BAD_BLACKLISTS[case]))
+    out = tmp_path / "alerts.jsonl"
+    assert run("baseline", "--events", trace, "--blacklists", spec,
+               "--out", out) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "data error" in err and "Traceback" not in err
+    assert watched_stdin()
+    assert not out.exists()
+
+
 def test_evaluate_reports_are_deterministic(chain):
     root, config = chain
     r1, r2 = root / "rep1.json", root / "rep2.json"
@@ -573,7 +625,7 @@ def _existing_out_argv(root, config, command, out):
     ("train-matcher", "provrec.cli", "train_pipeline"),
     ("detect-noi", "provrec.cli", "detect"),
     ("recognize", "provrec.cli", "recognize_many"),
-    ("evaluate", "provrec.cli", "evaluate_end_to_end"),
+    ("evaluate", "provrec.cli", "evaluate_modes"),
 ])
 def test_existing_out_is_refused_before_any_work(
     chain, tmp_path, monkeypatch, command, module, name

@@ -1,6 +1,7 @@
 """Splits, detector metrics, and the three-condition evaluation protocol."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from provrec.evaluation import (
 )
 from provrec.matching import UNKNOWN, recognize_many
 from provrec.noi import detect_nois
-from provrec.sampling import sample_subgraphs
+from provrec.sampling import match_subgraphs, sample_subgraphs, sampling_metrics
 from provrec.synthetic import ScenarioSpec, generate_scenario
 
 
@@ -276,6 +277,23 @@ def test_nothing_carved_counts_one_empty_prediction_per_host(tiny_models, tiny_c
     assert report["n_queries"] == len(test)
     assert report["recognition"] == {"ACC": 0.0, "Top3ACC": 0.0, "TacticACC": 0.0}
     assert report["sampling"]["n_sampled"] == 0
+
+
+def test_sampled_graph_scores_every_hosts_carves_in_one_pool(tiny_models, tiny_config):
+    _, test, models = tiny_models
+    config = tiny_config.override(min_nois=1)
+    carved, matching, most = [], [], 0
+    for ti, sample in enumerate(test):
+        host = triage(sample.graph, models, config, seed=20)
+        matching += [(len(carved) + ci, ti)
+                     for ci, _ in match_subgraphs(host.carved, [sample.truth])]
+        carved += host.carved
+        most = max(most, len(host.carved))
+    assert most >= 3  # where a mean of per-host means could differ in the last bit
+    report = evaluate_end_to_end(test, "Sampled_Graph", models, config, seed=20)
+    assert report["sampling"] == asdict(
+        sampling_metrics(carved, [s.truth for s in test], matching))
+    assert report["n_queries"] == len(carved)
 
 
 def test_run_experiment_report_is_complete(tiny_dataset, tiny_config):

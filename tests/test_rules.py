@@ -2,7 +2,7 @@
 
 import pytest
 
-from provrec.graph import EntityType, Event
+from provrec.graph import EntityType, Event, build_graph
 from provrec.rules import (
     ATTCK_TACTICS,
     FILE_CATEGORIES,
@@ -20,8 +20,6 @@ from provrec.rules import (
     step_event,
 )
 
-from testkit import make_graph
-
 
 def _event(subject, operation, obj, obj_type, ts=0):
     return Event(subject, EntityType.PROCESS, operation, obj, obj_type, ts)
@@ -30,33 +28,38 @@ def _event(subject, operation, obj, obj_type, ts=0):
 # -- seeding ------------------------------------------------------------------
 
 
+def _trace(rows):
+    """Events from (subject, operation, object, object_type) rows, ts in order."""
+    return [_event(s, op, o, t, ts) for ts, (s, op, o, t) in enumerate(rows)]
+
+
 def test_empty_blacklists_seed_nothing():
-    g = make_graph(
+    events = _trace(
         [
             ("p", "write", "C:/tmp/a.txt", EntityType.FILE),
             ("p", "connect", "10.0.0.1:443", EntityType.SOCKET),
         ]
     )
-    store = seed_states(g, BlacklistConfig())
+    store = seed_states(events, BlacklistConfig())
     assert store.snapshot() == {}
 
 
 def test_scheduled_task_file_seeds_fh1():
-    g = make_graph([("p", "write", "C:/Windows/Tasks/job.xml", EntityType.FILE)])
+    events = _trace([("p", "write", "C:/Windows/Tasks/job.xml", EntityType.FILE)])
     bl = BlacklistConfig(files={"scheduled_tasks": ("C:/Windows/Tasks/*",)})
-    store = seed_states(g, bl)
+    store = seed_states(events, bl)
     assert store.holds("C:/Windows/Tasks/job.xml", "FH1")
 
 
 def test_security_control_registry_seeds_rh4():
-    g = make_graph([("p", "query", "HKLM/Security/Policy", EntityType.REGISTRY)])
+    events = _trace([("p", "query", "HKLM/Security/Policy", EntityType.REGISTRY)])
     bl = BlacklistConfig(registry={"security_policy": ("HKLM/Security/*",)})
-    store = seed_states(g, bl)
+    store = seed_states(events, bl)
     assert store.holds("HKLM/Security/Policy", "RH4")
 
 
 def test_untrusted_connect_seeds_ps1():
-    g = make_graph(
+    events = _trace(
         [
             ("evil", "connect", "203.0.113.5:4444", EntityType.SOCKET),
             ("ok", "connect", "10.0.0.1:443", EntityType.SOCKET),
@@ -64,38 +67,73 @@ def test_untrusted_connect_seeds_ps1():
         ]
     )
     bl = BlacklistConfig(untrusted_addresses=("203.0.113.*",))
-    store = seed_states(g, bl)
+    store = seed_states(events, bl)
     assert store.holds("evil", "PS1")
     assert not store.holds("ok", "PS1")
     assert not store.holds("passive", "PS1")  # only connect marks
 
 
 def test_trusted_list_mode_marks_everything_else():
-    g = make_graph([("p", "connect", "198.51.100.1:80", EntityType.SOCKET)])
+    events = _trace([("p", "connect", "198.51.100.1:80", EntityType.SOCKET)])
     bl = BlacklistConfig(trusted_addresses=("10.*",))
-    assert seed_states(g, bl).holds("p", "PS1")
+    assert seed_states(events, bl).holds("p", "PS1")
 
 
 def test_sensitive_command_seeds_pb3():
-    g = make_graph([("mimikatz.exe", "read", "f", EntityType.FILE)])
+    events = _trace([("mimikatz.exe", "read", "f", EntityType.FILE)])
     bl = BlacklistConfig(commands=("mimikatz.exe",))
-    assert seed_states(g, bl).holds("mimikatz.exe", "PB3")
+    assert seed_states(events, bl).holds("mimikatz.exe", "PB3")
 
 
-def test_seeding_from_event_stream_equals_graph_seeding():
-    events = [
-        _event("p", "write", "C:/Tasks/j.xml", EntityType.FILE, 1),
-        _event("p", "connect", "203.0.113.9:1", EntityType.SOCKET, 2),
+_LATE_NAMES = BlacklistConfig(
+    files={"scheduled_tasks": ("C:/Windows/Tasks/*",)}, commands=("mimikatz.exe",)
+)
+
+
+def _late_name_trace():
+    """``f:1`` and ``p3`` first appear without attrs; their path and name
+    arrive in later events."""
+    return [
+        _event("p3", "read", "f:1", EntityType.FILE, 1),
+        Event("p3", EntityType.PROCESS, "write", "f:1", EntityType.FILE, 2,
+              {"path": "C:/Windows/Tasks/job.xml"}),
+        Event("p3", EntityType.PROCESS, "read", "f:2", EntityType.FILE, 3,
+              {"subject_name": "mimikatz.exe"}),
     ]
-    bl = BlacklistConfig(
-        files={"scheduled_tasks": ("C:/Tasks/*",)},
-        untrusted_addresses=("203.0.113.*",),
-    )
-    from provrec.graph import build_graph
 
-    s1 = seed_states(events, bl)
-    s2 = seed_states(build_graph(events), bl)
-    assert s1.snapshot() == s2.snapshot()
+
+def test_seeding_merges_names_that_arrive_after_an_entitys_first_event():
+    store = seed_states(_late_name_trace(), _LATE_NAMES)
+    assert store.snapshot() == {"f:1": ["FH1"], "p3": ["PB3"]}
+    replayed, alerts = replay(_late_name_trace(), blacklists=_LATE_NAMES)
+    # the write into the seeded task file is persistence (PE-1 grants PB6)
+    assert [(a.ts, a.rule_id) for a in alerts] == [(2, "PE-1")]
+    assert replayed.snapshot() == {"f:1": ["FH1"], "p3": ["PB3", "PB6"]}
+
+
+def test_seeding_keeps_the_first_name_and_prefers_it_to_the_path():
+    events = [
+        Event("p", EntityType.PROCESS, "read", "f", EntityType.FILE, 1,
+              {"path": "C:/Windows/Tasks/a.job"}),
+        Event("p", EntityType.PROCESS, "read", "f", EntityType.FILE, 2,
+              {"name": "notes.txt", "path": "C:/docs/notes.txt"}),
+        Event("p", EntityType.PROCESS, "read", "g", EntityType.FILE, 3,
+              {"name": "plain.txt"}),
+        Event("p", EntityType.PROCESS, "read", "g", EntityType.FILE, 4,
+              {"name": "C:/Windows/Tasks/b.job"}),
+    ]
+    assert seed_states(events, _LATE_NAMES).snapshot() == {}
+
+
+def test_process_named_by_its_subject_path_is_matched_by_that_path():
+    events = [
+        Event("p7", EntityType.PROCESS, "read", "f", EntityType.FILE, 1,
+              {"subject_path": "C:/tools/mimikatz.exe"}),
+    ]
+    bl = BlacklistConfig(commands=("*/mimikatz.exe",))
+    assert seed_states(events, bl).snapshot() == {"p7": ["PB3"]}
+    assert build_graph(events).to_dict()["nodes"][0]["attrs"] == {
+        "path": "C:/tools/mimikatz.exe"}
 
 
 def test_blacklist_file_parsing(tmp_path):
@@ -121,6 +159,36 @@ def test_load_blacklists_mixes_paths_and_inline(tmp_path):
     assert bl.commands == ("powershell.exe",)
     with pytest.raises(RuleError, match="category"):
         BlacklistConfig(files={"nonsense": ("x",)})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("files", {"user_info": "C:/users/*/secrets.db"}),
+        ("files", ["user_info"]),
+        ("registry", {"user_info": ("HKLM/SAM/*", 3)}),
+        ("registry", None),
+        ("commands", "mimikatz.exe"),
+        ("commands", 0),
+        ("untrusted_addresses", "203.0.113.*"),
+        ("trusted_addresses", ["10.*", b"192.168.*"]),
+    ],
+)
+def test_blacklist_config_refuses_entries_that_are_not_a_list_of_strings(field, value):
+    # a string would match as its characters: "203.0.113.*" holds "*"
+    with pytest.raises(RuleError, match=field):
+        BlacklistConfig(**{field: value})
+
+
+def test_unreadable_blacklist_file_is_refused_naming_it(tmp_path):
+    for path in (tmp_path, tmp_path / "missing.txt"):
+        with pytest.raises(RuleError, match="cannot read blacklist file") as info:
+            load_blacklists({"commands": str(path)})
+        assert str(path) in str(info.value)
+    latin = tmp_path / "latin.txt"
+    latin.write_bytes(b"caf\xe9.exe\n")
+    with pytest.raises(RuleError, match="latin.txt"):
+        read_blacklist_file(latin)
 
 
 # -- transfer rules -----------------------------------------------------------
