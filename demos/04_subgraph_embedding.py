@@ -4,7 +4,7 @@
 
 import numpy as np
 
-from provrec import EntityType, Event, build_graph, metapath_neighbors
+from provrec import EntityType, Event, build_graph
 from provrec.embedding import (
     META_PATHS,
     METAPATH_COMBOS,
@@ -12,6 +12,7 @@ from provrec.embedding import (
     HanConfig,
     embed_subgraph,
     init_han_params,
+    metapath_pairs,
 )
 from provrec.sampling import TechniqueSubgraph
 
@@ -38,9 +39,13 @@ sub = tsg(
 )
 
 # Meta-paths define typed process-to-process hops: through a launch edge,
-# or through a shared file / registry key / socket.
+# or through a shared file / registry key / socket. Each lists its
+# (neighbor row, target row) pairs; every node is its own neighbor.
+ids = sub.node_ids
+pa = ids.index("pa")
 for mp in META_PATHS:
-    print(mp, "neighbors of pa:", sorted(metapath_neighbors(sub, "pa", mp)))
+    src, dst = metapath_pairs(sub, mp)
+    print(mp, "neighbors of pa:", sorted(ids[k] for k in src[dst == pa]))
 
 # One embedding pass records all three attention distributions.
 config = HanConfig(dim=16, seed=42)

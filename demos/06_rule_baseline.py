@@ -7,7 +7,6 @@ from provrec.rules import (
     KILLCHAIN_ALIGNMENT,
     TRANSFER_RULES,
     BlacklistConfig,
-    map_to_killchain,
     replay,
     seed_states,
 )
@@ -42,10 +41,12 @@ trace = [
 store = seed_states(trace, blacklists)
 print("\nseeded states:", store.snapshot())
 
+# Each alert record, as `provrec baseline` writes it, carries the kill-chain
+# stages of its tactic.
 store, alerts = replay(trace, blacklists=blacklists)
 print("\nalerts:")
 for a in alerts:
-    stages = "/".join(sorted(map_to_killchain(a.tactic)))
+    stages = "/".join(a.to_dict()["killchain"])
     print(f"  ts={a.ts} [{a.rule_id}] {a.tactic:<16} {a.subject} -> {a.object}"
           f"  (kill-chain: {stages})")
 

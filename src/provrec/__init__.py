@@ -14,7 +14,6 @@ from .embedding import (
     METAPATH_COMBOS,
     HanConfig,
     embed_subgraph,
-    metapath_neighbors,
 )
 from .evaluation import (
     MODES,
@@ -55,7 +54,6 @@ from .matching import (
     SiameseModel,
     Triplet,
     build_triplets,
-    contrastive_loss,
     pick_representative,
     recognition_metrics,
     recognize,
@@ -76,7 +74,6 @@ from .numerics import (
     NumericsError,
     Rng,
     descend,
-    grad_check,
 )
 from .persistence import ModelFormatError, load_model, save_model
 from .rules import (

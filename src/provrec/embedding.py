@@ -26,7 +26,7 @@ from scipy import sparse
 
 from . import features as ft
 from . import numerics as nm
-from .graph import EDGE_GROUPS, NUM_EDGE_TYPES, EntityType, GraphError
+from .graph import EDGE_GROUPS, NUM_EDGE_TYPES, EntityType
 from .sampling import TechniqueSubgraph
 
 # Meta-path vocabulary: process-to-process hops through a launch edge or
@@ -48,20 +48,6 @@ METAPATH_COMBOS = {
     "MPC5": ("MP1", "MP3", "MP4"),
     "MPC6": ("MP1", "MP2", "MP3", "MP4"),
 }
-
-
-def metapath_neighbors(tsg: TechniqueSubgraph, node_id: str, mp: str) -> set[str]:
-    """Processes reachable from ``node_id`` along one full meta-path instance.
-
-    Always includes the node itself. Non-process nodes have no meta-path
-    neighbors beyond themselves.
-    """
-    a = _metapath_matrix(tsg, mp)
-    i = tsg.graph.node_index().get(node_id)
-    if i is None:
-        raise GraphError(f"unknown node {node_id!r}")
-    ids = tsg.node_ids
-    return {ids[k] for k in a.indices[a.indptr[i]:a.indptr[i + 1]]}
 
 
 def metapath_pairs(tsg: TechniqueSubgraph, mp: str) -> tuple[np.ndarray, np.ndarray]:

@@ -24,6 +24,7 @@ from .matching import (
     recognize,  # noqa: F401 (perfbench's traced run wraps it here)
     recognize_many,
     train_matcher,
+    triplet_classes,
 )
 from .noi import NoiReport, detect_nois
 from .numerics import Rng
@@ -190,9 +191,11 @@ def train_pipeline(
     seed: int | None = None,
 ) -> PipelineModels:
     """Fit the node-type encoder, the matcher, and the exemplar cache;
-    ``seed`` defaults to ``config.seed``."""
+    ``seed`` defaults to ``config.seed``. A split that yields no triplet
+    is refused before anything trains."""
     if not train_samples:
         raise ValueError("no training samples")
+    triplet_classes([s.technique for s in train_samples])
     union = disjoint_union([s.graph for s in train_samples])
     encoder = ft.train_encoder(
         union, ft.init_features(union), config.encoder_config(seed)

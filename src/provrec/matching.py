@@ -33,22 +33,6 @@ from .sampling import TechniqueSubgraph
 UNKNOWN = "UNKNOWN"
 
 
-def contrastive_loss(distance: float, same_class: bool, margin: float = 1.0) -> float:
-    """Squared distance for same-class pairs, hinge on the margin otherwise.
-
-    ``margin=0`` is legal here (the negative-pair loss is then identically
-    zero); trained models require a strictly positive margin. NaN is
-    refused for either.
-    """
-    if not distance >= 0:
-        raise ValueError(f"distance must be nonnegative, got {distance}")
-    if not margin >= 0:
-        raise ValueError(f"margin must be nonnegative, got {margin}")
-    if same_class:
-        return float(distance * distance)
-    return float(max(0.0, margin - distance))
-
-
 @dataclass(frozen=True)
 class Triplet:
     """Indices of an anchor, a same-class positive, and an other-class negative."""
@@ -58,18 +42,27 @@ class Triplet:
     negative: int
 
 
+def triplet_classes(labels: Sequence[str]) -> dict[str, list[int]]:
+    """The sample indices of each class, first-seen order; raises unless the
+    labels yield a triplet: two classes, one of them with two samples."""
+    by_class: dict[str, list[int]] = {}
+    for i, lab in enumerate(labels):
+        by_class.setdefault(lab, []).append(i)
+    if len(by_class) < 2:
+        raise ValueError("triplet construction needs at least two classes")
+    if all(len(members) < 2 for members in by_class.values()):
+        raise ValueError("no valid triplets; every class is a singleton")
+    return by_class
+
+
 def build_triplets(labels: Sequence[str], rng: nm.Rng) -> list[Triplet]:
     """One triplet per usable anchor, in dataset order.
 
     Singleton classes yield no anchors (warned once) but still serve as
-    negatives. Needs at least two distinct classes.
+    negatives. Needs at least two distinct classes, one not a singleton.
     """
     labels = list(labels)
-    if len(set(labels)) < 2:
-        raise ValueError("triplet construction needs at least two classes")
-    by_class: dict[str, list[int]] = {}
-    for i, lab in enumerate(labels):
-        by_class.setdefault(lab, []).append(i)
+    by_class = triplet_classes(labels)
     for lab, members in by_class.items():
         if len(members) < 2:
             warnings.warn(
@@ -273,8 +266,6 @@ def train_matcher(
     labels = [lab for _, lab in samples]
     rng = nm.Rng(config.seed)
     triplets = build_triplets(labels, rng.split("triplets"))
-    if not triplets:
-        raise ValueError("no valid triplets; every class is a singleton")
 
     d = config.han.dim
     init = init_han_params(config.han)

@@ -19,7 +19,7 @@ import hashlib
 import math
 import threading
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -810,39 +810,3 @@ def descend(
             losses.append(loss.item())
     return losses
 
-
-def grad_check(
-    loss_fn: Callable[[], Matrix],
-    params: Iterable[Matrix] | GradientTape,
-    eps: float = 1e-5,
-) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    ``loss_fn`` must rebuild the forward graph from the current parameter
-    values on every call and return a 1x1 matrix. The reported error is
-    ``|analytic - numeric| / max(1, |analytic|)`` maximised over every entry
-    of every parameter.
-    """
-    plist: Sequence[Matrix] = list(params)
-    loss = loss_fn()
-    if not isinstance(loss, Matrix) or loss.shape != (1, 1):
-        raise NumericsError("loss_fn must return a scalar Matrix")
-    backward(loss)
-    analytic = [
-        p.grad.copy() if p.grad is not None else np.zeros_like(p.value) for p in plist
-    ]
-    worst = 0.0
-    for p, ana in zip(plist, analytic):
-        flat = p.value.reshape(-1)
-        flat_ana = ana.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            up = loss_fn().item()
-            flat[i] = orig - eps
-            down = loss_fn().item()
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * eps)
-            err = abs(flat_ana[i] - numeric) / max(1.0, abs(flat_ana[i]))
-            worst = max(worst, err)
-    return worst

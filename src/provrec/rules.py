@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fnmatch import fnmatch
 
 from .graph import EntityType, Event, merge_attrs
@@ -271,10 +271,16 @@ def load_blacklists(spec: Mapping) -> BlacklistConfig:
     "untrusted_addresses" and "trusted_addresses" are entries. Entries are
     a list file's path (read from disk) or an inline list of strings;
     anything else raises :class:`RuleError`, as :class:`BlacklistConfig`
-    checks them.
+    checks them. A section of any other name raises too, so a misspelt
+    section cannot leave seeding off.
     """
     if not isinstance(spec, Mapping):
         raise RuleError("a blacklist spec must be a JSON object")
+    sections = [f.name for f in fields(BlacklistConfig)]
+    for section in spec:
+        if section not in sections:
+            raise RuleError(f"unknown blacklist section {section!r}; "
+                            f"the sections are {', '.join(sections)}")
 
     def as_entries(value):
         if isinstance(value, (str, os.PathLike)):
@@ -312,9 +318,6 @@ class StateStore:
     def grant(self, entity_id: str, code: str) -> None:
         self._states.setdefault(entity_id, set()).add(code)
 
-    def states_of(self, entity_id: str) -> frozenset[str]:
-        return frozenset(self._states.get(entity_id, ()))
-
     def snapshot(self) -> dict[str, list[str]]:
         return {eid: sorted(codes) for eid, codes in sorted(self._states.items())}
 
@@ -331,6 +334,7 @@ class Alert:
         return {
             "ts": self.ts,
             "tactic": self.tactic,
+            "killchain": sorted(map_to_killchain(self.tactic)),
             "rule": self.rule_id,
             "subject": self.subject,
             "object": self.object,
@@ -356,7 +360,7 @@ def seed_states(events: Iterable[Event], blacklists: BlacklistConfig) -> StateSt
         types.setdefault(ev.object_id, ev.object_type)
         if ev.attrs:
             merge_attrs(attrs, ev.subject_id, ev.object_id, ev.attrs)
-        if ev.object_type == EntityType.SOCKET and ev.operation == "connect":
+        if ev.object_type == EntityType.SOCKET and ev.operation.lower() == "connect":
             connects.append((ev.subject_id, ev.object_id))
 
     for eid, etype in types.items():

@@ -33,7 +33,6 @@ from provrec.evaluation import (
 from provrec.graph import EntityType, build_graph, disjoint_union
 from provrec.matching import (
     MatcherConfig,
-    contrastive_loss,
     distances,
     pair_loss,
     recognition_metrics,
@@ -58,7 +57,8 @@ from provrec.sampling import (
 )
 from provrec.synthetic import generate_scenario
 
-from testkit import ev, make_graph, random_process_graph
+from digests import PINNED, output_digests, versions
+from testkit import ev, grad_check, make_graph, pair_loss_at, random_process_graph
 
 
 def _ok(n, text):
@@ -147,7 +147,7 @@ def test_criterion_1_gradient_fidelity():
             h = ft.gnn_layer_forward(agg, h, w1)
             return nm.softmax_cross_entropy(nm.matmul(h, wc), labels)
 
-        worst["encoder"] = max(worst["encoder"], nm.grad_check(loss, tape, eps=1e-5))
+        worst["encoder"] = max(worst["encoder"], grad_check(loss, tape, eps=1e-5))
 
     config = HanConfig(dim=3, seed=0)
     for i in range(20):  # the full three-level attention composition
@@ -164,7 +164,7 @@ def test_criterion_1_gradient_fidelity():
             return nm.sum_all(nm.mul(embed_batch(batch, params, config), probe))
 
         worst["attention"] = max(
-            worst["attention"], nm.grad_check(loss, tape, eps=1e-5)
+            worst["attention"], grad_check(loss, tape, eps=1e-5)
         )
 
     for i in range(20):  # twin-branch pair loss, both pair types
@@ -193,7 +193,7 @@ def test_criterion_1_gradient_fidelity():
                 pair_loss(ea, eb, False, 1.0),
             )
 
-        worst["siamese"] = max(worst["siamese"], nm.grad_check(loss, tape, eps=1e-5))
+        worst["siamese"] = max(worst["siamese"], grad_check(loss, tape, eps=1e-5))
 
     elapsed = time.perf_counter() - started
     assert worst["encoder"] < 1e-4
@@ -239,10 +239,10 @@ def test_criterion_3_contrastive_loss_grid():
     margins = [0.5, 1.0, 2.0]
     for d in distances:
         for m in margins:
-            assert contrastive_loss(d, True, m) == d * d
-            assert contrastive_loss(d, False, m) == max(0.0, m - d)
+            assert pair_loss_at(d, True, m) == d * d
+            assert pair_loss_at(d, False, m) == max(0.0, m - d)
     for m in margins:  # boundary d == m: different-class loss exactly zero
-        assert contrastive_loss(m, False, m) == 0.0
+        assert pair_loss_at(m, False, m) == 0.0
     _ok(3, f"closed-form grid over {len(distances)}x{len(margins)} "
            "(distance, margin) points including the d == m boundary")
 
@@ -660,3 +660,17 @@ def test_criterion_13_determinism_and_persistence(tmp_path):
     assert (loaded.matcher.embed(query) == load_model(bundle2).matcher.embed(query)).all()
     _ok(13, "two fresh runs and a checkpoint round trip produced "
             "bit-identical reports and weights")
+
+
+def test_outputs_match_the_pinned_digests(default_suite):
+    """Reports at seeds 0-4, bundles at seeds 0-1 and seed 0's triage hash as
+    pinned in ``tests/data/digests.json`` (re-pinned by ``tests/digests.py``)."""
+    config, runs, _ = default_suite
+    got = output_digests(config, {r["seed"]: r["dataset"] for r in runs},
+                         {r["seed"]: r["report"] for r in runs})
+    pinned = json.loads(PINNED.read_text())
+    assert got == {key: pinned[key] for key in got}, (
+        f"pinned with numpy {pinned['numpy']} and scipy {pinned['scipy']}, "
+        f"running {versions()}")
+    _ok(13, "reports at seeds 0-4, bundles at seeds 0-1 and seed 0's triage "
+            "match their pinned digests")

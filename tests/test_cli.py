@@ -472,6 +472,8 @@ def test_baseline_subcommand(workspace, tmp_path):
                "--out", out) == EXIT_OK
     alerts = [json.loads(line) for line in out.read_text().splitlines()]
     assert [a["tactic"] for a in alerts] == ["Initial Access", "Execution"]
+    assert [a["killchain"] for a in alerts] == [["Initial Compromise"],
+                                                ["Establish Foothold"]]
 
 
 @pytest.fixture
@@ -505,6 +507,7 @@ _BAD_BLACKLISTS = {
     "category_as_string": {"files": {"user_info": 5}},
     "entry_not_a_string": {"untrusted_addresses": ["203.0.113.*", 5]},
     "list_file_is_a_directory": {"commands": "."},  # the working directory
+    "misspelt_section": {"untrusted_adresses": ["203.0.113.*"]},
 }
 
 

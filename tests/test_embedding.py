@@ -19,7 +19,6 @@ from provrec.embedding import (
     graph_level_embed,
     _node_level,
     init_han_params,
-    metapath_neighbors,
     metapath_pairs,
     pair_scores,
     path_level_fuse,
@@ -29,7 +28,13 @@ from provrec.numerics import GradientTape, Matrix, Rng
 from provrec.sampling import TechniqueSubgraph, sample_subgraphs
 from provrec.synthetic import DEFAULT_TEMPLATES, generate_sample
 
-from testkit import listing_class_batch, make_graph, node_batch
+from testkit import (
+    grad_check,
+    listing_class_batch,
+    make_graph,
+    metapath_neighbours,
+    node_batch,
+)
 
 
 def _tsg(triples, nois=None):
@@ -62,22 +67,22 @@ def test_isolated_process_neighbors_are_self_only():
     t = _tsg([("pa", "launch", "pb", EntityType.PROCESS)])
     sub = TechniqueSubgraph(t.graph.induced(["pa"]), ["pa"], "pa")
     for mp in META_PATHS:
-        assert metapath_neighbors(sub, "pa", mp) == {"pa"}
+        assert metapath_neighbours(sub, "pa", mp) == {"pa"}
 
 
 def test_processes_sharing_a_file_see_each_other(shared_file_tsg):
-    assert metapath_neighbors(shared_file_tsg, "pa", "MP2") == {"pa", "pb"}
-    assert metapath_neighbors(shared_file_tsg, "pb", "MP2") == {"pa", "pb"}
+    assert metapath_neighbours(shared_file_tsg, "pa", "MP2") == {"pa", "pb"}
+    assert metapath_neighbours(shared_file_tsg, "pb", "MP2") == {"pa", "pb"}
 
 
 def test_launch_metapath_follows_edge_direction(shared_file_tsg):
-    assert metapath_neighbors(shared_file_tsg, "pa", "MP1") == {"pa", "pc"}
-    assert metapath_neighbors(shared_file_tsg, "pc", "MP1") == {"pc"}
+    assert metapath_neighbours(shared_file_tsg, "pa", "MP1") == {"pa", "pc"}
+    assert metapath_neighbours(shared_file_tsg, "pc", "MP1") == {"pc"}
 
 
 def test_non_process_nodes_get_self_only(shared_file_tsg):
     for mp in META_PATHS:
-        assert metapath_neighbors(shared_file_tsg, "doc", mp) == {"doc"}
+        assert metapath_neighbours(shared_file_tsg, "doc", mp) == {"doc"}
 
 
 def test_neighbors_match_two_hop_enumeration_oracle():
@@ -105,12 +110,12 @@ def test_neighbors_match_two_hop_enumeration_oracle():
                     for e2 in g.edges:
                         if e2.dst == e.dst and e2.edge_type_id in group:
                             want.add(e2.src)
-            assert metapath_neighbors(tsg, nid, mp) == want
+            assert metapath_neighbours(tsg, nid, mp) == want
 
 
 def test_unknown_metapath_rejected(shared_file_tsg):
     with pytest.raises(ValueError):
-        metapath_neighbors(shared_file_tsg, "pa", "MP9")
+        metapath_pairs(shared_file_tsg, "MP9")
 
 
 @pytest.mark.parametrize("metapaths", [("MP1", "MP1"), ("MP2", "MP1", "MP2")])
@@ -187,7 +192,7 @@ def test_node_level_matches_scalar_oracle():
 
     idx = t.graph.node_index()
     for nid in t.node_ids:
-        members = sorted(idx[m] for m in metapath_neighbors(t, nid, "MP2"))
+        members = sorted(idx[m] for m in metapath_neighbours(t, nid, "MP2"))
         i = idx[nid]
         scores = []
         for k in members:
@@ -401,7 +406,7 @@ def test_grad_check_through_full_composition(shared_file_tsg):
         h = embed_batch(batch, params, config)
         return nm.sum_all(nm.mul(h, probe))
 
-    assert nm.grad_check(loss, list(params.values()), eps=1e-5) < 1e-4
+    assert grad_check(loss, list(params.values()), eps=1e-5) < 1e-4
 
 
 def test_metapath_masking_combinations(shared_file_tsg):
@@ -808,4 +813,4 @@ def test_grad_check_through_class_batch():
     def loss():
         return nm.sum_all(nm.mul(embed_batch(batch, params, config), probe))
 
-    assert nm.grad_check(loss, list(params.values()), eps=1e-5) < 1e-4
+    assert grad_check(loss, list(params.values()), eps=1e-5) < 1e-4

@@ -225,6 +225,18 @@ def test_untrained_or_empty_inputs_rejected(tiny_models, tiny_config):
         evaluate_end_to_end(test, "True_Graph", None, tiny_config)
 
 
+def test_a_split_without_a_triplet_is_refused_before_the_encoder_trains(
+        tiny_dataset, tiny_config, monkeypatch):
+    train, _ = split_few_shot(tiny_dataset, 1, seed=20)  # every class a singleton
+
+    def train_encoder(*args, **kwargs):
+        raise AssertionError("the encoder trained")
+
+    monkeypatch.setattr(ft, "train_encoder", train_encoder)
+    with pytest.raises(ValueError, match="^no valid triplets; every class is a singleton$"):
+        train_pipeline(train, tiny_config, seed=20)
+
+
 def _reference_triage(graph, models, config, seed):
     """The host chain step by step: embed, detect, carve, recognise."""
     emb = ft.extract_embeddings(models.encoder, graph, ft.init_features(graph))

@@ -13,7 +13,7 @@ from provrec.graph import EntityType, build_graph, disjoint_union
 from provrec.numerics import Matrix, NumericsError, Rng
 from provrec.synthetic import ScenarioSpec, generate_scenario
 
-from testkit import ev, launch_chain, make_graph
+from testkit import ev, grad_check, launch_chain, make_graph
 
 
 # -- init_features ------------------------------------------------------------
@@ -477,7 +477,7 @@ def test_grad_check_through_gnn_and_cross_entropy():
         h = ft.gnn_layer_forward(agg, h, w1)
         return nm.softmax_cross_entropy(nm.matmul(h, wc), labels)
 
-    assert nm.grad_check(loss, [w0, w1, wc], eps=1e-5) < 1e-4
+    assert grad_check(loss, [w0, w1, wc], eps=1e-5) < 1e-4
 
 
 def test_encoder_checkpoint_round_trip(trained_setup, tmp_path):

@@ -10,17 +10,16 @@ import pytest
 from scipy import sparse
 
 from provrec import features as ft
-from provrec.embedding import META_PATHS, metapath_neighbors, metapath_pairs
+from provrec.embedding import META_PATHS, metapath_pairs
 from provrec.graph import (
     EDGE_GROUPS,
     NUM_EDGE_TYPES,
     EntityType,
-    GraphError,
     build_graph,
 )
 from provrec.sampling import TechniqueSubgraph
 
-from testkit import make_graph
+from testkit import make_graph, metapath_neighbours
 
 P, F, R, S = EntityType.PROCESS, EntityType.FILE, EntityType.REGISTRY, EntityType.SOCKET
 
@@ -201,10 +200,6 @@ def test_self_loop_and_repeated_edges_count_once():
     agg = ft.aggregation_matrix(g).toarray()
     assert agg[g.node_index()["pa"]].tolist() == [1.0, 0.0]  # pa: itself only
     t = _tsg(CASES["file_written_twice"]())
-    assert metapath_neighbors(t, "pa", "MP2") == {"pa", "pb"}
-    assert metapath_neighbors(t, "pb", "MP3") == {"pb", "pc"}
+    assert metapath_neighbours(t, "pa", "MP2") == {"pa", "pb"}
+    assert metapath_neighbours(t, "pb", "MP3") == {"pb", "pc"}
 
-
-def test_metapath_neighbors_unknown_node_raises():
-    with pytest.raises(GraphError):
-        metapath_neighbors(_tsg(CASES["mixed"]()), "ghost", "MP1")

